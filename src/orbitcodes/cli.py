@@ -10,7 +10,9 @@ Subcommands:
 * examples: reproduce the two small non-extendability counterexamples
   end to end, printing one PASS line per claim.
 
-Exit codes: 0 success, 1 hard-assertion failure, 2 usage or parse error.
+Exit codes: 0 success, 1 hard-assertion failure (a failed verify check or
+an internal invariant, reported in one line on stderr), 2 usage or parse
+error.
 Identical arguments (including --seed) produce byte-identical output.
 """
 
@@ -340,6 +342,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        # an internal invariant failed: one line of text, never a traceback
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        sys.stderr.write(f"internal error: {message}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,10 +5,17 @@ RREF basis, so equality is plain entry-wise comparison.  GL_n acts on the
 right: act(U, A) is the row space of (basis of U) * A, re-canonicalized.
 
 For a cyclic group G = <A> the orbit code of U enumerates U, UA, UA^2, ...
-and keeps the first occurrence of each codeword, so codebooks list in a
-deterministic order.  Minimum distance and the distance distribution are
-computed from the orbit itself (brute force is the point: these values are
-the oracles the block bounds are measured against).
+up to the period p (the least p >= 1 with U A^p = U), so codebooks list in
+a deterministic order and the stabilizer has order |G| / p.  Every code
+parameter comes from one walk over that orbit on packed rows: over GF(2) a
+row is an int whose image under A is the XOR of A's rows at its set bits,
+over larger fields a tuple reduced with the field's tables.  The walk
+records each codeword's canonical key and dim(U n U A^j), which give the
+cardinality, the minimum distance and the distance distribution; one walk
+per (subspace, generator) is cached and shared by the code, its block
+bounds and its component codes.  The Mat/rref path (act, stabilizer_order,
+subspace_distance) is kept as the independent slow oracle that the verify
+suites and the tests compare the walk against.
 
 The block machinery splits an RREF basis along the column blocks of a
 block-diagonal generator diag(M_1, ..., M_t): sub-block i keeps the rows
@@ -30,13 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from itertools import accumulate, chain
+from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 from .field import GF
 from .groups import CyclicGroup
 from .matrix import Mat, block_diag, companion, is_invertible, rref
 from .poly import Poly
+from .textio import format_mat, format_poly
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,7 @@ def subspace(rows: Mat) -> Subspace:
     r = rref(rows)
     if r.rank == 0:
         raise ValueError("the zero subspace is not a Grassmannian point here")
-    basis = Mat(
+    basis = Mat._trusted(
         rows.field,
         r.rank,
         rows.cols,
@@ -72,23 +82,29 @@ def _act_unchecked(u: Subspace, a: Mat) -> Subspace:
     r = rref(moved)
     if r.rank != u.k:
         raise SingularMatrixError("action dropped the dimension; matrix is singular")
-    basis = Mat(u.field, u.k, u.n, r.matrix.entries[: u.k * u.n])
+    basis = Mat._trusted(u.field, u.k, u.n, r.matrix.entries[: u.k * u.n])
     return Subspace(u.field, u.n, u.k, basis)
 
 
-def act(u: Subspace, a: Mat) -> Subspace:
-    """Right action: the row space of (basis * A), for invertible n x n A."""
+def _check_operator(u: Subspace, a: Mat) -> None:
     if a.field != u.field:
         raise ValueError("subspace and matrix must share a field")
     if a.rows != u.n or a.cols != u.n:
         raise ValueError(f"expected a {u.n}x{u.n} matrix, got {a.rows}x{a.cols}")
+
+
+def act(u: Subspace, a: Mat) -> Subspace:
+    """Right action: the row space of (basis * A), for invertible n x n A.
+
+    Mat multiply and rref: the oracle the orbit walk is checked against."""
+    _check_operator(u, a)
     if not is_invertible(a):
         raise SingularMatrixError("the action is defined for invertible matrices only")
     return _act_unchecked(u, a)
 
 
 def _stacked_rank(u1: Subspace, u2: Subspace) -> int:
-    stacked = Mat(
+    stacked = Mat._trusted(
         u1.field, u1.k + u2.k, u1.n, u1.basis.entries + u2.basis.entries
     )
     return rref(stacked).rank
@@ -141,28 +157,187 @@ def _check_ambient(u: Subspace, g: CyclicGroup) -> None:
         raise ValueError("subspace and group act on different ambient spaces")
 
 
+# ---------------------------------------------------------------------------
+# the orbit walk on packed rows
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Bits:
+    """GF(2) rows packed into ints, column j at bit n-1-j: a row reads as a
+    binary numeral, its pivot is its highest set bit, and a reduced echelon
+    basis lists its rows in decreasing order."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._bits = _Memo(lambda r: tuple(map(int, format(r, f"0{n}b"))))
+
+    @staticmethod
+    def pack(row: Sequence[int]) -> int:
+        v = 0
+        for e in row:
+            v = v << 1 | e
+        return v
+
+    def unpack(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(map(self._bits.__getitem__, key)))
+
+    def imager(self, a: Mat):
+        """v -> v A, memoized: the XOR of A's rows at the set bits of v."""
+        n = self.n
+        rows = [self.pack(a.row(n - 1 - i)) for i in range(n)]  # bit i's image
+        memo: dict[int, int] = {}
+
+        def image(v: int) -> int:
+            w = memo.get(v)
+            if w is None:
+                w = 0
+                for i, g in enumerate(rows):
+                    if v >> i & 1:
+                        w ^= g
+                memo[v] = w
+            return w
+
+        return image
+
+    @staticmethod
+    def echelon(rows) -> tuple[int, ...]:
+        """Reduced echelon basis of the span of the rows."""
+        basis: list[int] = []
+        for r in rows:
+            for b in basis:
+                if r ^ b < r:  # b's pivot bit is set in r
+                    r ^= b
+            if r:
+                top = 1 << (r.bit_length() - 1)
+                basis = [b ^ r if b & top else b for b in basis]
+                basis.append(r)
+        basis.sort(reverse=True)
+        return tuple(basis)
+
+
+class _Tuples:
+    """Rows over GF(q), q > 2, as tuples of element codes reduced with the
+    field's tables.  A reduced echelon basis also lists its rows in
+    decreasing order, since an earlier pivot is a larger leading entry."""
+
+    def __init__(self, field: GF, n: int):
+        self.n = n
+        if field._mul is not None:
+            self.add, self.mul = field._add, field._mul
+            self.neg, self.inv = field._neg, field._inv
+        else:  # fields above the table limit: the same lookups, filled lazily
+            self.add = _Memo(lambda a: _Memo(lambda b: field.add(a, b)))
+            self.mul = _Memo(lambda a: _Memo(lambda b: field.mul(a, b)))
+            self.neg = _Memo(field.neg)
+            self.inv = _Memo(field.inv)
+
+    pack = staticmethod(tuple)
+
+    @staticmethod
+    def unpack(key: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(key))
+
+    def axpy(self, r: tuple[int, ...], x: int, b: tuple[int, ...]) -> tuple[int, ...]:
+        """The row r + x b."""
+        add, m = self.add, self.mul[x]
+        return tuple([add[s][m[t]] for s, t in zip(r, b)])
+
+    def imager(self, a: Mat):
+        """v -> v A, memoized."""
+        axpy = self.axpy
+        rows = [a.row(i) for i in range(self.n)]
+        zero = (0,) * self.n
+        memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def image(v: tuple[int, ...]) -> tuple[int, ...]:
+            w = memo.get(v)
+            if w is None:
+                w = zero
+                for x, g in zip(v, rows):
+                    if x:
+                        w = axpy(w, x, g)
+                memo[v] = w
+            return w
+
+        return image
+
+    def echelon(self, rows) -> tuple[tuple[int, ...], ...]:
+        """Reduced echelon basis of the span of the rows."""
+        axpy, mul, neg, inv = self.axpy, self.mul, self.neg, self.inv
+        basis: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
+        for r in rows:
+            for c, b in basis:
+                if r[c]:
+                    r = axpy(r, neg[r[c]], b)
+            c = next((j for j, x in enumerate(r) if x), None)
+            if c is None:
+                continue
+            if r[c] != 1:
+                m = mul[inv[r[c]]]
+                r = tuple([m[t] for t in r])
+            basis = [(cb, axpy(b, neg[b[c]], r) if b[c] else b) for cb, b in basis]
+            basis.append((c, r))
+        return tuple(sorted((b for _, b in basis), reverse=True))
+
+
+def _kernel(field: GF, n: int):
+    return _Bits(n) if field.q == 2 else _Tuples(field, n)
+
+
+class _Orbit(NamedTuple):
+    keys: tuple  # packed reduced bases of U A^j for j = 0 .. period - 1
+    dims: tuple[int, ...]  # dim(U n U A^j) for the same j; dims[0] = k
+
+
+@lru_cache(maxsize=8)
+def _walk(u: Subspace, a: Mat) -> _Orbit:
+    """Walk U, UA, UA^2, ... on packed rows until it returns to U.
+
+    One walk serves the code, its distances and its block bounds, so the
+    last few are cached by (subspace, generator)."""
+    _check_operator(u, a)
+    kern = _kernel(u.field, u.n)
+    echelon, image = kern.echelon, kern.imager(a)
+    start = echelon([kern.pack(u.basis.row(i)) for i in range(u.k)])
+    seen = {start: u.k}  # key of U A^j -> dim(U n U A^j), in walk order
+    key = echelon([image(r) for r in start])
+    while key != start:
+        # an invertible A permutes the Grassmannian, so only U can recur
+        if len(key) != u.k or key in seen:
+            raise SingularMatrixError("the walk does not return to U; matrix is singular")
+        seen[key] = 2 * u.k - len(echelon(start + key))
+        key = echelon([image(r) for r in key])
+    return _Orbit(tuple(seen), tuple(seen.values()))
+
+
 def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
-    """Orbit of U under G, deduplicated in first-occurrence order."""
+    """Orbit of U under G, listed U, UA, UA^2, ... up to the period."""
     _check_ambient(u, g)
+    keys = _walk(u, g.generator).keys
+    if g.order % len(keys):
+        raise AssertionError("orbit period does not divide the group order; walk is broken")
+    kern = _kernel(u.field, u.n)
     codebook = [u]
-    seen = {u}
-    stab = 0
-    v = u
-    for _ in range(g.order):
-        # v runs through U A^j for j = 0 .. N-1
-        if v == u:
-            stab += 1
-        elif v not in seen:
-            seen.add(v)
-            codebook.append(v)
-        v = _act_unchecked(v, g.generator)
-    if stab * len(codebook) != g.order:
-        raise AssertionError("orbit-stabilizer identity failed; enumeration is broken")
-    return OrbitCode(u, g, tuple(codebook), stab)
+    for key in keys[1:]:
+        basis = Mat._trusted(u.field, u.k, u.n, kern.unpack(key))
+        codebook.append(Subspace(u.field, u.n, u.k, basis))
+    return OrbitCode(u, g, tuple(codebook), g.order // len(keys))
 
 
 def stabilizer_order(u: Subspace, g: CyclicGroup) -> int:
-    """Number of powers of the generator fixing U."""
+    """Number of powers of the generator fixing U, counted by Mat multiply
+    and rref over all of G: the oracle for orbit_code's stab_order."""
     _check_ambient(u, g)
     v = u
     stab = 0
@@ -174,34 +349,21 @@ def stabilizer_order(u: Subspace, g: CyclicGroup) -> int:
 
 
 def min_distance(code: OrbitCode) -> int:
-    """Minimum subspace distance of the code, scanned from the base point."""
+    """Minimum subspace distance of the code, seen from the base point."""
     if len(code.codebook) < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    return min(subspace_distance(code.base, v) for v in code.codebook[1:])
+    dims = _walk(code.base, code.group.generator).dims
+    return 2 * code.k - 2 * max(dims[1:])
 
 
 def distance_distribution(code: OrbitCode) -> tuple[int, ...]:
-    """Tuple (D_0, ..., D_k): group elements at each distance 2i from the
-    base, divided by the stabilizer intersection order."""
+    """Tuple (D_0, ..., D_k): codewords at each distance 2i from the base."""
     counts = [0] * (code.k + 1)
-    v = code.base
-    for _ in range(code.group.order):
-        d = subspace_distance(code.base, v)
-        if d % 2:
-            raise AssertionError("odd subspace distance between equal dimensions")
-        counts[d // 2] += 1
-        v = _act_unchecked(v, code.group.generator)
-    dist = []
-    for c in counts:
-        if c % code.stab_order:
-            raise RuntimeError(
-                "raw distance count not divisible by the stabilizer order; "
-                "this indicates an implementation bug"
-            )
-        dist.append(c // code.stab_order)
-    if dist[0] != 1 or sum(dist) != len(code.codebook):
+    for d in _walk(code.base, code.group.generator).dims:
+        counts[code.k - d] += 1
+    if counts[0] != 1 or sum(counts) != len(code.codebook):
         raise RuntimeError("distance distribution identities failed")
-    return tuple(dist)
+    return tuple(counts)
 
 
 def conjugate_code(code: OrbitCode, l: Mat) -> OrbitCode:
@@ -256,6 +418,24 @@ class BlockStructure:
         return self.subspace.k
 
 
+def _block_starts(degrees: Sequence[int]) -> list[int]:
+    """Column offsets [0, d_1, d_1 + d_2, ..., n] of consecutive blocks."""
+    return list(accumulate(degrees, initial=0))
+
+
+def block_diag_basis(blocks: Sequence[Mat]) -> Mat:
+    """diag(B_1, ..., B_t) for blocks with any number of rows (zero
+    included): the rows of B_i placed in block i's columns."""
+    field = blocks[0].field
+    starts = _block_starts([b.cols for b in blocks])
+    n = starts[-1]
+    entries: list[int] = []
+    for b, lo in zip(blocks, starts):
+        for r in range(b.rows):
+            entries += [0] * lo + list(b.row(r)) + [0] * (n - lo - b.cols)
+    return Mat._trusted(field, sum(b.rows for b in blocks), n, tuple(entries))
+
+
 def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockStructure:
     """Split an RREF basis along the blocks of diag(companion(p_i^e_i)).
 
@@ -275,19 +455,14 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
         if e < 1:
             raise ValueError("divisor exponents must be positive")
     pivots = rref(u.basis).pivots
-    starts = [0]
-    for d in degrees:
-        starts.append(starts[-1] + d)
+    starts = _block_starts(degrees)
     blocks = []
     for i, (p, e) in enumerate(divisors):
         lo, hi = starts[i], starts[i + 1]
         row_idx = tuple(r for r, c in enumerate(pivots) if lo <= c < hi)
-        entries = [
-            u.basis.entry(r, c) for r in row_idx for c in range(lo, hi)
-        ]
-        blocks.append(
-            SubBlock(i, (p, e), lo, hi, row_idx, Mat(u.field, len(row_idx), hi - lo, entries))
-        )
+        entries = tuple(u.basis.entry(r, c) for r in row_idx for c in range(lo, hi))
+        matrix = Mat._trusted(u.field, len(row_idx), hi - lo, entries)
+        blocks.append(SubBlock(i, (p, e), lo, hi, row_idx, matrix))
     generator = block_diag([companion(p**e) for p, e in divisors])
     return BlockStructure(u.field, u, divisors, generator, tuple(blocks))
 
@@ -309,17 +484,8 @@ def _component_profile(blk: SubBlock) -> tuple[int, list[int]]:
     """(orbit size N_i, [dim(W n W M^j) for j = 1..N_i-1]) for the row space
     W of a nonempty sub-block."""
     p, e = blk.divisor
-    m = companion(p**e)
-    base = subspace(blk.matrix)
-    dims = []
-    v = base
-    j = 0
-    while True:
-        v = _act_unchecked(v, m)
-        j += 1
-        if v == base:
-            return j, dims
-        dims.append(intersection_dim(base, v))
+    dims = _walk(subspace(blk.matrix), companion(p**e)).dims
+    return len(dims), list(dims[1:])
 
 
 def block_bound(bs: BlockStructure) -> tuple[int, int]:
@@ -342,12 +508,7 @@ def block_bound(bs: BlockStructure) -> tuple[int, int]:
 
 def orbit_period(u: Subspace, a: Mat) -> int:
     """Smallest j >= 1 with U A^j = U; equals the orbit-code cardinality."""
-    v = _act_unchecked(u, a)
-    j = 1
-    while v != u:
-        v = _act_unchecked(v, a)
-        j += 1
-    return j
+    return len(_walk(u, a).keys)
 
 
 def block_bound_refined(bs: BlockStructure) -> int:
@@ -402,14 +563,6 @@ class CheckReport:
         return self.status == "skipped"
 
 
-def _poly_text(p: Poly) -> str:
-    return ",".join(str(c) for c in p.coeffs)
-
-
-def _mat_text(m: Mat) -> str:
-    return ";".join(",".join(str(e) for e in m.row(i)) for i in range(m.rows))
-
-
 def _field_text(f: GF) -> dict:
     d = {"p": f.p, "m": f.m}
     if f.m > 1:
@@ -420,8 +573,8 @@ def _field_text(f: GF) -> dict:
 def _instance_dict(field: GF, divisors, basis: Mat) -> dict:
     return {
         "field": _field_text(field),
-        "divisors": [{"p": _poly_text(p), "e": e} for p, e in divisors],
-        "basis": _mat_text(basis),
+        "divisors": [{"p": format_poly(p), "e": e} for p, e in divisors],
+        "basis": format_mat(basis),
     }
 
 
@@ -446,17 +599,15 @@ def fullrank_coprime_check(
         raise ValueError("divisor degrees must sum to the ambient dimension")
     if any(u.k > d for d in degrees):
         return skipped("k exceeds a block degree")
-    starts = [0]
-    for d in degrees:
-        starts.append(starts[-1] + d)
+    starts = _block_starts(degrees)
     slices = []
     for i, d in enumerate(degrees):
-        entries = [
+        entries = tuple(
             u.basis.entry(r, c)
             for r in range(u.k)
             for c in range(starts[i], starts[i + 1])
-        ]
-        slices.append(Mat(u.field, u.k, d, entries))
+        )
+        slices.append(Mat._trusted(u.field, u.k, d, entries))
     if any(rref(s).rank != u.k for s in slices):
         return skipped("a column slice is rank deficient")
     comps = [
@@ -503,22 +654,10 @@ def blockdiag_coprime_check(
     if len(blocks) != len(divisors):
         raise ValueError("one block matrix per divisor is required")
     degrees = [int(p.degree) * e for p, e in divisors]
+    if any(b.cols != d for b, d in zip(blocks, degrees)):
+        raise ValueError("block width must match its divisor degree")
     field = blocks[0].field
-    n = sum(degrees)
-    k = sum(b.rows for b in blocks)
-    # assemble diag(B_1, ..., B_t) as a k x n basis
-    entries = []
-    starts = [0]
-    for d in degrees:
-        starts.append(starts[-1] + d)
-    for i, b in enumerate(blocks):
-        if b.cols != degrees[i]:
-            raise ValueError("block width must match its divisor degree")
-        for r in range(b.rows):
-            row = [0] * n
-            row[starts[i] : starts[i + 1]] = list(b.row(r))
-            entries.extend(row)
-    basis = Mat(field, k, n, entries)
+    basis = block_diag_basis(blocks)
     instance = _instance_dict(field, divisors, basis)
 
     def skipped(reason: str) -> CheckReport:

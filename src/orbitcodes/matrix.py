@@ -31,6 +31,18 @@ class Mat:
     # -- constructors
 
     @classmethod
+    def _trusted(cls, field: GF, rows: int, cols: int, entries: tuple[int, ...]) -> "Mat":
+        """A matrix from entries the library computed itself: a tuple of
+        rows * cols valid element codes, taken without per-entry checks."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._hash = hash((field, rows, cols, entries))
+        return m
+
+    @classmethod
     def from_rows(cls, field: GF, rows: Sequence[Sequence[int]]) -> "Mat":
         r = len(rows)
         c = len(rows[0]) if r else 0
@@ -76,16 +88,16 @@ class Mat:
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
         add = self.field.add
-        return Mat(
+        return Mat._trusted(
             self.field,
             self.rows,
             self.cols,
-            (add(a, b) for a, b in zip(self.entries, other.entries)),
+            tuple(add(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
     def __neg__(self) -> "Mat":
         neg = self.field.neg
-        return Mat(self.field, self.rows, self.cols, (neg(a) for a in self.entries))
+        return Mat._trusted(self.field, self.rows, self.cols, tuple(neg(a) for a in self.entries))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
@@ -110,7 +122,7 @@ class Mat:
                     if at:
                         acc = add(acc, mul(at, b[t * m + j]))
                 out.append(acc)
-        return Mat(F, n, m, out)
+        return Mat._trusted(F, n, m, tuple(out))
 
     def __pow__(self, e: int) -> "Mat":
         if not self.is_square:
@@ -128,11 +140,9 @@ class Mat:
         return out
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.field,
-            self.cols,
-            self.rows,
-            (self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
+        r, c, e = self.rows, self.cols, self.entries
+        return Mat._trusted(
+            self.field, c, r, tuple(e[i * c + j] for j in range(c) for i in range(r))
         )
 
     def inverse(self) -> "Mat":
@@ -153,7 +163,7 @@ class Mat:
                 if r != col and aug[r][col]:
                     c = aug[r][col]
                     aug[r] = [F.sub(v, F.mul(c, w)) for v, w in zip(aug[r], aug[col])]
-        return Mat(F, n, n, (aug[i][n + j] for i in range(n) for j in range(n)))
+        return Mat._trusted(F, n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
 
     def is_identity(self) -> bool:
         return self.is_square and self == Mat.identity(self.field, self.rows)
@@ -207,8 +217,8 @@ def rref(m: Mat) -> RrefResult:
         r += 1
         if r == m.rows:
             break
-    flat = [e for row in rows for e in row]
-    return RrefResult(Mat(F, m.rows, m.cols, flat), tuple(pivots), len(pivots))
+    flat = tuple(e for row in rows for e in row)
+    return RrefResult(Mat._trusted(F, m.rows, m.cols, flat), tuple(pivots), len(pivots))
 
 
 def rank(m: Mat) -> int:
@@ -256,4 +266,4 @@ def block_diag(blocks: Sequence[Mat]) -> Mat:
             start = (offset + i) * n + offset
             entries[start : start + s] = row
         offset += s
-    return Mat(F, n, n, entries)
+    return Mat._trusted(F, n, n, tuple(entries))

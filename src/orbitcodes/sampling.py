@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .codes import Subspace, subspace
+from .codes import Subspace, block_diag_basis, subspace
 from .field import GF
 from .matrix import Mat, is_invertible, rref
 from .poly import Poly, irreducibles
@@ -76,15 +76,4 @@ def random_block_diag_basis(
             )
         if any(b.rows for b in blocks):
             break
-    n = sum(degrees)
-    starts = [0]
-    for d in degrees:
-        starts.append(starts[-1] + d)
-    entries: list[int] = []
-    for i, b in enumerate(blocks):
-        for r in range(b.rows):
-            row = [0] * n
-            row[starts[i] : starts[i + 1]] = list(b.row(r))
-            entries.extend(row)
-    k = sum(b.rows for b in blocks)
-    return Mat(field, k, n, entries), blocks
+    return block_diag_basis(blocks), blocks

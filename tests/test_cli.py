@@ -230,6 +230,28 @@ def test_examples_all_pass(capsys):
     assert any("60480" in l for l in lines)
 
 
+@pytest.mark.parametrize(
+    "name, exc",
+    [
+        ("distance_distribution", RuntimeError("identities failed\non two lines")),
+        ("orbit_code", AssertionError()),
+    ],
+)
+def test_code_internal_failure_is_one_line(capsys, monkeypatch, name, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(f"orbitcodes.cli.{name}", broken)
+    code, out, err = run(
+        capsys, "code", "--field", "2", "--n", "3",
+        "--divisors", "1,1,0,1", "--subspace", "1,0,0",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("internal error: ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["classify"]) == 2  # missing --n
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcodes import (
     GF,
@@ -27,9 +28,13 @@ from orbitcodes import (
     subspace,
     subspace_distance,
 )
+from orbitcodes.codes import _component_profile
+from orbitcodes.sampling import random_subspace, random_unit_divisors
 
 F2 = GF(2)
 F3 = GF(3)
+F4 = GF(2, 2)
+F257 = GF(257)  # above the table limit: the walk falls back to F.mul/F.add
 
 GEN3 = companion(Poly(F2, [1, 1, 0, 1]))
 SINGER_DIVISORS = ((Poly(F2, [1, 1, 0, 1]), 1), (Poly(F2, [1, 1, 1]), 1))
@@ -336,6 +341,98 @@ def test_orbit_period_matches_code_size():
     u = subspace(mat2([[1, 0, 0, 0, 0], [0, 0, 0, 1, 0]]))
     bs = block_structure(u, SINGER_DIVISORS)
     assert orbit_period(u, bs.generator) == 21
+
+
+def test_orbit_period_rejects_singular_action():
+    drop = mat2([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError):
+        orbit_period(line(1, 0, 0), drop)
+    # keeps the line's dimension but never brings it back
+    trap = mat2([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(SingularMatrixError):
+        orbit_period(line(0, 1, 0), trap)
+
+
+# ---------------------------------------------------------------------------
+# the packed-row orbit walk against a Mat multiply and rref oracle
+
+WALK_FIELDS = (F2, F3, F4, F257)
+MAX_N = {2: 6, 3: 4, 4: 4, 257: 3}
+
+
+def oracle_orbit(u, a):
+    """U, UA, UA^2, ... up to the period, by Mat multiply and rref."""
+    orbit = [u]
+    v = subspace(u.basis * a)
+    while v != u:
+        orbit.append(v)
+        v = subspace(v.basis * a)
+    return orbit
+
+
+def walk_generator(rng, field, n):
+    """A random invertible matrix.  Over GF(257) it is a random conjugate
+    of a permutation times a diagonal of powers of 2 (of order 16), so its
+    order stays below 100 and the oracle's walks stay short."""
+    if field.q <= 4:
+        return rand_invertible(rng, field, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pd = Mat(field, n, n, [
+        pow(2, rng.randrange(16), 257) if perm[i] == j else 0
+        for i in range(n) for j in range(n)
+    ])
+    l = rand_invertible(rng, field, n)
+    return l.inverse() * pd * l
+
+
+def walk_divisors(rng, field):
+    """Random unit divisors; over GF(257), (x - 2^i)^e with e <= 2, whose
+    companion blocks stay small enough for the oracle."""
+    if field.q <= 4:
+        return random_unit_divisors(rng, field, rng.randint(1, MAX_N[field.q]))
+    return tuple(
+        (Poly(field, [257 - pow(2, rng.randrange(16), 257), 1]), rng.randint(1, 2))
+        for _ in range(rng.randint(1, 2))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WALK_FIELDS), st.integers(0, 2**32))
+def test_walk_matches_oracle(field, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, MAX_N[field.q])
+    k = rng.randint(1, n)
+    a = walk_generator(rng, field, n)
+    u = random_subspace(rng, field, n, k)
+    g = CyclicGroup(a)
+    orbit = oracle_orbit(u, a)
+    code = orbit_code(u, g)
+    assert code.codebook == tuple(orbit)
+    assert code.stab_order == stabilizer_order(u, g) == g.order // len(orbit)
+    assert orbit_period(u, a) == len(orbit)
+    dist = [0] * (k + 1)
+    for v in orbit:
+        dist[subspace_distance(u, v) // 2] += 1
+    assert distance_distribution(code) == tuple(dist)
+    if len(orbit) > 1:
+        assert min_distance(code) == min(subspace_distance(u, v) for v in orbit[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WALK_FIELDS), st.integers(0, 2**32))
+def test_component_profile_matches_oracle(field, seed):
+    rng = random.Random(seed)
+    divisors = walk_divisors(rng, field)
+    n = sum(int(p.degree) * e for p, e in divisors)
+    u = random_subspace(rng, field, n, rng.randint(1, n))
+    for blk in block_structure(u, divisors).blocks:
+        if blk.k == 0:
+            continue
+        p, e = blk.divisor
+        orbit = oracle_orbit(subspace(blk.matrix), companion(p**e))
+        dims = [intersection_dim(orbit[0], v) for v in orbit[1:]]
+        assert _component_profile(blk) == (len(orbit), dims)
 
 
 def test_fullrank_check_single_block_trivially_equal():
