@@ -25,10 +25,10 @@ import json
 import sys
 
 from .codes import (
+    _component_profile,
     block_bound,
     block_bound_refined,
     block_structure,
-    component_codes,
     min_distance,
     distance_distribution,
     orbit_code,
@@ -185,7 +185,7 @@ def cmd_code(args: argparse.Namespace) -> int:
     refined = block_bound_refined(bs)
     dist = distance_distribution(code)
     components = []
-    for blk, comp in zip(bs.blocks, component_codes(bs)):
+    for blk in bs.blocks:
         p, e = blk.divisor
         entry = {
             "block": blk.index,
@@ -194,11 +194,13 @@ def cmd_code(args: argparse.Namespace) -> int:
             "degree": blk.degree,
             "k": blk.k,
         }
-        if comp is None:
+        if blk.k == 0:
             entry["cardinality"] = None
         else:
-            entry["cardinality"] = len(comp)
-            entry["min_distance"] = min_distance(comp) if len(comp) > 1 else None
+            # the component code's size and distance, from its cached walk
+            n_i, dims = _component_profile(blk)
+            entry["cardinality"] = n_i
+            entry["min_distance"] = 2 * blk.k - 2 * max(dims) if n_i > 1 else None
         components.append(entry)
     report = {
         "q": field.q,

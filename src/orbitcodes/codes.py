@@ -42,7 +42,7 @@ from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
-from .field import GF
+from .field import GF, _Memo
 from .groups import CyclicGroup
 from .matrix import Mat, block_diag, companion, is_invertible, rref
 from .poly import Poly
@@ -161,18 +161,6 @@ def _check_ambient(u: Subspace, g: CyclicGroup) -> None:
 # the orbit walk on packed rows
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key) on first lookup."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 class _Bits:
     """GF(2) rows packed into ints, column j at bit n-1-j: a row reads as a
     binary numeral, its pivot is its highest set bit, and a reduced echelon
@@ -228,19 +216,12 @@ class _Bits:
 
 class _Tuples:
     """Rows over GF(q), q > 2, as tuples of element codes reduced with the
-    field's tables.  A reduced echelon basis also lists its rows in
+    field's lookups.  A reduced echelon basis also lists its rows in
     decreasing order, since an earlier pivot is a larger leading entry."""
 
     def __init__(self, field: GF, n: int):
         self.n = n
-        if field._mul is not None:
-            self.add, self.mul = field._add, field._mul
-            self.neg, self.inv = field._neg, field._inv
-        else:  # fields above the table limit: the same lookups, filled lazily
-            self.add = _Memo(lambda a: _Memo(lambda b: field.add(a, b)))
-            self.mul = _Memo(lambda a: _Memo(lambda b: field.mul(a, b)))
-            self.neg = _Memo(field.neg)
-            self.inv = _Memo(field.inv)
+        self.add, self.mul, self.neg, self.inv = field.lookups
 
     pack = staticmethod(tuple)
 

@@ -6,15 +6,27 @@ element's polynomial representative modulo the field's modulus.  Code 0
 is the additive identity and code 1 the multiplicative identity, for any
 choice of modulus.
 
-For small fields (q <= 256) full addition/multiplication tables are built
-once at construction; everything else falls back to digit arithmetic.
-GF instances are immutable and all operations are pure functions, so a
-field may be shared across threads without synchronization.
+The modulus is chosen and validated by the polynomial layer (poly), which
+is imported lazily because it is built on top of GF.  For small fields
+(q <= 256) full addition, negation, multiplication and inverse tables are
+built once at construction; multiplication and inverses come from the
+log/antilog tables of the first primitive element in ascending code order,
+so the build costs O(q) digit products rather than q^2.  Above the table
+limit every operation falls back to digit arithmetic, and inverses are
+a^(q-2).
+
+Every field hands out one set of lookups, `lookups = (add, mul, neg,
+inv)`, indexed as add[a][b], mul[a][b], neg[a] and inv[a]: the full
+tables for small fields, and dicts filled on first use above the table
+limit.  The hot loops of poly and codes index these instead of calling
+methods.  GF instances are otherwise immutable; filling a lazy lookup
+twice stores the same value, so a field may be shared across threads
+without synchronization.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _PRIME_LIMIT = 1 << 20  # larger characteristics are out of scope
 _TABLE_LIMIT = 256
@@ -33,90 +45,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over the prime field F_p, as digit tuples (ascending powers,
-# no trailing zeros).  This small kit exists so that a GF instance can pick
-# and validate its own modulus without depending on the generic polynomial
-# layer, which is built on top of GF.
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
 
-def _dp_trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
 
-
-def _dp_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _dp_trim(out)
-
-
-def _dp_sub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _dp_trim((x - y) % p for x, y in zip(a, b))
-
-
-def _dp_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
-    # m is monic of degree >= 1
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _dp_trim(a)
-
-
-def _monic_dp(p: int, d: int, code: int) -> tuple[int, ...]:
-    """The code-th monic degree-d digit poly; codes enumerate the d low digits."""
-    digits = []
-    c = code
-    for _ in range(d):
-        digits.append(c % p)
-        c //= p
-    return tuple(digits) + (1,)
-
-
-_DP_IRR_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _dp_irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducible digit polys of degree d over F_p, ascending code."""
-    key = (p, d)
-    got = _DP_IRR_CACHE.get(key)
-    if got is None:
-        got = tuple(
-            f
-            for code in range(p**d)
-            if _dp_is_irreducible(f := _monic_dp(p, d, code), p)
-        )
-        _DP_IRR_CACHE[key] = got
-    return got
-
-
-def _dp_is_irreducible(f: Sequence[int], p: int) -> bool:
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for k in range(1, d // 2 + 1):
-        for g in _dp_irreducibles(p, k):
-            if not _dp_mod(f, g, p):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class GF:
@@ -127,7 +65,9 @@ class GF:
     is deterministic across runs.  Prime fields (m = 1) always use x.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_add", "_mul", "_inv", "_neg", "_hash")
+    __slots__ = (
+        "p", "m", "q", "modulus", "lookups", "_add", "_mul", "_inv", "_neg", "_hash"
+    )
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -137,19 +77,26 @@ class GF:
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m!r}")
         if m == 1:
-            if modulus is not None and _dp_trim(c % p for c in modulus) != (0, 1):
-                raise ValueError("a prime field is presented with modulus x")
+            if modulus is not None:
+                digits = [int(c) % p for c in modulus]
+                while digits and digits[-1] == 0:
+                    digits.pop()
+                if digits != [0, 1]:
+                    raise ValueError("a prime field is presented with modulus x")
             mod = (0, 1)
-        elif modulus is None:
-            mod = _dp_irreducibles(p, m)[0]
         else:
-            mod = tuple(int(c) % p for c in modulus)
-            if len(mod) != m + 1 or mod[-1] != 1:
-                raise ValueError(
-                    f"modulus must be monic of degree {m}, got {list(modulus)!r}"
-                )
-            if not _dp_is_irreducible(mod, p):
-                raise ValueError(f"modulus {list(modulus)!r} is reducible over F_{p}")
+            from .poly import Poly, irreducibles, is_irreducible
+
+            if modulus is None:
+                mod = irreducibles(GF(p), m)[0].coeffs
+            else:
+                mod = tuple(int(c) % p for c in modulus)
+                if len(mod) != m + 1 or mod[-1] != 1:
+                    raise ValueError(
+                        f"modulus must be monic of degree {m}, got {list(modulus)!r}"
+                    )
+                if not is_irreducible(Poly(GF(p), mod)):
+                    raise ValueError(f"modulus {list(modulus)!r} is reducible over F_{p}")
         self.p = p
         self.m = m
         self.q = p**m
@@ -157,8 +104,15 @@ class GF:
         self._hash = hash((p, mod))
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
+            self.lookups = (self._add, self._mul, self._neg, self._inv)
         else:
             self._add = self._mul = self._inv = self._neg = None
+            self.lookups = (
+                _Memo(lambda a: _Memo(lambda b: self.add(a, b))),
+                _Memo(lambda a: _Memo(lambda b: self.mul(a, b))),
+                _Memo(self.neg),
+                _Memo(self.inv),
+            )
 
     # -- representation helpers
 
@@ -189,16 +143,35 @@ class GF:
     def _build_tables(self) -> None:
         q, p = self.q, self.p
         self._neg = [self._neg_direct(a) for a in range(q)]
-        self._add = [[self._add_direct(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_direct(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
+        # in a + b the low digits add mod p and the high parts a // p, b // p
+        # add by an earlier row
+        split = [divmod(b, p) for b in range(q)]
+        digit_add = [[(x + y) % p for y in range(p)] for x in range(p)]
+        add = [list(range(q))]
         for a in range(1, q):
-            row = self._mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+            high, low = add[a // p], digit_add[a % p]
+            add.append([p * high[bh] + low[bl] for bh, bl in split])
+        self._add = add
+        exp = self._antilog()
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        exp2 = exp + exp  # log a + log b < 2 (q - 1) needs no reduction
+        logs = log[1:]
+        self._mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self._inv = [0] + [exp[-la] for la in logs]
+
+    def _antilog(self) -> list[int]:
+        """Powers g^0, ..., g^(q-2) of the first primitive element g."""
+        for g in range(1, self.q):
+            powers = [1]
+            a = g
+            while a != 1:
+                powers.append(a)
+                a = self._mul_direct(a, g)
+            if len(powers) == self.q - 1:
+                return powers
+        raise AssertionError(f"no primitive element found in {self!r}")
 
     def _add_direct(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -226,10 +199,24 @@ class GF:
         return c
 
     def _mul_direct(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        prod = _dp_mul(self.digits(a), self.digits(b), self.p)
-        return self.code(_dp_mod(prod, self.modulus, self.p))
+        """Product of the digit polynomials of a and b, reduced mod the modulus."""
+        p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
+        prod = [0] * (2 * m - 1)
+        digits_b = self.digits(b)
+        for i, x in enumerate(self.digits(a)):
+            if x:
+                for j, y in enumerate(digits_b):
+                    prod[i + j] += x * y
+        mod = self.modulus
+        # reduce from the top with x^m = -(mod[0] + mod[1] x + ... + mod[m-1] x^(m-1))
+        for top in range(2 * m - 2, m - 1, -1):
+            c = prod[top] % p
+            if c:
+                for i in range(m):
+                    prod[top - m + i] -= c * mod[i]
+        return self.code(prod[:m])
 
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
@@ -256,17 +243,7 @@ class GF:
             return self._inv[a]
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        # extended Euclid on digit polys: find u with u * a == 1 (mod modulus)
-        p = self.p
-        r0, r1 = self.modulus, _dp_trim(self.digits(a))
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _dp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _dp_sub(s0, _dp_mul(q, s1, p), p)
-        # r0 is a nonzero constant gcd of a and the irreducible modulus
-        c = pow(r0[0], p - 2, p)
-        return self.code(_dp_mod(tuple(x * c % p for x in s0), self.modulus, p))
+        return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -298,25 +275,3 @@ class GF:
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
-
-
-def _dp_divmod(
-    a: Sequence[int], b: Sequence[int], p: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    b = _dp_trim(b)
-    if not b:
-        raise ZeroDivisionError("digit poly division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    rem = list(a)
-    db = len(b) - 1
-    quot = [0] * max(0, len(rem) - db)
-    while len(_dp_trim(rem)) - 1 >= db and rem:
-        rem = list(_dp_trim(rem))
-        if len(rem) - 1 < db:
-            break
-        c = rem[-1] * inv_lead % p
-        shift = len(rem) - 1 - db
-        quot[shift] = c
-        for i in range(db + 1):
-            rem[shift + i] = (rem[shift + i] - c * b[i]) % p
-    return _dp_trim(quot), _dp_trim(rem)

@@ -184,17 +184,19 @@ def _divisor_multisets(field: GF, n: int):
             while e * d <= n:
                 atoms.append((p, e))
                 e += 1
-    atoms.sort(key=divisor_key)
+    atoms.sort(key=divisor_key)  # ascending degree, so a scan can stop early
+    sized = [((p, e), e * int(p.degree), int(p.degree)) for p, e in atoms]
 
     def extend(start: int, remaining: int, chosen: list):
         if remaining == 0:
             yield tuple(chosen)
             return
-        for idx in range(start, len(atoms)):
-            p, e = atoms[idx]
-            w = e * int(p.degree)
+        for idx in range(start, len(sized)):
+            pe, w, d = sized[idx]
+            if d > remaining:
+                break
             if w <= remaining:
-                chosen.append((p, e))
+                chosen.append(pe)
                 yield from extend(idx, remaining - w, chosen)
                 chosen.pop()
 
@@ -330,5 +332,6 @@ def _closure_rowcoded(F: GF, n: int, generators, cap: int) -> set[Mat]:
                     new.append(prod)
         frontier = new
     return {
-        Mat(F, n, n, [d for code in key for d in decode(code)]) for key in seen
+        Mat._trusted(F, n, n, tuple([d for code in key for d in decode(code)]))
+        for key in seen
     }

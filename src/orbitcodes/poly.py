@@ -4,13 +4,23 @@ A Poly holds its field and an ascending tuple of coefficient codes with no
 trailing zeros; the empty tuple is the zero polynomial, whose degree is the
 sentinel NEG_INF.  Values are immutable and all functions are pure.
 
+The public constructor checks every coefficient; results the library
+computes itself (sums, products, quotients, remainders, enumerated
+candidates) go through the unchecked Poly._trusted.  Multiplication and
+division index the field's lookups (field.GF.lookups) directly, with one
+loop for every field size.
+
 Irreducibility testing, enumeration and factorization all run by sieving
 and trial division: candidate polynomials are ordered by their base-q
 coefficient code (constant term least significant), which fixes a single
 deterministic order used everywhere a polynomial sequence is produced.
+order() is memoized per polynomial, since class enumeration asks for the
+order of the same few irreducibles many times.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .field import GF
 from .numtheory import factorize
@@ -27,7 +37,20 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-        self._hash = hash((field, self.coeffs))
+        self._hash = hash((field._hash, self.coeffs))
+
+    @classmethod
+    def _trusted(cls, field: GF, coeffs: list[int]) -> "Poly":
+        """A polynomial from a list of valid element codes the library
+        computed itself, taken without per-coefficient checks; trailing
+        zeros are trimmed (the list is consumed)."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = tuple(coeffs)
+        f._hash = hash((field._hash, f.coeffs))
+        return f
 
     # -- constructors
 
@@ -54,7 +77,8 @@ class Poly:
         for _ in range(degree):
             digits.append(code % field.q)
             code //= field.q
-        return cls(field, digits + [1])
+        digits.append(1)
+        return cls._trusted(field, digits)
 
     # -- basic queries
 
@@ -97,7 +121,7 @@ class Poly:
     def _need_same_field(self, other: "Poly") -> None:
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"mixed fields {self.field!r} and {other.field!r}")
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -106,14 +130,15 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
+        add = F.lookups[0]
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+            out[i] = add[out[i]][c]
+        return Poly._trusted(F, out)
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, (F.neg(c) for c in self.coeffs))
+        neg = self.field.lookups[2]
+        return Poly._trusted(self.field, [neg[c] for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -124,45 +149,51 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(F)
+        add, mul, _, _ = F.lookups
+        terms = [(j, c) for j, c in enumerate(b) if c]
         out = [0] * (len(a) + len(b) - 1)
-        mul, add = F.mul, F.add
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(F, out)
+                row = mul[ai]
+                for j, c in terms:
+                    out[i + j] = add[out[i + j]][row[c]]
+        return Poly._trusted(F, out)
 
     def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly(F, (F.mul(a, c) for a in self.coeffs))
+        row = self.field.lookups[1][c]
+        return Poly._trusted(self.field, [row[a] for a in self.coeffs])
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+    def _divide(self, other: "Poly") -> tuple[list[int], list[int]]:
+        """Quotient and remainder coefficient lists of long division."""
         self._need_same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
+        add, mul, neg, inv = self.field.lookups
         db = other.degree
-        inv_lead = F.inv(other.lc)
+        to_quot = mul[inv[other.lc]]
+        # rem += c * (-b) over b's nonzero terms below its leading one
+        tail = [(i, neg[c]) for i, c in enumerate(other.coeffs[:db]) if c]
         rem = list(self.coeffs)
         quot = [0] * max(0, len(rem) - db)
-        bc = other.coeffs
-        while len(rem) - 1 >= db:
-            lead = rem[-1]
+        for shift in range(len(quot) - 1, -1, -1):
+            lead = rem[shift + db]
             if lead:
-                c = F.mul(lead, inv_lead)
-                shift = len(rem) - 1 - db
-                quot[shift] = c
-                for i in range(db + 1):
-                    rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc[i]))
-            rem.pop()
-        return Poly(F, quot), Poly(F, rem)
+                c = quot[shift] = to_quot[lead]
+                row = mul[c]
+                for i, nb in tail:
+                    rem[shift + i] = add[rem[shift + i]][row[nb]]
+        del rem[db:]
+        return quot, rem
+
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        quot, rem = self._divide(other)
+        return Poly._trusted(self.field, quot), Poly._trusted(self.field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
+        return Poly._trusted(self.field, self._divide(other)[0])
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        return Poly._trusted(self.field, self._divide(other)[1])
 
     def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
         if not isinstance(e, int) or e < 0:
@@ -285,6 +316,7 @@ def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=8192)
 def order(f: Poly) -> int:
     """Least e >= 1 with x^e = 1 (mod f), for f of degree >= 1 with f(0) != 0.
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitcodes
 from orbitcodes import GF, parse_mat, parse_poly
 from orbitcodes.cli import main
 
@@ -260,3 +265,18 @@ def test_usage_error_exit_code(capsys):
 def test_missing_command_exit_code(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "--field", "2", "--n", "3"], ["classify", "--field", "2"]]
+)
+def test_python_dash_m_matches_main(capsys, argv):
+    src = str(Path(orbitcodes.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitcodes", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)

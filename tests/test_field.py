@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF
 
@@ -119,3 +120,40 @@ def test_pow():
     for a in range(1, f.q):
         assert f.pow(a, f.q - 1) == 1
         assert f.pow(a, -1) == f.inv(a)
+
+
+# Fields whose multiplication tables come from log/antilog tables, including
+# moduli whose root x is not primitive (x^2 + 1 over F_3, x^4 + ... + 1
+# over F_2), and two untabled fields that multiply by digits.
+ORACLE_FIELDS = [
+    GF(2), GF(3), GF(5), GF(251), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4),
+    GF(2, 4, (1, 1, 1, 1, 1)), GF(5, 2), GF(3, 3), GF(7, 2), GF(2, 8), GF(3, 5),
+    GF(2, 9), GF(5, 4),
+]
+
+
+def _digit_product(f, a, b):
+    """a * b from base-p digit polynomials reduced mod the modulus, in
+    plain integer arithmetic."""
+    p, m = f.p, f.m
+    da = [a // p**i % p for i in range(m)]
+    db = [b // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[top] % p
+        for i, mi in enumerate(f.modulus):
+            prod[top - m + i] -= c * mi
+    return sum(d % p * p**i for i, d in enumerate(prod[:m]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+def test_mul_and_inv_match_digit_oracle(f, data):
+    a = data.draw(st.integers(0, f.q - 1))
+    b = data.draw(st.integers(0, f.q - 1))
+    assert f.mul(a, b) == _digit_product(f, a, b)
+    if a:
+        assert _digit_product(f, a, f.inv(a)) == 1

@@ -178,3 +178,72 @@ def test_poly_hash_and_code():
     assert hash(P2(1, 1)) == hash(P2(1, 1))
     assert P2(1, 1, 0, 1).code() == 0b1011
     assert Poly.from_code(F2, 3, 0b011).coeffs == (1, 1, 0, 1)
+
+
+# -- the table-driven kernels against a schoolbook oracle over F.add/F.mul
+
+KERNEL_FIELDS = (F2, F3, F4, GF(257), GF(2, 9))  # the last two are untabled
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _school_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim(F.add(x, y) for x, y in zip(a, b))
+
+
+def _school_mul(F, a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _trim(out)
+
+
+def _school_divmod(F, a, b):
+    rem, quot = list(a), [0] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        c = F.mul(rem[-1], F.inv(b[-1]))
+        shift = len(rem) - len(b)
+        quot[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] = F.add(rem[shift + i], F.neg(F.mul(c, y)))
+        rem = list(_trim(rem))
+    return _trim(quot), tuple(rem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_kernels_match_schoolbook_oracle(field, data):
+    coeffs = st.lists(st.integers(0, field.q - 1), max_size=8).map(_trim)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    f, g = Poly(field, a), Poly(field, b)
+    assert (f + g).coeffs == _school_add(field, a, b)
+    assert (f * g).coeffs == _school_mul(field, a, b)
+    assert (-f).coeffs == tuple(field.neg(c) for c in a)
+    if not b:
+        return
+    q, r = divmod(f, g)
+    assert (q.coeffs, r.coeffs) == _school_divmod(field, a, b)
+    assert _school_add(field, _school_mul(field, q.coeffs, b), r.coeffs) == a
+    assert r.is_zero or r.degree < g.degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((F2, F3)),
+    st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    st.integers(1, 2),
+)
+def test_order_cache_hit_agrees_with_miss(field, coeffs, c):
+    cs = [1 + coeffs[0] % (field.q - 1)] + [x % field.q for x in coeffs[1:]] + [1]
+    first = order(Poly(field, cs))
+    assert order(Poly(field, list(cs))) == first  # an equal, fresh copy: a hit
+    assert order.__wrapped__(Poly(field, cs)) == first  # no cache at all
+    assert order(Poly(field, cs).scale(c % field.q or 1)) == first
