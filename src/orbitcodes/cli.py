@@ -35,9 +35,7 @@ from .codes import (
     subspace,
 )
 from .errors import ParseError
-from .field import GF
 from .groups import CyclicGroup, class_representatives, closure, conjugacy_witness
-from .matrix import Mat
 from .poly import factor
 from .textio import format_mat, format_poly, parse_field, parse_mat, parse_poly
 from .verify import SUITES, run_suites
@@ -52,13 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--field", default="2", help='field designator "p" or "p^m"')
-        p.add_argument("--modulus", default=None, help="modulus coefficients over F_p")
+    def common(p: argparse.ArgumentParser, field: bool) -> None:
+        if field:
+            p.add_argument("--field", default="2", help='field designator "p" or "p^m"')
+            p.add_argument("--modulus", default=None, help="modulus coefficients over F_p")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_classify = sub.add_parser("classify", help="conjugacy classes of cyclic subgroups")
-    common(p_classify)
+    common(p_classify, field=True)
     p_classify.add_argument("--n", type=int, required=True, help="ambient dimension")
     p_classify.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_classify.add_argument(
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_code = sub.add_parser("code", help="construct and analyze one orbit code")
-    common(p_code)
+    common(p_code, field=True)
     p_code.add_argument("--n", type=int, required=True)
     p_code.add_argument(
         "--divisors",
@@ -80,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the property suites")
-    common(p_verify)
+    common(p_verify, field=False)
     p_verify.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)}, or all")
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_examples = sub.add_parser("examples", help="reproduce the two counterexamples")
-    common(p_examples)
+    common(p_examples, field=False)
     return parser
 
 

@@ -7,13 +7,14 @@ right: act(U, A) is the row space of (basis of U) * A, re-canonicalized.
 For a cyclic group G = <A> the orbit code of U enumerates U, UA, UA^2, ...
 up to the period p (the least p >= 1 with U A^p = U), so codebooks list in
 a deterministic order and the stabilizer has order |G| / p.  Every code
-parameter comes from one walk over that orbit on packed rows: over GF(2) a
-row is an int whose image under A is the XOR of A's rows at its set bits,
-over larger fields a tuple reduced with the field's tables.  The walk
-records each codeword's canonical key and dim(U n U A^j), which give the
-cardinality, the minimum distance and the distance distribution; one walk
-per (subspace, generator) is cached and shared by the code, its block
-bounds and its component codes.  The Mat/rref path (act, stabilizer_order,
+parameter comes from one walk over that orbit on the packed rows of
+rows.py (the kernel groups.closure also uses): over GF(2) a row is an int
+whose image under A is the XOR of A's rows at its set bits, over larger
+fields a tuple reduced with the field's tables.  The walk records each
+codeword's canonical key and dim(U n U A^j), which give the cardinality,
+the minimum distance and the distance distribution; one walk per
+(subspace, generator) is cached and shared by the code, its block bounds
+and its component codes.  The Mat/rref path (act, stabilizer_order,
 subspace_distance) is kept as the independent slow oracle that the verify
 suites and the tests compare the walk against.
 
@@ -38,14 +39,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
-from .field import GF, _Memo
+from .field import GF
 from .groups import CyclicGroup
 from .matrix import Mat, block_diag, companion, is_invertible, rref
 from .poly import Poly
+from .rows import _kernel
 from .textio import format_mat, format_poly
 
 
@@ -161,121 +163,6 @@ def _check_ambient(u: Subspace, g: CyclicGroup) -> None:
 # the orbit walk on packed rows
 
 
-class _Bits:
-    """GF(2) rows packed into ints, column j at bit n-1-j: a row reads as a
-    binary numeral, its pivot is its highest set bit, and a reduced echelon
-    basis lists its rows in decreasing order."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._bits = _Memo(lambda r: tuple(map(int, format(r, f"0{n}b"))))
-
-    @staticmethod
-    def pack(row: Sequence[int]) -> int:
-        v = 0
-        for e in row:
-            v = v << 1 | e
-        return v
-
-    def unpack(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(map(self._bits.__getitem__, key)))
-
-    def imager(self, a: Mat):
-        """v -> v A, memoized: the XOR of A's rows at the set bits of v."""
-        n = self.n
-        rows = [self.pack(a.row(n - 1 - i)) for i in range(n)]  # bit i's image
-        memo: dict[int, int] = {}
-
-        def image(v: int) -> int:
-            w = memo.get(v)
-            if w is None:
-                w = 0
-                for i, g in enumerate(rows):
-                    if v >> i & 1:
-                        w ^= g
-                memo[v] = w
-            return w
-
-        return image
-
-    @staticmethod
-    def echelon(rows) -> tuple[int, ...]:
-        """Reduced echelon basis of the span of the rows."""
-        basis: list[int] = []
-        for r in rows:
-            for b in basis:
-                if r ^ b < r:  # b's pivot bit is set in r
-                    r ^= b
-            if r:
-                top = 1 << (r.bit_length() - 1)
-                basis = [b ^ r if b & top else b for b in basis]
-                basis.append(r)
-        basis.sort(reverse=True)
-        return tuple(basis)
-
-
-class _Tuples:
-    """Rows over GF(q), q > 2, as tuples of element codes reduced with the
-    field's lookups.  A reduced echelon basis also lists its rows in
-    decreasing order, since an earlier pivot is a larger leading entry."""
-
-    def __init__(self, field: GF, n: int):
-        self.n = n
-        self.add, self.mul, self.neg, self.inv = field.lookups
-
-    pack = staticmethod(tuple)
-
-    @staticmethod
-    def unpack(key: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(key))
-
-    def axpy(self, r: tuple[int, ...], x: int, b: tuple[int, ...]) -> tuple[int, ...]:
-        """The row r + x b."""
-        add, m = self.add, self.mul[x]
-        return tuple([add[s][m[t]] for s, t in zip(r, b)])
-
-    def imager(self, a: Mat):
-        """v -> v A, memoized."""
-        axpy = self.axpy
-        rows = [a.row(i) for i in range(self.n)]
-        zero = (0,) * self.n
-        memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-        def image(v: tuple[int, ...]) -> tuple[int, ...]:
-            w = memo.get(v)
-            if w is None:
-                w = zero
-                for x, g in zip(v, rows):
-                    if x:
-                        w = axpy(w, x, g)
-                memo[v] = w
-            return w
-
-        return image
-
-    def echelon(self, rows) -> tuple[tuple[int, ...], ...]:
-        """Reduced echelon basis of the span of the rows."""
-        axpy, mul, neg, inv = self.axpy, self.mul, self.neg, self.inv
-        basis: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
-        for r in rows:
-            for c, b in basis:
-                if r[c]:
-                    r = axpy(r, neg[r[c]], b)
-            c = next((j for j, x in enumerate(r) if x), None)
-            if c is None:
-                continue
-            if r[c] != 1:
-                m = mul[inv[r[c]]]
-                r = tuple([m[t] for t in r])
-            basis = [(cb, axpy(b, neg[b[c]], r) if b[c] else b) for cb, b in basis]
-            basis.append((c, r))
-        return tuple(sorted((b for _, b in basis), reverse=True))
-
-
-def _kernel(field: GF, n: int):
-    return _Bits(n) if field.q == 2 else _Tuples(field, n)
-
-
 class _Orbit(NamedTuple):
     keys: tuple  # packed reduced bases of U A^j for j = 0 .. period - 1
     dims: tuple[int, ...]  # dim(U n U A^j) for the same j; dims[0] = k
@@ -292,13 +179,13 @@ def _walk(u: Subspace, a: Mat) -> _Orbit:
     echelon, image = kern.echelon, kern.imager(a)
     start = echelon([kern.pack(u.basis.row(i)) for i in range(u.k)])
     seen = {start: u.k}  # key of U A^j -> dim(U n U A^j), in walk order
-    key = echelon([image(r) for r in start])
+    key = echelon([image[r] for r in start])
     while key != start:
         # an invertible A permutes the Grassmannian, so only U can recur
         if len(key) != u.k or key in seen:
             raise SingularMatrixError("the walk does not return to U; matrix is singular")
         seen[key] = 2 * u.k - len(echelon(start + key))
-        key = echelon([image(r) for r in key])
+        key = echelon([image[r] for r in key])
     return _Orbit(tuple(seen), tuple(seen.values()))
 
 

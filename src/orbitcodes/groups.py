@@ -14,6 +14,10 @@ conjugate:
 Class enumeration lists every multiset of (irreducible p != x, exponent)
 with total degree n, partitions the multisets by signature and emits the
 canonically smallest member of each cell as its representative.
+
+closure generates a finite matrix group breadth first on the packed rows
+of rows.py, the kernel the orbit walk in codes.py also runs on: one loop
+for every field size, with no table over all of F_q^n.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .matrix import Mat, is_invertible
 from .numtheory import multiplicative_order
 from .poly import Poly, irreducibles, order as poly_order
 from .rcf import RcfData, divisor_key, elementary_divisors, rcf, rcf_from_divisors
+from .rows import _kernel
 
 
 def matrix_order(a: Mat) -> int:
@@ -232,15 +237,14 @@ class GeneratedGroup:
     order: int
 
 
-_ROW_TABLE_LIMIT = 4096
-
-
 def closure(generators: Sequence[Mat], cap: int = 1_000_000) -> GeneratedGroup:
     """Breadth-first closure of invertible generators under multiplication.
 
     Every generator has finite order, so closing under right multiplication
-    alone yields the whole group.  Raises ClosureCapError (with the partial
-    count) once more than `cap` elements appear.
+    alone yields the whole group.  Each element is keyed by the tuple of its
+    packed rows, and row i of M G is the image of M's row i under G, so a
+    product is one memo lookup per row.  Raises ClosureCapError (with the
+    partial count) once more than `cap` elements appear.
     """
     if not generators:
         raise ValueError("closure needs at least one generator")
@@ -252,86 +256,21 @@ def closure(generators: Sequence[Mat], cap: int = 1_000_000) -> GeneratedGroup:
         if not is_invertible(g):
             raise SingularMatrixError("generators must be invertible")
 
-    if F.q**n <= _ROW_TABLE_LIMIT:
-        elems = _closure_rowcoded(F, n, generators, cap)
-    else:
-        elems = _closure_direct(F, n, generators, cap)
-    return GeneratedGroup(tuple(generators), frozenset(elems), len(elems))
-
-
-def _closure_direct(F: GF, n: int, generators, cap: int) -> set[Mat]:
-    gens = list(dict.fromkeys(generators))
-    seen = {Mat.identity(F, n), *gens}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > cap:
-                        raise ClosureCapError(cap, len(seen))
-                    new.append(prod)
-        frontier = new
-    return seen
-
-
-def _closure_rowcoded(F: GF, n: int, generators, cap: int) -> set[Mat]:
-    """Closure with rows encoded as base-q integers and right multiplication
-    by each generator precomputed as a row-code table."""
-    q = F.q
-    mul, add = F.mul, F.add
-
-    def decode(code: int) -> list[int]:
-        out = []
-        for _ in range(n):
-            out.append(code % q)
-            code //= q
-        return out
-
-    def encode_vec(v) -> int:
-        c = 0
-        for a in reversed(v):
-            c = c * q + a
-        return c
-
-    tables = []
-    for g in generators:
-        rows = [g.row(i) for i in range(n)]
-        table = []
-        for code in range(q**n):
-            v = decode(code)
-            w = [0] * n
-            for i, vi in enumerate(v):
-                if vi:
-                    row = rows[i]
-                    for j in range(n):
-                        if row[j]:
-                            w[j] = add(w[j], mul(vi, row[j]))
-            table.append(encode_vec(w))
-        tables.append(table)
-
-    def mat_key(m: Mat) -> tuple[int, ...]:
-        return tuple(encode_vec(m.row(i)) for i in range(n))
-
-    ident = mat_key(Mat.identity(F, n))
-    seen = {ident}
-    for g in generators:
-        seen.add(mat_key(g))
-    frontier = list(seen)
+    kern = _kernel(F, n)
+    images = [kern.imager(g) for g in dict.fromkeys(generators)]
+    one = Mat.identity(F, n)
+    frontier = [tuple([kern.pack(one.row(i)) for i in range(n)])]
+    seen = set(frontier)
     while frontier:
         new = []
         for key in frontier:
-            for table in tables:
-                prod = tuple(table[r] for r in key)
+            for image in images:
+                prod = tuple([image[r] for r in key])
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:
                         raise ClosureCapError(cap, len(seen))
                     new.append(prod)
         frontier = new
-    return {
-        Mat._trusted(F, n, n, tuple([d for code in key for d in decode(code)]))
-        for key in seen
-    }
+    elems = frozenset(Mat._trusted(F, n, n, kern.unpack(key)) for key in seen)
+    return GeneratedGroup(tuple(generators), elems, len(elems))

@@ -1,8 +1,11 @@
 """Dense exact matrices over GF(q).
 
 Entries are element codes stored row-major in a flat tuple.  Mat values are
-immutable (and hashable, so they can live in sets during group closures);
-every operation returns a fresh matrix.
+immutable and hashable; every operation returns a fresh matrix.  The hot
+loops do not multiply Mats: the orbit walk (codes) and the group closure
+(groups) run on the packed rows of rows.py and build Mats only for their
+results, so Mat multiply and rref stay the slow oracle they are checked
+against.
 """
 
 from __future__ import annotations

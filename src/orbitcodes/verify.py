@@ -9,7 +9,8 @@ bound overshooting the true distance, code sizes differing from the lcm of
 component sizes, and one known signature-test disagreement in dimension 6).
 
 `trials` scales the sampled checks: None runs the default counts, 0 skips
-everything (a vacuous run), any other value replaces the defaults.
+everything (a vacuous run), a positive value replaces the defaults, and a
+negative one is rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from .codes import (
     subspace,
     subspace_distance,
 )
-from .errors import SingularMatrixError
 from .field import GF
 from .groups import (
     CyclicGroup,
     class_representatives,
-    closure,
     conjugacy_witness,
     matrix_order,
     power_signature,
@@ -695,6 +694,8 @@ _SUITE_FUNCS = {
 def run_suites(
     names: list[str], seed: int = 0, trials: int | None = None
 ) -> list[SuiteResult]:
+    if trials is not None and trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     results = []
     for name in names:
         if name not in _SUITE_FUNCS:

@@ -218,6 +218,20 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "non-negative" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "examples"])
+@pytest.mark.parametrize("flag", [["--field", "7"], ["--modulus", "1,2"]])
+def test_field_flags_only_where_read(capsys, command, flag):
+    assert main([command, *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_bounds_reports_separation_warning(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "bounds", "--trials", "4", "--seed", "0")
     assert code == 0

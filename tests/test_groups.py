@@ -196,19 +196,71 @@ def test_closure_rejects_singular_generator():
         closure([Mat.zeros(F2, 2, 2)])
 
 
-def test_closure_direct_path_matches_rowcoded():
-    # force the direct path by a tiny table limit
-    import orbitcodes.groups as groups_mod
+def mat_closure(gens, cap):
+    """Breadth-first closure by Mat multiplication: the closure's oracle."""
+    frontier = [Mat.identity(gens[0].field, gens[0].rows)]
+    seen = set(frontier)
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                prod = m * g
+                if prod not in seen:
+                    seen.add(prod)
+                    if len(seen) > cap:
+                        raise ClosureCapError(cap, len(seen))
+                    new.append(prod)
+        frontier = new
+    return frozenset(seen)
 
-    a = companion(Poly(F3, [1, 0, 1]))
-    b = Mat.from_rows(F3, [[2, 0], [0, 1]])
-    expected = closure([a, b]).order
-    old = groups_mod._ROW_TABLE_LIMIT
-    groups_mod._ROW_TABLE_LIMIT = 0
-    try:
-        assert closure([a, b]).order == expected
-    finally:
-        groups_mod._ROW_TABLE_LIMIT = old
+
+F4 = GF(2, 2)
+F5 = GF(5)
+# over GF(5), q^6 = 15625 rows: a 6-cycle and diag(4, 1, ..., 1) give 384 elements
+CYCLE6 = Mat.from_rows(F5, [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)])
+DIAG6 = Mat.from_rows(F5, [[(4 if i == 0 else 1) * (i == j) for j in range(6)] for i in range(6)])
+CLOSURE_PAIRS = [
+    [GEN3, GEN3.transpose()],
+    [companion(Poly(F3, [1, 0, 1])), Mat.from_rows(F3, [[2, 0], [0, 1]])],
+    [
+        Mat.from_rows(F4, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+        Mat.from_rows(F4, [[0, 1, 0], [0, 0, 1], [1, 0, 1]]),
+    ],
+    [CYCLE6, DIAG6],
+]
+
+
+def test_closure_of_one_generator_is_its_cyclic_group():
+    for a, _ in CLOSURE_PAIRS:
+        g = closure([a])
+        assert g.elements == frozenset(CyclicGroup(a).elements())
+        assert g.order == matrix_order(a)
+
+
+def test_closure_matches_mat_multiply_oracle():
+    rng = random.Random(4)
+    pairs = list(CLOSURE_PAIRS)
+    for field, n in ((F2, 3), (F3, 2), (F4, 2)) * 4:
+        pairs.append([rand_invertible(rng, field, n) for _ in range(2)])
+    for gens in pairs:
+        g = closure(gens)
+        assert g.elements == mat_closure(gens, cap=10**6)
+        assert g.order == len(g.elements)
+    assert closure([CYCLE6, DIAG6]).order == 384
+
+
+def test_closure_cap_matches_oracle():
+    for gens in CLOSURE_PAIRS:
+        cap = len(mat_closure(gens, cap=10**6)) // 2
+        with pytest.raises(ClosureCapError) as got:
+            closure(gens, cap=cap)
+        with pytest.raises(ClosureCapError) as want:
+            mat_closure(gens, cap=cap)
+        assert got.value.reached == want.value.reached == cap + 1
+    # the generators count toward the cap: {I, A, A^2} has three elements
+    a = companion(Poly(F2, [1, 1, 1]))
+    with pytest.raises(ClosureCapError):
+        closure([a, a * a], cap=2)
 
 
 def test_order_lcm_random_agrees_with_brute_force():

@@ -36,3 +36,8 @@ def test_bounds_suite_documents_literal_separation():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(["nope"])
+
+
+def test_negative_trials_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_suites(["groups"], trials=-3)
