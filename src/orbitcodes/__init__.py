@@ -12,6 +12,7 @@ from .codes import (
     BlockStructure,
     CheckReport,
     OrbitCode,
+    OrbitProfile,
     SubBlock,
     Subspace,
     act,
@@ -27,6 +28,7 @@ from .codes import (
     min_distance,
     orbit_code,
     orbit_period,
+    orbit_profile,
     stabilizer_order,
     subspace,
     subspace_distance,
@@ -41,6 +43,7 @@ from .groups import (
     class_representatives,
     closure,
     conjugacy_witness,
+    divisors_order,
     matrix_order,
     power_signature,
     same_signature,

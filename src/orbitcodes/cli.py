@@ -29,13 +29,17 @@ from .codes import (
     block_bound,
     block_bound_refined,
     block_structure,
-    min_distance,
-    distance_distribution,
-    orbit_code,
+    orbit_profile,
     subspace,
 )
 from .errors import ParseError
-from .groups import CyclicGroup, class_representatives, closure, conjugacy_witness
+from .groups import (
+    CyclicGroup,
+    class_representatives,
+    closure,
+    conjugacy_witness,
+    matrix_order,
+)
 from .poly import factor
 from .textio import format_mat, format_poly, parse_field, parse_mat, parse_poly
 from .verify import SUITES, run_suites
@@ -178,11 +182,14 @@ def cmd_code(args: argparse.Namespace) -> int:
             f"subspace lives in dimension {base.n}, but --n is {args.n}", 0
         )
     bs = block_structure(base, divisors)
-    group = CyclicGroup(bs.generator)
-    code = orbit_code(base, group)
+    # the generator is built from its divisors, so no Smith form is needed
+    group_order = matrix_order(bs.generator, bs.divisors)
+    profile = orbit_profile(base, bs.divisors)
+    if group_order % profile.period:
+        raise AssertionError("orbit period does not divide the group order")
     literal, lcm_card = block_bound(bs)
     refined = block_bound_refined(bs)
-    dist = distance_distribution(code)
+    dist = profile.distribution
     components = []
     for blk in bs.blocks:
         p, e = blk.divisor
@@ -205,9 +212,9 @@ def cmd_code(args: argparse.Namespace) -> int:
         "q": field.q,
         "n": args.n,
         "k": base.k,
-        "group_order": group.order,
-        "cardinality": len(code),
-        "min_distance": min_distance(code) if len(code) > 1 else None,
+        "group_order": group_order,
+        "cardinality": profile.period,
+        "min_distance": profile.min_distance,
         "distance_distribution": list(dist),
         "bound_literal": literal,
         "bound_refined": refined,
@@ -234,7 +241,7 @@ def cmd_code(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"orbit code in Gr(q={field.q}, k={base.k}, n={args.n})",
-            f"  group order {group.order}, cardinality {len(code)}",
+            f"  group order {group_order}, cardinality {profile.period}",
             f"  min distance {report['min_distance']}, distribution {list(dist)}",
             f"  bounds: per-component {literal}, refined {refined}, "
             f"lcm cardinality {lcm_card}",

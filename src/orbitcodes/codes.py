@@ -7,16 +7,29 @@ right: act(U, A) is the row space of (basis of U) * A, re-canonicalized.
 For a cyclic group G = <A> the orbit code of U enumerates U, UA, UA^2, ...
 up to the period p (the least p >= 1 with U A^p = U), so codebooks list in
 a deterministic order and the stabilizer has order |G| / p.  Every code
-parameter comes from one walk over that orbit on the packed rows of
-rows.py (the kernel groups.closure also uses): over GF(2) a row is an int
-whose image under A is the XOR of A's rows at its set bits, over larger
-fields a tuple reduced with the field's tables.  The walk records each
-codeword's canonical key and dim(U n U A^j), which give the cardinality,
-the minimum distance and the distance distribution; one walk per
-(subspace, generator) is cached and shared by the code, its block bounds
-and its component codes.  The Mat/rref path (act, stabilizer_order,
-subspace_distance) is kept as the independent slow oracle that the verify
-suites and the tests compare the walk against.
+parameter comes from the orbit profile dims[j] = dim(U n U A^j) for
+j = 0 .. p - 1: its length is the cardinality, and it gives the minimum
+distance and the distance distribution.  For A = diag(companion(p_i^e_i))
+the profile has two producers, and the input picks one:
+
+* a single irreducible p other than x with e = 1, and 2k <= n: a
+  difference count.  A is multiplication by x on F_q[x]/(p), so stepping
+  each cycle of x that meets U once labels U's nonzero vectors by (cycle,
+  exponent), and counting exponent differences gives every dims[j], with
+  no linear algebra and no codebook;
+* every other generator: the orbit walk, on the packed rows of rows.py
+  (the kernel groups.closure also uses).  Over GF(2) a row is an int
+  whose image under A is the XOR of A's rows at its set bits, over larger
+  fields a tuple reduced with the field's tables.  The walk records each
+  codeword's canonical key and dims[j]; orbit_code builds its codebook
+  from it and is always walked.
+
+One profile per (subspace, divisors), and one walk per (subspace,
+generator), is cached and shared by the code, its block bounds and its
+component codes.  The walk is the reference the difference count is tested
+against, and the Mat/rref path (act, stabilizer_order, subspace_distance)
+is kept as the independent slow oracle that the verify suites and the
+tests compare the walk against.
 
 The block machinery splits an RREF basis along the column blocks of a
 block-diagonal generator diag(M_1, ..., M_t): sub-block i keeps the rows
@@ -46,7 +59,7 @@ from .errors import SingularMatrixError
 from .field import GF
 from .groups import CyclicGroup
 from .matrix import Mat, block_diag, companion, is_invertible, rref
-from .poly import Poly
+from .poly import Poly, is_irreducible, order as poly_order
 from .rows import _kernel
 from .textio import format_mat, format_poly
 
@@ -220,18 +233,15 @@ def min_distance(code: OrbitCode) -> int:
     """Minimum subspace distance of the code, seen from the base point."""
     if len(code.codebook) < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    dims = _walk(code.base, code.group.generator).dims
-    return 2 * code.k - 2 * max(dims[1:])
+    return OrbitProfile(_walk(code.base, code.group.generator).dims).min_distance
 
 
 def distance_distribution(code: OrbitCode) -> tuple[int, ...]:
     """Tuple (D_0, ..., D_k): codewords at each distance 2i from the base."""
-    counts = [0] * (code.k + 1)
-    for d in _walk(code.base, code.group.generator).dims:
-        counts[code.k - d] += 1
-    if counts[0] != 1 or sum(counts) != len(code.codebook):
+    counts = OrbitProfile(_walk(code.base, code.group.generator).dims).distribution
+    if sum(counts) != len(code.codebook):
         raise RuntimeError("distance distribution identities failed")
-    return tuple(counts)
+    return counts
 
 
 def conjugate_code(code: OrbitCode, l: Mat) -> OrbitCode:
@@ -245,6 +255,106 @@ def conjugate_code(code: OrbitCode, l: Mat) -> OrbitCode:
     if distance_distribution(code2) != distance_distribution(code):
         raise RuntimeError("conjugate code changed its distance distribution; bug")
     return code2
+
+
+# ---------------------------------------------------------------------------
+# the orbit profile: from a difference count or from the walk
+
+
+class OrbitProfile(NamedTuple):
+    """dims[j] = dim(U n U A^j) for j = 0 .. period - 1, so dims[0] = k.
+
+    Every parameter the code report prints comes from it: the period is the
+    cardinality, and the distance from U to U A^j is 2k - 2 dims[j]."""
+
+    dims: tuple[int, ...]
+
+    @property
+    def period(self) -> int:
+        return len(self.dims)
+
+    @property
+    def min_distance(self) -> int | None:
+        """None for a singleton code."""
+        if len(self.dims) < 2:
+            return None
+        return 2 * self.dims[0] - 2 * max(self.dims[1:])
+
+    @property
+    def distribution(self) -> tuple[int, ...]:
+        """(D_0, ..., D_k): codewords at each distance 2i from U."""
+        k = self.dims[0]
+        counts = [0] * (k + 1)
+        for d in self.dims:
+            counts[k - d] += 1
+        if counts[0] != 1:
+            raise RuntimeError("distance distribution identities failed")
+        return tuple(counts)
+
+
+def _difference_profile(u: Subspace, p: Poly) -> tuple[int, ...]:
+    """dims for A = companion(p), p irreducible and not x, by a difference
+    count instead of a walk.
+
+    A acts on F_q^d = F_q[x]/(p) as multiplication by x, which splits the
+    nonzero vectors into cosets of <x>, each a cycle of length ord(p).
+    Walking each cycle that meets U once labels every nonzero vector of U
+    with (cycle, exponent), and v, w in U satisfy w = v A^i exactly when
+    they share a cycle and their exponents differ by i mod ord(p).  So
+    |U n U A^-i| - 1 counts those label pairs, and dim(U n U A^i), equal
+    to dim(U n U A^-i), is its log_q."""
+    kern = _kernel(u.field, u.n)
+    step = kern.stepper(companion(p))
+    order = poly_order(p)
+    todo = set(kern.span([kern.pack(u.basis.row(i)) for i in range(u.k)])[1:])
+    nonzero = len(todo)
+    counts = [0] * order
+    while todo:
+        v = todo.pop()
+        exponents = [0]
+        for e in range(1, order):
+            v = step(v)
+            if v in todo:
+                todo.remove(v)
+                exponents.append(e)
+                if not todo:
+                    break
+        for a in exponents:
+            for b in exponents:
+                counts[a - b] += 1  # a negative index is the residue mod order
+    period = next((i for i in range(1, order) if counts[i] == nonzero), order)
+    logs = {u.field.q**j: j for j in range(u.k + 1)}
+    if any(1 + c not in logs for c in counts[:period]):
+        raise AssertionError("an intersection size is not a power of q; count is broken")
+    return tuple(logs[1 + c] for c in counts[:period])
+
+
+@lru_cache(maxsize=8)
+def _profile(u: Subspace, divisors: tuple[tuple[Poly, int], ...]) -> OrbitProfile:
+    if len(divisors) == 1:
+        (p, e), = divisors
+        # p = x has degree 1, so 2k <= n already keeps its singular matrix out
+        if e == 1 and 2 * u.k <= u.n and is_irreducible(p):
+            return OrbitProfile(_difference_profile(u, p))
+    generator = block_diag([companion(p**e) for p, e in divisors])
+    return OrbitProfile(_walk(u, generator).dims)
+
+
+def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitProfile:
+    """The profile of U under A = diag(companion(p_i^e_i)), for divisors
+    p_i^e_i with p_i irreducible.
+
+    A single irreducible p other than x (e = 1) takes the difference count
+    of _difference_profile when 2k <= n, so that its at most q^2k label
+    pairs cost no more than its at most q^n steps; every other generator
+    (a reducible p included), and a larger U, takes the orbit walk.  The
+    last few profiles are cached by (subspace, divisors)."""
+    divisors = tuple((p, int(e)) for p, e in divisors)
+    if any(p.field != u.field for p, _ in divisors):
+        raise ValueError("divisors and subspace must share a field")
+    if sum(int(p.degree) * e for p, e in divisors) != u.n:
+        raise ValueError("divisor degrees must sum to the ambient dimension")
+    return _profile(u, divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +461,7 @@ def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:
 def _component_profile(blk: SubBlock) -> tuple[int, list[int]]:
     """(orbit size N_i, [dim(W n W M^j) for j = 1..N_i-1]) for the row space
     W of a nonempty sub-block."""
-    p, e = blk.divisor
-    dims = _walk(subspace(blk.matrix), companion(p**e)).dims
+    dims = orbit_profile(subspace(blk.matrix), (blk.divisor,)).dims
     return len(dims), list(dims[1:])
 
 
@@ -399,7 +508,7 @@ def block_bound_refined(bs: BlockStructure) -> int:
         n_i, dims = _component_profile(blk)
         profiles.append((n_i, [blk.k] + dims))
         lcm_card = math.lcm(lcm_card, n_i)
-    period = orbit_period(bs.subspace, bs.generator)
+    period = orbit_profile(bs.subspace, bs.divisors).period
     if period % lcm_card:
         raise AssertionError("component orbit sizes must divide the code period")
     if period == 1:

@@ -31,16 +31,33 @@ from .field import GF
 from .matrix import Mat, is_invertible
 from .numtheory import multiplicative_order
 from .poly import Poly, irreducibles, order as poly_order
-from .rcf import RcfData, divisor_key, elementary_divisors, rcf, rcf_from_divisors
+from .rcf import (
+    RcfData,
+    check_invertible,
+    divisor_key,
+    elementary_divisors,
+    rcf,
+    rcf_from_divisors,
+)
 from .rows import _kernel
 
 
-def matrix_order(a: Mat) -> int:
-    """Multiplicative order of an invertible matrix: the lcm of the orders
-    of its elementary divisors, verified by one power check."""
+def divisors_order(divisors) -> int:
+    """Order of every matrix with these elementary divisors, such as
+    diag(companion(p_i^e_i)): the lcm of the orders of the p_i^e_i.  A power
+    of x, the mark of a singular matrix, raises SingularMatrixError."""
+    check_invertible(divisors)
     n = 1
-    for p, e in rcf(a).divisors:
+    for p, e in divisors:
         n = math.lcm(n, poly_order(p**e))
+    return n
+
+
+def matrix_order(a: Mat, divisors=None) -> int:
+    """Multiplicative order of an invertible matrix, verified by one power
+    check.  The elementary divisors come from the Smith form unless the
+    caller built A from them and passes them as `divisors`."""
+    n = divisors_order(rcf(a).divisors if divisors is None else divisors)
     if not (a**n).is_identity():
         raise AssertionError("computed order failed the A^N = I check")
     return n
@@ -220,10 +237,7 @@ def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
     reps = []
     for sig, members in cells.items():
         best = min(members, key=lambda ds: tuple(divisor_key(d) for d in ds))
-        order = 1
-        for p, e in best:
-            order = math.lcm(order, poly_order(p**e))
-        reps.append(ClassRep(rcf_from_divisors(field, best), sig, order))
+        reps.append(ClassRep(rcf_from_divisors(field, best), sig, divisors_order(best)))
     reps.sort(key=lambda r: tuple(divisor_key(d) for d in r.rcf.divisors))
     return tuple(reps)
 

@@ -1,7 +1,8 @@
 """Dense exact matrices over GF(q).
 
 Entries are element codes stored row-major in a flat tuple.  Mat values are
-immutable and hashable; every operation returns a fresh matrix.  The hot
+immutable and hashable; every operation returns a fresh matrix, and its
+arithmetic indexes the field's lookups as Poly does.  The hot
 loops do not multiply Mats: the orbit walk (codes) and the group closure
 (groups) run on the packed rows of rows.py and build Mats only for their
 results, so Mat multiply and rref stay the slow oracle they are checked
@@ -90,17 +91,18 @@ class Mat:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-        add = self.field.add
+        add = self.field.lookups[0]
         return Mat._trusted(
             self.field,
             self.rows,
             self.cols,
-            tuple(add(a, b) for a, b in zip(self.entries, other.entries)),
+            tuple([add[a][b] for a, b in zip(self.entries, other.entries)]),
         )
 
     def __neg__(self) -> "Mat":
-        neg = self.field.neg
-        return Mat._trusted(self.field, self.rows, self.cols, tuple(neg(a) for a in self.entries))
+        neg = self.field.lookups[2]
+        entries = tuple([neg[a] for a in self.entries])
+        return Mat._trusted(self.field, self.rows, self.cols, entries)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
@@ -112,7 +114,7 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         F = self.field
-        mul, add = F.mul, F.add
+        add, mul = F.lookups[:2]
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
         out = []
@@ -123,7 +125,7 @@ class Mat:
                 for t in range(k):
                     at = arow[t]
                     if at:
-                        acc = add(acc, mul(at, b[t * m + j]))
+                        acc = add[acc][mul[at][b[t * m + j]]]
                 out.append(acc)
         return Mat._trusted(F, n, m, tuple(out))
 
@@ -153,6 +155,7 @@ class Mat:
         if not self.is_square:
             raise ValueError("only square matrices have inverses")
         F = self.field
+        add, mul, neg, inv = F.lookups
         n = self.rows
         aug = [list(self.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
         for col in range(n):
@@ -160,12 +163,12 @@ class Mat:
             if pivot is None:
                 raise SingularMatrixError(f"matrix is singular:\n{self!r}")
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = F.inv(aug[col][col])
-            aug[col] = [F.mul(inv_p, v) for v in aug[col]]
+            scale = mul[inv[aug[col][col]]]
+            aug[col] = [scale[v] for v in aug[col]]
             for r in range(n):
                 if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [F.sub(v, F.mul(c, w)) for v, w in zip(aug[r], aug[col])]
+                    scale = mul[neg[aug[r][col]]]
+                    aug[r] = [add[v][scale[w]] for v, w in zip(aug[r], aug[col])]
         return Mat._trusted(F, n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
 
     def is_identity(self) -> bool:
@@ -201,6 +204,7 @@ class RrefResult:
 def rref(m: Mat) -> RrefResult:
     """Reduced row echelon form with leading ones and zeros above pivots."""
     F = m.field
+    add, mul, neg, inv = F.lookups
     rows = [list(m.row(i)) for i in range(m.rows)]
     pivots = []
     r = 0
@@ -209,13 +213,14 @@ def rref(m: Mat) -> RrefResult:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv_p = F.inv(rows[r][col])
+        inv_p = inv[rows[r][col]]
         if inv_p != 1:
-            rows[r] = [F.mul(inv_p, v) for v in rows[r]]
+            scale = mul[inv_p]
+            rows[r] = [scale[v] for v in rows[r]]
         for i in range(m.rows):
             if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [F.sub(v, F.mul(c, w)) for v, w in zip(rows[i], rows[r])]
+                scale = mul[neg[rows[i][col]]]
+                rows[i] = [add[v][scale[w]] for v, w in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == m.rows:

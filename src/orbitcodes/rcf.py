@@ -161,6 +161,16 @@ def rcf_from_divisors(field: GF, divisors) -> RcfData:
     return RcfData(tuple(pairs), m.rows, m)
 
 
+def check_invertible(divisors) -> None:
+    """Reject elementary divisors with a power of x among them: their
+    matrices are singular, outside GL_n."""
+    for p, _ in divisors:
+        if p == Poly.x(p.field):
+            raise SingularMatrixError(
+                "matrix is singular (an elementary divisor is a power of x), not in GL_n"
+            )
+
+
 def rcf(a: Mat) -> RcfData:
     """Rational canonical form of an invertible matrix.
 
@@ -168,11 +178,7 @@ def rcf(a: Mat) -> RcfData:
     putting the matrix outside GL_n) with SingularMatrixError.
     """
     divisors = elementary_divisors(a)
-    x = Poly.x(a.field)
-    if any(p == x for p, _ in divisors):
-        raise SingularMatrixError(
-            "matrix is singular (an elementary divisor is a power of x), not in GL_n"
-        )
+    check_invertible(divisors)
     return rcf_from_divisors(a.field, divisors)
 
 

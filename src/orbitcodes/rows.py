@@ -6,11 +6,15 @@ at bit n-1-j, and its image under A is the XOR of A's rows at its set
 bits; over larger fields it is a tuple of element codes reduced with the
 field's lookups.  imager(A) hands out a memo indexed as image[v] = v A,
 filled on first use, so each distinct row is mapped once and no q^n table
-is built: one path serves every field size.
+is built: one path serves every field size.  For a companion matrix A,
+stepper(A) maps v to v A without a memo: a shift by one column plus the
+last entry of v times A's last row (over GF(2) a shift and an XOR).
 
 codes._walk reduces packed rows to canonical echelon keys to walk the
-orbit of a subspace; groups.closure keys each group element by the tuple
-of its packed rows and multiplies by a generator row by row.
+orbit of a subspace; codes._difference_profile steps the nonzero vectors
+of a subspace (span) around the cycles of multiplication by x;
+groups.closure keys each group element by the tuple of its packed rows
+and multiplies by a generator row by row.
 """
 
 from __future__ import annotations
@@ -55,6 +59,20 @@ class _Bits:
 
         return _Memo(image)
 
+    def stepper(self, a: Mat):
+        """step(v) = v A for a companion matrix A: v shifted one column
+        right, plus A's last row when v's last entry is set."""
+        feedback = self.pack(a.row(self.n - 1))
+        return lambda v: (v >> 1) ^ feedback if v & 1 else v >> 1
+
+    @staticmethod
+    def span(rows) -> list[int]:
+        """Every vector of the span of independent rows, zero first."""
+        vecs = [0]
+        for r in rows:
+            vecs += [v ^ r for v in vecs]
+        return vecs
+
     @staticmethod
     def echelon(rows) -> tuple[int, ...]:
         """Reduced echelon basis of the span of the rows."""
@@ -77,7 +95,7 @@ class _Tuples:
     decreasing order, since an earlier pivot is a larger leading entry."""
 
     def __init__(self, field: GF, n: int):
-        self.n = n
+        self.n, self.q = n, field.q
         self.add, self.mul, self.neg, self.inv = field.lookups
 
     pack = staticmethod(tuple)
@@ -105,6 +123,25 @@ class _Tuples:
             return w
 
         return _Memo(image)
+
+    def stepper(self, a: Mat):
+        """step(v) = v A for a companion matrix A: v shifted one column
+        right, plus v's last entry times A's last row."""
+        axpy, feedback = self.axpy, a.row(self.n - 1)
+
+        def step(v: tuple[int, ...]) -> tuple[int, ...]:
+            w = (0,) + v[:-1]
+            return axpy(w, v[-1], feedback) if v[-1] else w
+
+        return step
+
+    def span(self, rows) -> list[tuple[int, ...]]:
+        """Every vector of the span of independent rows, zero first."""
+        axpy = self.axpy
+        vecs = [(0,) * self.n]
+        for r in rows:
+            vecs += [axpy(v, x, r) for x in range(1, self.q) for v in vecs]
+        return vecs
 
     def echelon(self, rows) -> tuple[tuple[int, ...], ...]:
         """Reduced echelon basis of the span of the rows."""

@@ -7,7 +7,19 @@ from pathlib import Path
 import pytest
 
 import orbitcodes
-from orbitcodes import GF, parse_mat, parse_poly
+from orbitcodes import (
+    GF,
+    CyclicGroup,
+    companion,
+    distance_distribution,
+    min_distance,
+    orbit_code,
+    parse_field,
+    parse_mat,
+    parse_poly,
+    subspace,
+)
+from orbitcodes import codes, groups
 from orbitcodes.cli import main
 
 
@@ -252,8 +264,8 @@ def test_examples_all_pass(capsys):
 @pytest.mark.parametrize(
     "name, exc",
     [
-        ("distance_distribution", RuntimeError("identities failed\non two lines")),
-        ("orbit_code", AssertionError()),
+        ("orbit_profile", RuntimeError("identities failed\non two lines")),
+        ("matrix_order", AssertionError()),
     ],
 )
 def test_code_internal_failure_is_one_line(capsys, monkeypatch, name, exc):
@@ -269,6 +281,44 @@ def test_code_internal_failure_is_one_line(capsys, monkeypatch, name, exc):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("internal error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, divisor, basis",
+    [
+        ("2", "1,1,0,1", "1,0,0"),
+        ("2", "1,1,0,0,0,0,1", "1,0,1,1,0,0;0,1,0,0,1,1"),
+        ("2", "1,1,1,1,1", "1,0,0,0;0,1,0,0"),
+        ("3", "1,0,1", "1,2"),
+        ("2^2", "2,1,1", "0,1"),
+    ],
+)
+def test_code_single_irreducible_never_walks(capsys, monkeypatch, field, divisor, basis):
+    f = parse_field(field)
+    p = parse_poly(f, divisor)
+    u = subspace(parse_mat(f, basis))
+    oracle = orbit_code(u, CyclicGroup(companion(p)))
+    expected = {
+        "group_order": oracle.group.order,
+        "cardinality": len(oracle),
+        "min_distance": min_distance(oracle) if len(oracle) > 1 else None,
+        "distance_distribution": list(distance_distribution(oracle)),
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the report walked the orbit or ran the Smith form")
+
+    codes._profile.cache_clear()
+    monkeypatch.setattr(codes, "_walk", forbidden)
+    monkeypatch.setattr(groups, "rcf", forbidden)
+    code, out, err = run(
+        capsys, "code", "--field", field, "--n", str(u.n),
+        "--divisors", divisor, "--subspace", basis,
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert {key: report[key] for key in expected} == expected
+    assert report["components"][0]["cardinality"] == len(oracle)
 
 
 def test_usage_error_exit_code(capsys):

@@ -12,6 +12,7 @@ from orbitcodes import (
     act,
     block_bound,
     block_bound_refined,
+    block_diag,
     block_structure,
     blockdiag_coprime_check,
     companion,
@@ -20,15 +21,17 @@ from orbitcodes import (
     distance_distribution,
     fullrank_coprime_check,
     intersection_dim,
+    irreducibles,
     is_invertible,
     min_distance,
     orbit_code,
     orbit_period,
+    orbit_profile,
     stabilizer_order,
     subspace,
     subspace_distance,
 )
-from orbitcodes.codes import _component_profile
+from orbitcodes.codes import _component_profile, _difference_profile, _walk
 from orbitcodes.sampling import random_subspace, random_unit_divisors
 
 F2 = GF(2)
@@ -433,6 +436,101 @@ def test_component_profile_matches_oracle(field, seed):
         orbit = oracle_orbit(subspace(blk.matrix), companion(p**e))
         dims = [intersection_dim(orbit[0], v) for v in orbit[1:]]
         assert _component_profile(blk) == (len(orbit), dims)
+
+
+# ---------------------------------------------------------------------------
+# the difference-count profile against the walk
+
+F5 = GF(5)
+PROFILE_MAX_D = {2: 8, 3: 5, 4: 4, 5: 3}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((F2, F3, F4, F5)), st.integers(0, 2**32))
+def test_difference_profile_matches_walk(field, seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, PROFILE_MAX_D[field.q])
+    p = rng.choice([f for f in irreducibles(field, d) if f.coeff(0)])
+    u = random_subspace(rng, field, d, rng.randint(1, d))
+    dims = _walk(u, companion(p)).dims
+    assert _difference_profile(u, p) == dims
+    assert orbit_profile(u, [(p, 1)]).dims == dims
+
+
+def field_vector(p, power):
+    """Coordinates of x^power mod p, the column j holding the x^j term."""
+    r = pow(Poly.x(p.field), power, p)
+    return [r.coeff(j) for j in range(int(p.degree))]
+
+
+def power_span(p, powers):
+    return subspace(Mat.from_rows(p.field, [field_vector(p, e) for e in powers]))
+
+
+@pytest.mark.parametrize(
+    "p, powers, period",
+    [
+        # x^4 + x^3 + x^2 + x + 1 over GF(2) has order 5: three cycles of <x>
+        (Poly(F2, [1, 1, 1, 1, 1]), [0], 5),
+        (Poly(F2, [1, 1, 1, 1, 1]), [0, 1], 5),
+        (Poly(F2, [1, 1, 1, 1, 1]), [0, 1, 2, 3], 1),
+        # x^2 + 1 over GF(3) has order 4: two cycles; F_3 is fixed by x^2 = -1
+        (Poly(F3, [1, 0, 1]), [0], 2),
+        (Poly(F3, [1, 0, 1]), [1, 0], 1),
+        # primitive x^4 + x + 1: F_4 = span(1, x^5) is fixed by x^5, x^10
+        (Poly(F2, [1, 1, 0, 0, 1]), [0, 5], 5),
+        (Poly(F2, [1, 1, 0, 0, 1]), [3, 8], 5),
+        # primitive x^6 + x + 1: F_8 = span(1, x^9, x^18), F_4 = span(1, x^21)
+        (Poly(F2, [1, 1, 0, 0, 0, 0, 1]), [0, 9, 18], 9),
+        (Poly(F2, [1, 1, 0, 0, 0, 0, 1]), [0, 21], 21),
+        # x^3 + 2x + 1 over GF(3) has order 26; F_3 = span(1) is fixed by x^13
+        (Poly(F3, [1, 2, 0, 1]), [0], 13),
+        # x^2 + x + 2 over GF(4) has order 15 (primitive)
+        (Poly(F4, [2, 1, 1]), [1], 5),
+        (Poly(F4, [2, 1, 1]), [0, 1], 1),
+        # x^2 + 2x + 1 over GF(4) has order 5: three cycles
+        (Poly(F4, [1, 2, 1]), [0], 5),
+    ],
+)
+def test_difference_profile_known_stabilizers(p, powers, period):
+    u = power_span(p, powers)
+    dims = _walk(u, companion(p)).dims
+    assert len(dims) == period
+    assert _difference_profile(u, p) == dims
+    assert orbit_profile(u, [(p, 1)]).period == period
+
+
+def test_orbit_profile_falls_back_to_walk_for_other_generators():
+    p = Poly(F2, [1, 1, 1])
+    u = subspace(mat2([[1, 0, 0, 0]]))
+    assert orbit_profile(u, [(p, 2)]).dims == _walk(u, companion(p**2)).dims
+    u = subspace(mat2([[1, 0, 0, 1, 1]]))
+    gen = block_diag([companion(f**e) for f, e in SINGER_DIVISORS])
+    assert orbit_profile(u, SINGER_DIVISORS).dims == _walk(u, gen).dims
+    assert orbit_profile(u, SINGER_DIVISORS).period == 21
+    # x^3 + 1 = (x + 1)(x^2 + x + 1) is reducible: x fixes 1 + x + x^2
+    reducible = Poly(F2, [1, 0, 0, 1])
+    u = line(1, 1, 1)
+    assert orbit_profile(u, [(reducible, 1)]).dims == _walk(u, companion(reducible)).dims
+    assert orbit_profile(u, [(reducible, 1)]).period == 1
+
+
+def test_orbit_profile_parameters_match_code():
+    u = line(1, 0, 0)
+    code = orbit_code(u, CyclicGroup(GEN3))
+    profile = orbit_profile(u, [(Poly(F2, [1, 1, 0, 1]), 1)])
+    assert profile.period == len(code)
+    assert profile.distribution == distance_distribution(code)
+    assert profile.min_distance == min_distance(code)
+    whole = subspace(Mat.identity(F2, 3))
+    assert orbit_profile(whole, [(Poly(F2, [1, 1, 0, 1]), 1)]).min_distance is None
+
+
+def test_orbit_profile_rejects_mismatched_divisors():
+    with pytest.raises(ValueError):
+        orbit_profile(line(1, 0, 0), [(Poly(F2, [1, 1, 1]), 1)])
+    with pytest.raises(ValueError):
+        orbit_profile(line(1, 0, 0), [(Poly(F3, [1, 2, 0, 1]), 1)])
 
 
 def test_fullrank_check_single_block_trivially_equal():

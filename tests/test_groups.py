@@ -15,6 +15,7 @@ from orbitcodes import (
     closure,
     companion,
     conjugacy_witness,
+    divisors_order,
     is_invertible,
     matrix_order,
     power_signature,
@@ -22,6 +23,7 @@ from orbitcodes import (
     signature,
     signature_of_divisors,
 )
+from orbitcodes.sampling import random_unit_divisors
 from orbitcodes.verify import brute_force_cyclic_classes, brute_force_order
 
 F2 = GF(2)
@@ -50,6 +52,23 @@ def test_matrix_order_block_diagonal_lcm():
     d = block_diag([GEN3, companion(Poly(F2, [1, 1, 1]))])
     assert matrix_order(d) == 21
     assert brute_force_order(d) == 21
+
+
+def test_divisors_order_matches_smith_form():
+    rng = random.Random(5)
+    for field in (F2, F3, GF(2, 2)):
+        for n in range(1, 6):
+            divisors = random_unit_divisors(rng, field, n)
+            a = block_diag([companion(p**e) for p, e in divisors])
+            order = matrix_order(a)
+            assert divisors_order(divisors) == order
+            assert matrix_order(a, divisors) == order
+
+
+def test_divisors_order_rejects_x():
+    x = Poly.x(F2)
+    with pytest.raises(SingularMatrixError, match="power of x"):
+        divisors_order([(Poly(F2, [1, 1]), 1), (x, 2)])
 
 
 def test_matrix_order_rejects_singular():

@@ -171,3 +171,49 @@ def test_hashable_for_sets():
     a = Mat.identity(F2, 2)
     b = Mat.from_rows(F2, [[1, 0], [0, 1]])
     assert len({a, b}) == 1
+
+
+def schoolbook_rref(m):
+    """Reduced row echelon rows by the field's methods, one entry at a time."""
+    F = m.field
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    r = 0
+    for col in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv_p = F.inv(rows[r][col])
+        rows[r] = [F.mul(inv_p, v) for v in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [F.sub(v, F.mul(c, w)) for v, w in zip(rows[i], rows[r])]
+        r += 1
+    return [e for row in rows for e in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((F2, F3, GF(2, 2), GF(257))), st.integers(0, 2**32))
+def test_arithmetic_matches_field_methods(field, seed):
+    """Mat arithmetic indexes the field's lookups (lazy dicts above q = 256);
+    each result must equal the entry-wise computation by F.add and F.mul."""
+    rng = random.Random(seed)
+    n, k, m = (rng.randint(1, 4) for _ in range(3))
+    a = Mat(field, n, k, [rng.randrange(field.q) for _ in range(n * k)])
+    b = Mat(field, k, m, [rng.randrange(field.q) for _ in range(k * m)])
+    c = Mat(field, n, k, [rng.randrange(field.q) for _ in range(n * k)])
+    F = field
+    product = []
+    for i in range(n):
+        for j in range(m):
+            acc = 0
+            for t in range(k):
+                acc = F.add(acc, F.mul(a.entry(i, t), b.entry(t, j)))
+            product.append(acc)
+    assert (a * b).entries == tuple(product)
+    assert (a + c).entries == tuple(F.add(x, y) for x, y in zip(a.entries, c.entries))
+    assert (-a).entries == tuple(F.neg(x) for x in a.entries)
+    assert list(rref(a).matrix.entries) == schoolbook_rref(a)
+    if n == k and is_invertible(a):
+        assert (a * a.inverse()).is_identity()
