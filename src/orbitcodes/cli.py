@@ -203,10 +203,10 @@ def cmd_code(args: argparse.Namespace) -> int:
         if blk.k == 0:
             entry["cardinality"] = None
         else:
-            # the component code's size and distance, from its cached walk
-            n_i, dims = _component_profile(blk)
-            entry["cardinality"] = n_i
-            entry["min_distance"] = 2 * blk.k - 2 * max(dims) if n_i > 1 else None
+            # the component code's size and distance, from its cached profile
+            component = _component_profile(blk)
+            entry["cardinality"] = component.period
+            entry["min_distance"] = component.min_distance
         components.append(entry)
     report = {
         "q": field.q,

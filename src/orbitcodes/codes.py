@@ -12,17 +12,18 @@ j = 0 .. p - 1: its length is the cardinality, and it gives the minimum
 distance and the distance distribution.  For A = diag(companion(p_i^e_i))
 the profile has two producers, and the input picks one:
 
-* a single irreducible p other than x with e = 1, and 2k <= n: a
+* a single irreducible p other than x with e = 1, for a proper U whose
+  label pairs cost no more than the walk would (see _count_is_cheaper): a
   difference count.  A is multiplication by x on F_q[x]/(p), so stepping
   each cycle of x that meets U once labels U's nonzero vectors by (cycle,
   exponent), and counting exponent differences gives every dims[j], with
   no linear algebra and no codebook;
-* every other generator: the orbit walk, on the packed rows of rows.py
-  (the kernel groups.closure also uses).  Over GF(2) a row is an int
-  whose image under A is the XOR of A's rows at its set bits, over larger
-  fields a tuple reduced with the field's tables.  The walk records each
-  codeword's canonical key and dims[j]; orbit_code builds its codebook
-  from it and is always walked.
+* every other generator and subspace: the orbit walk, on the packed rows
+  of rows.py (the kernel groups.closure also uses).  Over GF(2) a row is
+  an int whose image under A is the XOR of A's rows at its set bits, over
+  larger fields a tuple reduced with the field's tables.  The walk
+  records each codeword's canonical key and dims[j]; orbit_code builds
+  its codebook from it and is always walked.
 
 One profile per (subspace, divisors), and one walk per (subspace,
 generator), is cached and shared by the code, its block bounds and its
@@ -329,12 +330,32 @@ def _difference_profile(u: Subspace, p: Poly) -> tuple[int, ...]:
     return tuple(logs[1 + c] for c in counts[:period])
 
 
+# Label-pair increments that cost as much as one row of one walk step (its
+# image and its share of the echelon).  Timed under CPython 3.11 on x86-64,
+# the crossover lay at 33-43 over GF(2) n = 11, 12, 52 over GF(4) n = 6 and
+# 73 over GF(3) n = 7; the lowest decides.
+_PAIRS_PER_WALK_ROW = 32
+
+
+def _count_is_cheaper(u: Subspace, p: Poly) -> bool:
+    """Whether the difference count for U under companion(p), p irreducible
+    and not x, costs no more than the walk.
+
+    The count makes at most s * min(s, ord(p)) label pairs for the
+    s = q^k - 1 nonzero vectors of U, and the walk at most ord(p) steps of
+    k row images.  U = F_q^n is left out: the walk stops after one step."""
+    if u.k == u.n:
+        return False
+    size, order = u.field.q**u.k - 1, poly_order(p)
+    return size * min(size, order) <= _PAIRS_PER_WALK_ROW * u.k * order
+
+
 @lru_cache(maxsize=8)
 def _profile(u: Subspace, divisors: tuple[tuple[Poly, int], ...]) -> OrbitProfile:
     if len(divisors) == 1:
         (p, e), = divisors
-        # p = x has degree 1, so 2k <= n already keeps its singular matrix out
-        if e == 1 and 2 * u.k <= u.n and is_irreducible(p):
+        # p = x has degree 1, so U = F_q^1 and _count_is_cheaper keeps it out
+        if e == 1 and is_irreducible(p) and _count_is_cheaper(u, p):
             return OrbitProfile(_difference_profile(u, p))
     generator = block_diag([companion(p**e) for p, e in divisors])
     return OrbitProfile(_walk(u, generator).dims)
@@ -345,10 +366,10 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
     p_i^e_i with p_i irreducible.
 
     A single irreducible p other than x (e = 1) takes the difference count
-    of _difference_profile when 2k <= n, so that its at most q^2k label
-    pairs cost no more than its at most q^n steps; every other generator
-    (a reducible p included), and a larger U, takes the orbit walk.  The
-    last few profiles are cached by (subspace, divisors)."""
+    of _difference_profile when _count_is_cheaper says so; every other
+    generator (a reducible p included), and a U whose label pairs would
+    cost more than the walk, takes the orbit walk.  The last few profiles
+    are cached by (subspace, divisors)."""
     divisors = tuple((p, int(e)) for p, e in divisors)
     if any(p.field != u.field for p, _ in divisors):
         raise ValueError("divisors and subspace must share a field")
@@ -458,11 +479,10 @@ def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:
     return tuple(out)
 
 
-def _component_profile(blk: SubBlock) -> tuple[int, list[int]]:
-    """(orbit size N_i, [dim(W n W M^j) for j = 1..N_i-1]) for the row space
-    W of a nonempty sub-block."""
-    dims = orbit_profile(subspace(blk.matrix), (blk.divisor,)).dims
-    return len(dims), list(dims[1:])
+def _component_profile(blk: SubBlock) -> OrbitProfile:
+    """The profile of the row space W of a nonempty sub-block under its own
+    companion block M: its period is the component code's size N_i."""
+    return orbit_profile(subspace(blk.matrix), (blk.divisor,))
 
 
 def block_bound(bs: BlockStructure) -> tuple[int, int]:
@@ -477,9 +497,9 @@ def block_bound(bs: BlockStructure) -> tuple[int, int]:
     for blk in bs.blocks:
         if blk.k == 0:
             continue
-        n_i, dims = _component_profile(blk)
-        lcm_card = math.lcm(lcm_card, n_i)
-        total += blk.k if n_i == 1 else max(dims)
+        dims = _component_profile(blk).dims
+        lcm_card = math.lcm(lcm_card, len(dims))
+        total += max(dims[1:], default=blk.k)
     return 2 * bs.k - 2 * total, lcm_card
 
 
@@ -505,9 +525,9 @@ def block_bound_refined(bs: BlockStructure) -> int:
     for blk in bs.blocks:
         if blk.k == 0:
             continue
-        n_i, dims = _component_profile(blk)
-        profiles.append((n_i, [blk.k] + dims))
-        lcm_card = math.lcm(lcm_card, n_i)
+        dims = _component_profile(blk).dims
+        profiles.append((len(dims), dims))
+        lcm_card = math.lcm(lcm_card, len(dims))
     period = orbit_profile(bs.subspace, bs.divisors).period
     if period % lcm_card:
         raise AssertionError("component orbit sizes must divide the code period")
@@ -648,8 +668,7 @@ def blockdiag_coprime_check(
         return skipped("a block has more rows than columns")
     u = subspace(basis)
     bs = block_structure(u, divisors)
-    profiles = [_component_profile(blk) for blk in bs.blocks]
-    sizes = [p[0] for p in profiles]
+    sizes = [_component_profile(blk).period for blk in bs.blocks]
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):
             if math.gcd(sizes[i], sizes[j]) != 1:

@@ -319,6 +319,7 @@ def test_code_single_irreducible_never_walks(capsys, monkeypatch, field, divisor
     report = json.loads(out)
     assert {key: report[key] for key in expected} == expected
     assert report["components"][0]["cardinality"] == len(oracle)
+    assert report["components"][0]["min_distance"] == expected["min_distance"]
 
 
 def test_usage_error_exit_code(capsys):

@@ -31,6 +31,7 @@ from orbitcodes import (
     subspace,
     subspace_distance,
 )
+from orbitcodes import codes
 from orbitcodes.codes import _component_profile, _difference_profile, _walk
 from orbitcodes.sampling import random_subspace, random_unit_divisors
 
@@ -435,7 +436,9 @@ def test_component_profile_matches_oracle(field, seed):
         p, e = blk.divisor
         orbit = oracle_orbit(subspace(blk.matrix), companion(p**e))
         dims = [intersection_dim(orbit[0], v) for v in orbit[1:]]
-        assert _component_profile(blk) == (len(orbit), dims)
+        profile = _component_profile(blk)
+        assert profile.period == len(orbit)
+        assert list(profile.dims) == [blk.k] + dims
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +501,35 @@ def test_difference_profile_known_stabilizers(p, powers, period):
     assert len(dims) == period
     assert _difference_profile(u, p) == dims
     assert orbit_profile(u, [(p, 1)]).period == period
+
+
+@pytest.mark.parametrize(
+    "p, k, counted",
+    [
+        # primitive x^12 + x^6 + x^4 + x + 1: the count costs less up to k = 10
+        (Poly(F2, [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]), 3, True),
+        (Poly(F2, [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]), 8, True),
+        (Poly(F2, [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]), 11, False),
+        (Poly(F2, [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]), 12, False),
+        # x^5 + x^2 + 1: every proper U is counted, F_2^5 is walked
+        (Poly(F2, [1, 0, 1, 0, 0, 1]), 4, True),
+        (Poly(F2, [1, 0, 1, 0, 0, 1]), 5, False),
+        # x^4 + x^3 + x^2 + x + 1 has order 5: three cycles of <x>
+        (Poly(F2, [1, 1, 1, 1, 1]), 3, True),
+        # x^3 + 2x + 1 over GF(3) has order 26
+        (Poly(F3, [1, 2, 0, 1]), 2, True),
+    ],
+)
+def test_orbit_profile_picks_the_cheaper_producer(monkeypatch, p, k, counted):
+    u = random_subspace(random.Random(k), p.field, int(p.degree), k)
+    dims = _walk(u, companion(p)).dims
+
+    def forbidden(*args):
+        raise AssertionError("the other producer ran")
+
+    codes._profile.cache_clear()
+    monkeypatch.setattr(codes, "_walk" if counted else "_difference_profile", forbidden)
+    assert orbit_profile(u, [(p, 1)]).dims == dims
 
 
 def test_orbit_profile_falls_back_to_walk_for_other_generators():
