@@ -533,9 +533,15 @@ def block_bound_refined(bs: BlockStructure) -> int:
         raise AssertionError("component orbit sizes must divide the code period")
     if period == 1:
         return 0
-    worst = max(
-        sum(f[j % n_i] for n_i, f in profiles) for j in range(1, period)
-    )
+    if len(profiles) == 1:
+        # j runs over the nonzero residues, and past them to 0 (f[0] = k_i)
+        # when the period exceeds the component's own
+        n_1, f = profiles[0]
+        worst = max(f[1:]) if period == n_1 else f[0]
+    else:
+        worst = max(
+            sum(f[j % n_i] for n_i, f in profiles) for j in range(1, period)
+        )
     return 2 * bs.k - 2 * worst
 
 

@@ -11,9 +11,15 @@ conjugate:
   certify; the two can disagree (see verify.suite_groups, which reports a
   known six-dimensional disagreement over GF(2)) and the oracle wins.
 
-Class enumeration lists every multiset of (irreducible p != x, exponent)
-with total degree n, partitions the multisets by signature and emits the
-canonically smallest member of each cell as its representative.
+Class enumeration works on the orders alone.  The monic irreducibles
+p != x of degree d have exactly the orders o | q^d - 1 with ord_o(q) = d,
+and there are phi(o)/d of each (Lidl and Niederreiter, Finite Fields,
+Thm 3.5), so the signature cells are the multisets of atoms (o, e) with
+sum of ord_o(q) e equal to n.  Each cell's representative takes the
+smallest irreducible of order o for every slot (o, e), found by one scan
+of the degree-d irreducibles in code order that stops once every order
+has turned up, and its group order is lcm(o c(e)) in closed form; no
+member of a cell other than its representative is built.
 
 closure generates a finite matrix group breadth first on the packed rows
 of rows.py, the kernel the orbit walk in codes.py also runs on: one loop
@@ -24,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
 from .matrix import Mat, is_invertible
-from .numtheory import multiplicative_order
+from .numtheory import factorize, multiplicative_order
 from .poly import Poly, irreducibles, order as poly_order
 from .rcf import (
     RcfData,
@@ -42,14 +49,24 @@ from .rcf import (
 from .rows import _kernel
 
 
+def _char_power(field: GF, e: int) -> int:
+    """The least power of the characteristic that is >= e."""
+    c = 1
+    while c < e:
+        c *= field.p
+    return c
+
+
 def divisors_order(divisors) -> int:
     """Order of every matrix with these elementary divisors, such as
-    diag(companion(p_i^e_i)): the lcm of the orders of the p_i^e_i.  A power
-    of x, the mark of a singular matrix, raises SingularMatrixError."""
+    diag(companion(p_i^e_i)): the lcm of ord(p_i^e_i) = ord(p_i) c(e_i),
+    with c(e) the least power of the characteristic that is >= e
+    (Lidl and Niederreiter, Finite Fields, Thm 3.8).  A power of x, the
+    mark of a singular matrix, raises SingularMatrixError."""
     check_invertible(divisors)
     n = 1
     for p, e in divisors:
-        n = math.lcm(n, poly_order(p**e))
+        n = math.lcm(n, poly_order(p) * _char_power(p.field, e))
     return n
 
 
@@ -194,61 +211,98 @@ class ClassRep:
     order: int
 
 
-def _divisor_multisets(field: GF, n: int):
-    """All multisets of (irreducible p != x, e >= 1) with total degree n."""
-    x = Poly.x(field)
-    atoms = []
+def _orders_of_degree(q: int, d: int) -> list[int]:
+    """The orders o of the monic irreducibles p != x of degree d over F_q:
+    the divisors of q^d - 1 with ord_o(q) = d, that is, dividing no
+    q^(d/r) - 1 for a prime r | d (Lidl and Niederreiter, Finite Fields,
+    Thm 3.3 and 3.5)."""
+    divisors = [1]
+    for prime, k in factorize(q**d - 1).items():
+        divisors = [o * prime**i for o in divisors for i in range(k + 1)]
+    lower = [q ** (d // r) - 1 for r in factorize(d)]
+    return sorted(o for o in divisors if all(m % o for m in lower))
+
+
+def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
+    """{o: the first irreducible of degree d and order o in code order},
+    for every order o of degree d; the scan stops once each is found."""
+    wanted = set(_orders_of_degree(field.q, d))
+    found = {}
+    for p in irreducibles(field, d):
+        if not p.coeff(0):
+            continue  # x, a singular block
+        o = poly_order(p)
+        if o in wanted:
+            wanted.discard(o)
+            found[o] = p
+            if not wanted:
+                return found
+    raise AssertionError(f"no irreducible of degree {d} has order {min(wanted)}")
+
+
+def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
+    """Conjugacy classes of cyclic subgroups of GL_n(F_q), one canonical
+    representative per signature cell, sorted by representative.
+
+    A cell is a multiset of atoms (o, e) with sum of ord_o(q) e equal to n.
+    Its representative puts in every slot (o, e) the smallest irreducible
+    p_o of order o, which gives the least sorted divisor_key tuple among
+    the cell's members.  Proof: the keys of one cell's members share their
+    degrees and exponents slot by slot, and a member's sorted tuple is
+    compared element by element.  Replacing one element of a multiset by
+    a smaller one leaves every entry of the sorted tuple no larger: the
+    i-th smallest of the new multiset is at most the i-th smallest of the
+    old.  So a smaller element in any slot never raises the tuple, and
+    moving each slot of any member to p_o in turn reaches the
+    representative without raising it.  The order is lcm(o c(e)), with
+    c(e) the least power of the characteristic that is >= e (Thm 3.8).
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    smallest = {}
+    atoms = []  # (o, e, deg), by ascending degree so a scan can stop early
     for d in range(1, n + 1):
-        for p in irreducibles(field, d):
-            if p == x:
-                continue
-            e = 1
-            while e * d <= n:
-                atoms.append((p, e))
-                e += 1
-    atoms.sort(key=divisor_key)  # ascending degree, so a scan can stop early
-    sized = [((p, e), e * int(p.degree), int(p.degree)) for p, e in atoms]
+        of_degree = _smallest_of_each_order(field, d)
+        smallest.update(of_degree)
+        atoms.extend((o, e, d) for o in of_degree for e in range(1, n // d + 1))
 
     def extend(start: int, remaining: int, chosen: list):
         if remaining == 0:
             yield tuple(chosen)
             return
-        for idx in range(start, len(sized)):
-            pe, w, d = sized[idx]
+        for idx in range(start, len(atoms)):
+            _, e, d = atoms[idx]
             if d > remaining:
                 break
-            if w <= remaining:
-                chosen.append(pe)
-                yield from extend(idx, remaining - w, chosen)
+            if d * e <= remaining:
+                chosen.append(atoms[idx])
+                yield from extend(idx, remaining - d * e, chosen)
                 chosen.pop()
 
-    yield from extend(0, n, [])
-
-
-def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
-    """Conjugacy classes of cyclic subgroups of GL_n(F_q), one canonical
-    representative per signature cell, sorted by representative."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    cells: dict[Signature, list] = {}
-    for divisors in _divisor_multisets(field, n):
-        sig = signature_of_divisors(field, divisors)
-        cells.setdefault(sig, []).append(tuple(sorted(divisors, key=divisor_key)))
     reps = []
-    for sig, members in cells.items():
-        best = min(members, key=lambda ds: tuple(divisor_key(d) for d in ds))
-        reps.append(ClassRep(rcf_from_divisors(field, best), sig, divisors_order(best)))
+    for cell in extend(0, n, []):
+        divisors = [(smallest[o], e) for o, e, _ in cell]
+        order = math.lcm(*(o * _char_power(field, e) for o, e, _ in cell))
+        reps.append(ClassRep(rcf_from_divisors(field, divisors), Signature(cell, field.q), order))
     reps.sort(key=lambda r: tuple(divisor_key(d) for d in r.rcf.divisors))
     return tuple(reps)
 
 
 @dataclass(frozen=True)
 class GeneratedGroup:
-    """A finite matrix group as an explicit element set."""
+    """A finite matrix group: its order, and its elements as Mats, unpacked
+    from the closure's packed-row keys on the first read of `elements`."""
 
     generators: tuple[Mat, ...]
-    elements: frozenset[Mat]
     order: int
+    _keys: frozenset
+
+    @cached_property
+    def elements(self) -> frozenset[Mat]:
+        F = self.generators[0].field
+        n = self.generators[0].rows
+        unpack = _kernel(F, n).unpack
+        return frozenset(Mat._trusted(F, n, n, unpack(key)) for key in self._keys)
 
 
 def closure(generators: Sequence[Mat], cap: int = 1_000_000) -> GeneratedGroup:
@@ -286,5 +340,4 @@ def closure(generators: Sequence[Mat], cap: int = 1_000_000) -> GeneratedGroup:
                         raise ClosureCapError(cap, len(seen))
                     new.append(prod)
         frontier = new
-    elems = frozenset(Mat._trusted(F, n, n, kern.unpack(key)) for key in seen)
-    return GeneratedGroup(tuple(generators), elems, len(elems))
+    return GeneratedGroup(tuple(generators), len(seen), frozenset(seen))

@@ -14,8 +14,11 @@ Irreducibility testing, enumeration and factorization all run by sieving
 and trial division: candidate polynomials are ordered by their base-q
 coefficient code (constant term least significant), which fixes a single
 deterministic order used everywhere a polynomial sequence is produced.
-order() is memoized per polynomial, since class enumeration asks for the
-order of the same few irreducibles many times.
+order() of an irreducible f strips prime factors from q^deg(f) - 1 with
+x-power tests, each one square-and-shift pass of _x_power over coefficient
+lists; a reducible f falls back to stepping the powers of x.  It is
+memoized per polynomial, since matrix orders ask for the same few
+irreducibles many times.
 """
 
 from __future__ import annotations
@@ -316,29 +319,51 @@ def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8192)
-def order(f: Poly) -> int:
-    """Least e >= 1 with x^e = 1 (mod f), for f of degree >= 1 with f(0) != 0.
+def _x_power(f: Poly, e: int) -> list[int]:
+    """Coefficients of x^e mod f (ascending, no trailing zeros) for a monic
+    f of degree d >= 1.
 
-    For irreducible f this is the multiplicative order of x in the quotient
-    field, found by stripping prime factors from q^deg(f) - 1; otherwise x is
-    still a unit mod f and an incremental search is used.
+    One left-to-right square-and-shift pass over the bits of e on
+    coefficient lists, through the field's lookups: square the residue,
+    and at a set bit multiply it by x.  Terms of degree >= d fold back
+    through x^d = -(f - x^d).  No Poly is built.
     """
-    if f.is_zero or f.degree < 1:
-        raise ValueError(f"order is undefined for constant {f!r}")
-    if f.coeff(0) == 0:
-        raise ValueError(f"order requires a nonzero constant term, got {f!r}")
-    F = f.field
-    f = f.monic()
-    x = Poly.x(F)
-    one = Poly.one(F)
-    if is_irreducible(f):
-        e = F.q ** int(f.degree) - 1
-        for prime in factorize(e):
-            while e % prime == 0 and pow(x, e // prime, f) == one:
-                e //= prime
-        return e
-    bound = F.q ** int(f.degree)
+    add, mul, neg, _ = f.field.lookups
+    d = len(f.coeffs) - 1
+    tail = [(i, neg[c]) for i, c in enumerate(f.coeffs[:d]) if c]
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        terms = [(i, c) for i, c in enumerate(r) if c]
+        sq = [0] * (2 * d - 1)
+        for i, a in terms:
+            row = mul[a]
+            for j, c in terms:
+                sq[i + j] = add[sq[i + j]][row[c]]
+        for top in range(2 * d - 2, d - 1, -1):
+            lead = sq[top]
+            if lead:
+                row = mul[lead]
+                for i, c in tail:
+                    sq[top - d + i] = add[sq[top - d + i]][row[c]]
+        r = sq[:d]
+        if bit == "1":
+            lead = r.pop()
+            r.insert(0, 0)
+            if lead:
+                row = mul[lead]
+                for i, c in tail:
+                    r[i] = add[r[i]][row[c]]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _search_order(f: Poly) -> int:
+    """Least e >= 1 with x^e = 1 (mod f), by stepping x, x^2, ...; f is
+    monic with f(0) != 0, so x is a unit mod f and e <= q^deg(f)."""
+    one = Poly.one(f.field)
+    x = Poly.x(f.field)
+    bound = f.field.q ** int(f.degree)
     r = x % f
     e = 1
     while r != one:
@@ -346,4 +371,27 @@ def order(f: Poly) -> int:
         e += 1
         if e > bound:
             raise RuntimeError(f"order search for {f!r} exceeded unit-group bound")
+    return e
+
+
+@lru_cache(maxsize=8192)
+def order(f: Poly) -> int:
+    """Least e >= 1 with x^e = 1 (mod f), for f of degree >= 1 with f(0) != 0.
+
+    For irreducible f this is the multiplicative order of x in the quotient
+    field, found by stripping prime factors r from m = q^deg(f) - 1 while
+    x^(m/r) = 1, each power one pass of _x_power; otherwise x is still a
+    unit mod f and the incremental _search_order is used.
+    """
+    if f.is_zero or f.degree < 1:
+        raise ValueError(f"order is undefined for constant {f!r}")
+    if f.coeff(0) == 0:
+        raise ValueError(f"order requires a nonzero constant term, got {f!r}")
+    f = f.monic()
+    if not is_irreducible(f):
+        return _search_order(f)
+    e = f.field.q ** int(f.degree) - 1
+    for prime in factorize(e):
+        while e % prime == 0 and _x_power(f, e // prime) == [1]:
+            e //= prime
     return e

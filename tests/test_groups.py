@@ -16,6 +16,7 @@ from orbitcodes import (
     companion,
     conjugacy_witness,
     divisors_order,
+    irreducibles,
     is_invertible,
     matrix_order,
     power_signature,
@@ -23,6 +24,8 @@ from orbitcodes import (
     signature,
     signature_of_divisors,
 )
+from orbitcodes.poly import _search_order
+from orbitcodes.rcf import divisor_key, rcf_from_divisors
 from orbitcodes.sampling import random_unit_divisors
 from orbitcodes.verify import brute_force_cyclic_classes, brute_force_order
 
@@ -182,6 +185,84 @@ def test_class_representatives_match_brute_force_partition():
         (cell,) = [i for i, c in enumerate(classes) if subgroup in c]
         hits.append(cell)
     assert sorted(hits) == [0, 1, 2]
+
+
+def multiset_class_representatives(field, n):
+    """The classes by brute force: every multiset of (irreducible p != x,
+    e >= 1) with total degree n, partitioned by signature, each cell's
+    representative its least member, each order the lcm of ord(p^e) found
+    by search.  The oracle for the cell enumeration."""
+    atoms = []
+    for d in range(1, n + 1):
+        for p in irreducibles(field, d):
+            if p != Poly.x(field):
+                atoms.extend((p, e) for e in range(1, n // d + 1))
+
+    def extend(start, remaining, chosen):
+        if remaining == 0:
+            yield tuple(sorted(chosen, key=divisor_key))
+            return
+        for idx in range(start, len(atoms)):
+            p, e = atoms[idx]
+            if int(p.degree) * e <= remaining:
+                yield from extend(idx, remaining - int(p.degree) * e, chosen + [(p, e)])
+
+    cells = {}
+    for divisors in extend(0, n, []):
+        cells.setdefault(signature_of_divisors(field, divisors), []).append(divisors)
+    reps = []
+    for sig, members in cells.items():
+        best = min(members, key=lambda ds: tuple(divisor_key(d) for d in ds))
+        order = math.lcm(*(_search_order(p**e) for p, e in best))
+        reps.append((best, sig, order))
+    reps.sort(key=lambda r: tuple(divisor_key(d) for d in r[0]))
+    return reps
+
+
+@pytest.mark.parametrize(
+    "field, top",
+    [(F2, 8), (F3, 5), (GF(2, 2), 4), (GF(5), 3), (GF(3, 2, modulus=(2, 2, 1)), 3)],
+)
+def test_class_representatives_match_multiset_oracle(field, top):
+    for n in range(1, top + 1):
+        got = class_representatives(field, n)
+        want = multiset_class_representatives(field, n)
+        assert len(got) == len(want)
+        for rep, (divisors, sig, order) in zip(got, want):
+            assert rep.rcf.divisors == divisors
+            assert rep.signature.entries == sig.entries
+            assert rep.order == order
+            assert rep.rcf.matrix == rcf_from_divisors(field, divisors).matrix
+
+
+def test_smallest_slot_never_raises_the_sorted_key():
+    """A smaller element in one slot never raises the sorted divisor_key
+    tuple: the lemma behind each cell's representative."""
+    rng = random.Random(12)
+    for field in (F2, F3, GF(2, 2)):
+        pool = [(p, e) for d in (1, 2, 3) for p in irreducibles(field, d) for e in (1, 2)]
+        for _ in range(300):
+            members = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            slot = rng.randrange(len(members))
+            p, e = members[slot]
+            smaller = [q for q in irreducibles(field, int(p.degree)) if q.code() < p.code()]
+            if not smaller:
+                continue
+            moved = list(members)
+            moved[slot] = (rng.choice(smaller), e)
+            before = sorted(divisor_key(d) for d in members)
+            after = sorted(divisor_key(d) for d in moved)
+            assert after <= before
+            assert all(a <= b for a, b in zip(after, before))
+
+
+def test_divisors_order_closed_form_matches_search():
+    for field in (F2, F3, GF(2, 2)):
+        for d in (1, 2, 3):
+            for p in irreducibles(field, d):
+                if p.coeff(0):
+                    for e in range(1, 5):
+                        assert divisors_order([(p, e)]) == _search_order(p**e)
 
 
 def test_closure_of_identity():

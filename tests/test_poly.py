@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, NEG_INF, Poly, factor, gcd, irreducibles, is_irreducible, order
+from orbitcodes.poly import _search_order, _x_power
 
 F2 = GF(2)
 F3 = GF(3)
@@ -142,16 +143,31 @@ def test_order_examples():
     assert order(P2(1, 0, 1, 1)) == 7
 
 
+# every irreducible p != x up to degree 10 / 6 / 5 over GF(2) / GF(3) / GF(4)
+ORDER_CASES = [
+    p
+    for field, top in ((F2, 10), (F3, 6), (F4, 5))
+    for d in range(1, top + 1)
+    for p in irreducibles(field, d)
+    if p.coeff(0)
+]
+
+
 def test_order_matches_incremental_oracle():
-    x = Poly.x(F2)
-    one = Poly.one(F2)
-    for f in (P2(1, 1, 0, 1), P2(1, 1, 1), P2(1, 1, 1, 1, 1)):
-        e = 1
-        r = x % f
-        while r != one:
-            r = r * x % f
-            e += 1
-        assert order(f) == e
+    for f in ORDER_CASES + [P2(1, 1, 1, 1, 1), P2(1, 0, 0, 1), Poly(F3, [1, 0, 1, 1])]:
+        assert order(f) == _search_order(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((F2, F3, F4, GF(257))),
+    st.integers(1, 9),
+    st.integers(0, 10**9),
+    st.randoms(use_true_random=False),
+)
+def test_x_power_matches_pow(field, d, e, rng):
+    f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+    assert tuple(_x_power(f, e)) == pow(Poly.x(field), e, f).coeffs
 
 
 def test_order_rejects_zero_constant_term():
