@@ -37,13 +37,12 @@ from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
 from .matrix import Mat, is_invertible
 from .numtheory import factorize, multiplicative_order
-from .poly import Poly, irreducibles, order as poly_order
+from .poly import Poly, _irreducible_order, irreducibles, order as poly_order
 from .rcf import (
     RcfData,
     check_invertible,
     divisor_key,
     elementary_divisors,
-    rcf,
     rcf_from_divisors,
 )
 from .rows import _kernel
@@ -74,7 +73,7 @@ def matrix_order(a: Mat, divisors=None) -> int:
     """Multiplicative order of an invertible matrix, verified by one power
     check.  The elementary divisors come from the Smith form unless the
     caller built A from them and passes them as `divisors`."""
-    n = divisors_order(rcf(a).divisors if divisors is None else divisors)
+    n = divisors_order(elementary_divisors(a) if divisors is None else divisors)
     if not (a**n).is_identity():
         raise AssertionError("computed order failed the A^N = I check")
     return n
@@ -158,7 +157,9 @@ def signature_of_divisors(field: GF, divisors) -> Signature:
 
 def signature(a: Mat) -> Signature:
     """Signature of the cyclic group generated by an invertible matrix."""
-    return signature_of_divisors(a.field, rcf(a).divisors)
+    divisors = elementary_divisors(a)
+    check_invertible(divisors)
+    return signature_of_divisors(a.field, divisors)
 
 
 def conjugacy_witness(a: Mat, b: Mat) -> int | None:
@@ -184,8 +185,10 @@ def conjugacy_witness(a: Mat, b: Mat) -> int | None:
 def same_signature(a: Mat, b: Mat) -> bool:
     """Signature-based conjugacy test: equal divisor counts and equal
     (order, exponent) multisets."""
-    div_a = rcf(a).divisors
-    div_b = rcf(b).divisors
+    div_a = elementary_divisors(a)
+    check_invertible(div_a)
+    div_b = elementary_divisors(b)
+    check_invertible(div_b)
     if len(div_a) != len(div_b):
         return False
     return signature_of_divisors(a.field, div_a) == signature_of_divisors(b.field, div_b)
@@ -231,7 +234,7 @@ def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
     for p in irreducibles(field, d):
         if not p.coeff(0):
             continue  # x, a singular block
-        o = poly_order(p)
+        o = _irreducible_order(p)  # p is irreducible by construction
         if o in wanted:
             wanted.discard(o)
             found[o] = p

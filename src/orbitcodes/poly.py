@@ -10,15 +10,18 @@ candidates) go through the unchecked Poly._trusted.  Multiplication and
 division index the field's lookups (field.GF.lookups) directly, with one
 loop for every field size.
 
-Irreducibility testing, enumeration and factorization all run by sieving
-and trial division: candidate polynomials are ordered by their base-q
-coefficient code (constant term least significant), which fixes a single
-deterministic order used everywhere a polynomial sequence is produced.
+Candidate polynomials are ordered by their base-q coefficient code
+(constant term least significant), which fixes a single deterministic
+order used everywhere a polynomial sequence is produced.  irreducibles()
+enumerates by a product sieve: it marks the code of every product of a
+lower-degree irreducible with a monic cofactor and keeps the unmarked
+codes.  is_irreducible() runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for
+k up to deg(f)/2.  factor() divides by the enumerated irreducibles.
 order() of an irreducible f strips prime factors from q^deg(f) - 1 with
-x-power tests, each one square-and-shift pass of _x_power over coefficient
-lists; a reducible f falls back to stepping the powers of x.  It is
-memoized per polynomial, since matrix orders ask for the same few
-irreducibles many times.
+x-power tests; a reducible f falls back to stepping the powers of x.  It
+is memoized per polynomial, since matrix orders ask for the same few
+irreducibles many times.  The Frobenius steps of Ben-Or's test and the
+x-power tests share one mul-mod kernel (_mul_mod) on coefficient lists.
 """
 
 from __future__ import annotations
@@ -257,31 +260,70 @@ _IRR_CACHE: dict[tuple[GF, int], tuple[Poly, ...]] = {}
 
 
 def irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree exactly d, by ascending coefficient code."""
+    """All monic irreducibles of degree exactly d, by ascending coefficient code.
+
+    A product sieve: every reducible monic f of degree d is g h for some
+    irreducible g of degree k <= d/2 and a monic h of degree d - k, so
+    marking the codes of all such products leaves the irreducibles.  The
+    cofactors h are stepped in the outer loop, their digits built on the
+    fly, so nothing but one mark per code of degree d is held.
+    """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     key = (field, d)
     got = _IRR_CACHE.get(key)
     if got is None:
-        lower = [irreducibles(field, k) for k in range(1, d // 2 + 1)]
-        out = []
-        for code in range(field.q**d):
-            f = Poly.from_code(field, d, code)
-            if all((f % g).coeffs for gs in lower for g in gs):
-                out.append(f)
-        got = tuple(out)
+        q = field.q
+        add, mul, _, _ = field.lookups
+        # a product's code is the sum of value[i][c] = c q^i over its digits
+        value = [[c * q**i for c in range(q)] for i in range(d)]
+        marks = bytearray(q**d)
+        out = [0] * (d + 1)
+        for k in range(1, d // 2 + 1):
+            # g's nonzero terms below its leading 1, with their product rows
+            gs = [
+                [(i, mul[c]) for i, c in enumerate(g.coeffs[:k]) if c]
+                for g in irreducibles(field, k)
+            ]
+            h = [0] * (d - k) + [1]
+            for _ in range(q ** (d - k)):
+                terms = [(j, c) for j, c in enumerate(h) if c]
+                lead = [0] * k + h  # x^k h, the leading term of g times h
+                for g in gs:
+                    out[:] = lead
+                    for i, row in g:
+                        for j, c in terms:
+                            out[i + j] = add[out[i + j]][row[c]]
+                    marks[sum(map(list.__getitem__, value, out))] = 1
+                for j in range(d - k):  # next h in code order
+                    if h[j] < q - 1:
+                        h[j] += 1
+                        break
+                    h[j] = 0
+        got = tuple(Poly.from_code(field, d, c) for c in range(q**d) if not marks[c])
         _IRR_CACHE[key] = got
     return got
 
 
 def is_irreducible(f: Poly) -> bool:
+    """Ben-Or's test: a polynomial f of degree d >= 1 is irreducible iff
+    gcd(x^(q^k) - x, f) = 1 for k = 1 .. d/2, since x^(q^k) - x is the
+    product of the monic irreducibles of degree dividing k.  Each step
+    raises the residue r = x^(q^(k-1)) mod f to the q-th power with
+    _pow_mod and stops at the first nontrivial gcd."""
     d = f.degree
     if f.is_zero or d < 1:
         raise ValueError(f"irreducibility is undefined for constant {f!r}")
-    for k in range(1, int(d) // 2 + 1):
-        for g in irreducibles(f.field, k):
-            if (f % g).is_zero:
-                return False
+    f = f.monic()
+    add, mul, neg, _ = f.field.lookups
+    tail = _tail(f)
+    r = [0, 1] + [0] * (int(d) - 2)  # x, reduced once d >= 2
+    for _ in range(int(d) // 2):
+        r = _pow_mod(r, f.field.q, tail, add, mul)
+        diff = list(r)
+        diff[1] = add[diff[1]][neg[1]]
+        if gcd(f, Poly._trusted(f.field, diff)).degree != 0:
+            return False
     return True
 
 
@@ -319,33 +361,60 @@ def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     return tuple(out)
 
 
+def _tail(f: Poly) -> list[tuple[int, int]]:
+    """x^d mod a monic f of degree d, as (i, c) over its nonzero terms:
+    the negated coefficients of f below its leading 1."""
+    neg = f.field.lookups[2]
+    return [(i, neg[c]) for i, c in enumerate(f.coeffs[:-1]) if c]
+
+
+def _mul_mod(a: list[int], b: list[int], tail, add, mul) -> list[int]:
+    """a b mod f on residue coefficient lists of length d = deg f, with
+    f given by its _tail and the field by its add and mul lookups: the
+    schoolbook product, then each term of degree >= d folded back
+    through x^d = tail, top down.  No Poly is built."""
+    d = len(a)
+    out = [0] * (2 * d - 1)
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    # a square reuses b's term list
+    for i, c in terms if a is b else [(i, c) for i, c in enumerate(a) if c]:
+        row = mul[c]
+        for j, cb in terms:
+            out[i + j] = add[out[i + j]][row[cb]]
+    for top in range(2 * d - 2, d - 1, -1):
+        lead = out[top]
+        if lead:
+            row = mul[lead]
+            for i, c in tail:
+                out[top - d + i] = add[out[top - d + i]][row[c]]
+    del out[d:]
+    return out
+
+
+def _pow_mod(r: list[int], e: int, tail, add, mul) -> list[int]:
+    """r^e mod f for e >= 1, left-to-right square-and-multiply with
+    _mul_mod; r and the result are residue lists as there."""
+    out = r
+    for bit in bin(e)[3:]:
+        out = _mul_mod(out, out, tail, add, mul)
+        if bit == "1":
+            out = _mul_mod(out, r, tail, add, mul)
+    return out
+
+
 def _x_power(f: Poly, e: int) -> list[int]:
     """Coefficients of x^e mod f (ascending, no trailing zeros) for a monic
     f of degree d >= 1.
 
-    One left-to-right square-and-shift pass over the bits of e on
-    coefficient lists, through the field's lookups: square the residue,
-    and at a set bit multiply it by x.  Terms of degree >= d fold back
-    through x^d = -(f - x^d).  No Poly is built.
+    One left-to-right square-and-shift pass over the bits of e: square
+    the residue with _mul_mod, and at a set bit multiply it by x, a shift
+    whose top term folds back through x^d = _tail(f).
     """
-    add, mul, neg, _ = f.field.lookups
-    d = len(f.coeffs) - 1
-    tail = [(i, neg[c]) for i, c in enumerate(f.coeffs[:d]) if c]
-    r = [1] + [0] * (d - 1)
+    add, mul, _, _ = f.field.lookups
+    tail = _tail(f)
+    r = [1] + [0] * (len(f.coeffs) - 2)
     for bit in bin(e)[2:]:
-        terms = [(i, c) for i, c in enumerate(r) if c]
-        sq = [0] * (2 * d - 1)
-        for i, a in terms:
-            row = mul[a]
-            for j, c in terms:
-                sq[i + j] = add[sq[i + j]][row[c]]
-        for top in range(2 * d - 2, d - 1, -1):
-            lead = sq[top]
-            if lead:
-                row = mul[lead]
-                for i, c in tail:
-                    sq[top - d + i] = add[sq[top - d + i]][row[c]]
-        r = sq[:d]
+        r = _mul_mod(r, r, tail, add, mul)
         if bit == "1":
             lead = r.pop()
             r.insert(0, 0)
@@ -378,9 +447,7 @@ def _search_order(f: Poly) -> int:
 def order(f: Poly) -> int:
     """Least e >= 1 with x^e = 1 (mod f), for f of degree >= 1 with f(0) != 0.
 
-    For irreducible f this is the multiplicative order of x in the quotient
-    field, found by stripping prime factors r from m = q^deg(f) - 1 while
-    x^(m/r) = 1, each power one pass of _x_power; otherwise x is still a
+    For irreducible f this is _irreducible_order; otherwise x is still a
     unit mod f and the incremental _search_order is used.
     """
     if f.is_zero or f.degree < 1:
@@ -390,6 +457,14 @@ def order(f: Poly) -> int:
     f = f.monic()
     if not is_irreducible(f):
         return _search_order(f)
+    return _irreducible_order(f)
+
+
+def _irreducible_order(f: Poly) -> int:
+    """Order of x modulo a monic irreducible f != x, unchecked: the
+    multiplicative order of x in the quotient field, found by stripping
+    prime factors r from m = q^deg(f) - 1 while x^(m/r) = 1, each power
+    one pass of _x_power."""
     e = f.field.q ** int(f.degree) - 1
     for prime in factorize(e):
         while e % prime == 0 and _x_power(f, e // prime) == [1]:

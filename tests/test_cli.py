@@ -310,7 +310,7 @@ def test_code_single_irreducible_never_walks(capsys, monkeypatch, field, divisor
 
     codes._profile.cache_clear()
     monkeypatch.setattr(codes, "_walk", forbidden)
-    monkeypatch.setattr(groups, "rcf", forbidden)
+    monkeypatch.setattr(groups, "elementary_divisors", forbidden)
     code, out, err = run(
         capsys, "code", "--field", field, "--n", str(u.n),
         "--divisors", divisor, "--subspace", basis,

@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+import re
 
 import pytest
 
@@ -24,6 +26,7 @@ from orbitcodes import (
     signature,
     signature_of_divisors,
 )
+from orbitcodes import groups, poly
 from orbitcodes.poly import _search_order
 from orbitcodes.rcf import divisor_key, rcf_from_divisors
 from orbitcodes.sampling import random_unit_divisors
@@ -77,6 +80,41 @@ def test_divisors_order_rejects_x():
 def test_matrix_order_rejects_singular():
     with pytest.raises(SingularMatrixError):
         matrix_order(Mat.zeros(F2, 2, 2))
+
+
+def test_order_and_signature_reject_singular_with_one_message():
+    text = "matrix is singular (an elementary divisor is a power of x), not in GL_n"
+    z, i = Mat.zeros(F2, 2, 2), Mat.identity(F2, 2)
+    for call in (matrix_order, signature, lambda a: same_signature(a, i), lambda a: same_signature(i, a)):
+        with pytest.raises(SingularMatrixError, match=re.escape(text) + "$"):
+            call(z)
+
+
+def test_order_and_signature_build_no_canonical_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built the block-diagonal canonical form")
+
+    monkeypatch.setattr(importlib.import_module("orbitcodes.rcf"), "rcf_from_divisors", forbidden)
+    monkeypatch.setattr(groups, "rcf_from_divisors", forbidden)
+    a = block_diag([GEN3, companion(Poly(F2, [1, 1, 1, 1, 1]))])
+    assert matrix_order(a) == 35
+    assert signature(a).key == ((5, 1), (7, 1))
+    assert same_signature(a, block_diag([companion(Poly(F2, [1, 0, 1, 1])), companion(Poly(F2, [1, 1, 1, 1, 1]))]))
+
+
+def test_order_scan_skips_the_irreducibility_retest(monkeypatch):
+    # the scan's candidates come from irreducibles(), irreducible by construction
+    def forbidden(f):
+        raise AssertionError(f"re-tested the enumerated irreducible {f!r}")
+
+    for d in range(1, 7):
+        irreducibles(F2, d)
+    monkeypatch.setattr(poly, "is_irreducible", forbidden)
+    poly.order.cache_clear()
+    found = groups._smallest_of_each_order(F2, 6)
+    assert sorted(found) == [9, 21, 63]
+    for o, p in found.items():
+        assert _search_order(p) == o
 
 
 def test_cyclic_group_elements():

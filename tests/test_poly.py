@@ -1,9 +1,12 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, NEG_INF, Poly, factor, gcd, irreducibles, is_irreducible, order
+from orbitcodes import poly
 from orbitcodes.poly import _search_order, _x_power
 
 F2 = GF(2)
@@ -88,8 +91,9 @@ def test_irreducible_examples():
     assert is_irreducible(P2(1, 1, 0, 1))
     assert not is_irreducible(P2(1, 0, 1))
     assert is_irreducible(Poly.x(F2))
-    with pytest.raises(ValueError):
-        is_irreducible(Poly.one(F2))
+    for f in (Poly.one(F2), Poly.zero(F2), Poly.constant(F3, 2)):
+        with pytest.raises(ValueError):
+            is_irreducible(f)
 
 
 def test_enumerate_degree_one():
@@ -107,6 +111,77 @@ def test_enumerate_degree_four_count():
 
 def test_enumerate_over_extension_field():
     assert len(irreducibles(F4, 2)) == (16 - 4) // 2
+
+
+# -- trial division, the oracle for the product sieve and Ben-Or's test
+
+_TRIAL: dict = {}
+
+
+def trial_irreducibles(field, d):
+    """Monic irreducibles of degree d by ascending code: the candidates
+    that no irreducible of degree <= d/2 divides, the lower degrees found
+    by this same oracle."""
+    key = (field, d)
+    if key not in _TRIAL:
+        lower = [g for k in range(1, d // 2 + 1) for g in trial_irreducibles(field, k)]
+        candidates = (Poly.from_code(field, d, c) for c in range(field.q**d))
+        _TRIAL[key] = tuple(f for f in candidates if all((f % g).coeffs for g in lower))
+    return _TRIAL[key]
+
+
+def trial_is_irreducible(f):
+    return all(
+        (f % g).coeffs for k in range(1, f.degree // 2 + 1) for g in trial_irreducibles(f.field, k)
+    )
+
+
+def test_ben_or_matches_trial_division():
+    # every polynomial, monic or not and with f(0) = 0 or not
+    for field, top in ((F2, 10), (F3, 6), (F4, 5)):
+        for d in range(1, top + 1):
+            for *low, lc in itertools.product(range(field.q), repeat=d + 1):
+                if lc:
+                    f = Poly(field, low + [lc])
+                    assert is_irreducible(f) == trial_is_irreducible(f), f
+
+
+# every (field, d) with q^d <= 4096 that verify enumerates, and GF(8) with
+# the non-default modulus x^3 + x^2 + 1
+SIEVE_FIELDS = [F2, F3, F4, GF(5), GF(2, 3), GF(3, 2), GF(2, 4)]
+SIEVE_FIELDS += [pytest.param(GF(2, 3, modulus=(1, 0, 1, 1)), id="GF(2^3) mod x^3+x^2+1")]
+
+
+@pytest.mark.parametrize("field", SIEVE_FIELDS, ids=repr)
+def test_sieve_matches_trial_division(field):
+    d = 1
+    while field.q**d <= 4096:
+        assert irreducibles(field, d) == trial_irreducibles(field, d)
+        d += 1
+
+
+def test_irreducibility_known_answers_at_high_degree():
+    assert is_irreducible(P2(*([1, 0, 0, 1] + [0] * 24 + [1])))  # x^28 + x^3 + 1
+    assert is_irreducible(P2(*([1, 0, 0, 1] + [0] * 27 + [1])))  # x^31 + x^3 + 1
+    g, h = irreducibles(F2, 12)[:2]
+    assert not is_irreducible(g * h)
+    assert not is_irreducible(g * g)
+
+
+def test_sieve_streams_its_cofactors(monkeypatch):
+    """A deterministic memory guard, not a timing gate: the degree-16 sieve
+    holds its marks and its output, never a list of all the cofactors."""
+    for k in range(1, 9):
+        irreducibles(F2, k)
+    monkeypatch.delitem(poly._IRR_CACHE, (F2, 16), raising=False)
+    tracemalloc.start()
+    try:
+        got = irreducibles(F2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == (2**16 - 2**8) // 16  # the necklace count
+    assert peak < 2 * 10**6
 
 
 def test_factor_examples():
