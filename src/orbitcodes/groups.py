@@ -18,12 +18,13 @@ Thm 3.5), so the signature cells are the multisets of atoms (o, e) with
 sum of ord_o(q) e equal to n.  Each cell's representative takes the
 smallest irreducible of order o for every slot (o, e), found by one scan
 of the degree-d irreducibles in code order that stops once every order
-has turned up, and its group order is lcm(o c(e)) in closed form; no
-member of a cell other than its representative is built.
+has turned up, and its group order is lcm(o c(e)), with c(e) the least
+power of the characteristic that is >= e; no member of a cell other
+than its representative is built.
 
-closure generates a finite matrix group breadth first on the packed rows
-of rows.py, the kernel the orbit walk in codes.py also runs on: one loop
-for every field size, with no table over all of F_q^n.
+closure, the one enumeration of group elements, runs breadth first on
+the packed rows of rows.py, the kernel the orbit walk in codes.py also
+runs on: one loop for every field size, with no table over all of F_q^n.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
 from .matrix import Mat, is_invertible
 from .numtheory import factorize, multiplicative_order
-from .poly import Poly, _irreducible_order, irreducibles, order as poly_order
+from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles
+from .poly import order as poly_order
 from .rcf import (
     RcfData,
     check_invertible,
@@ -48,25 +50,12 @@ from .rcf import (
 from .rows import _kernel
 
 
-def _char_power(field: GF, e: int) -> int:
-    """The least power of the characteristic that is >= e."""
-    c = 1
-    while c < e:
-        c *= field.p
-    return c
-
-
 def divisors_order(divisors) -> int:
     """Order of every matrix with these elementary divisors, such as
-    diag(companion(p_i^e_i)): the lcm of ord(p_i^e_i) = ord(p_i) c(e_i),
-    with c(e) the least power of the characteristic that is >= e
-    (Lidl and Niederreiter, Finite Fields, Thm 3.8).  A power of x, the
+    diag(companion(p_i^e_i)), by poly._factored_order.  A power of x, the
     mark of a singular matrix, raises SingularMatrixError."""
     check_invertible(divisors)
-    n = 1
-    for p, e in divisors:
-        n = math.lcm(n, poly_order(p) * _char_power(p.field, e))
-    return n
+    return _factored_order(divisors)
 
 
 def matrix_order(a: Mat, divisors=None) -> int:
@@ -80,7 +69,7 @@ def matrix_order(a: Mat, divisors=None) -> int:
 
 
 class CyclicGroup:
-    """The cyclic group generated by an invertible matrix."""
+    """The cyclic group generated by an invertible matrix; closure lists its elements."""
 
     def __init__(self, generator: Mat):
         if not generator.is_square:
@@ -89,25 +78,9 @@ class CyclicGroup:
         self.field = generator.field
         self.n = generator.rows
         self.order = matrix_order(generator)  # raises on singular input
-        self._elements: tuple[Mat, ...] | None = None
 
     def __len__(self) -> int:
         return self.order
-
-    def __iter__(self) -> Iterator[Mat]:
-        """Powers A^0, A^1, ..., A^(N-1) in order."""
-        cur = Mat.identity(self.field, self.n)
-        for _ in range(self.order):
-            yield cur
-            cur = cur * self.generator
-
-    def elements(self) -> tuple[Mat, ...]:
-        if self._elements is None:
-            elems = tuple(self)
-            if len(set(elems)) != self.order:
-                raise AssertionError("cached powers are not pairwise distinct")
-            self._elements = elems
-        return self._elements
 
     def __repr__(self) -> str:
         return f"CyclicGroup(order={self.order}, n={self.n}, field={self.field!r})"
@@ -258,7 +231,8 @@ def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
     old.  So a smaller element in any slot never raises the tuple, and
     moving each slot of any member to p_o in turn reaches the
     representative without raising it.  The order is lcm(o c(e)), with
-    c(e) the least power of the characteristic that is >= e (Thm 3.8).
+    c(e) the least power of the characteristic that is >= e (Thm 3.8);
+    o is known for each slot, so no candidate's order is recomputed.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")

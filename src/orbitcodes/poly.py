@@ -18,14 +18,16 @@ lower-degree irreducible with a monic cofactor and keeps the unmarked
 codes.  is_irreducible() runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for
 k up to deg(f)/2.  factor() divides by the enumerated irreducibles.
 order() of an irreducible f strips prime factors from q^deg(f) - 1 with
-x-power tests; a reducible f falls back to stepping the powers of x.  It
-is memoized per polynomial, since matrix orders ask for the same few
-irreducibles many times.  The Frobenius steps of Ben-Or's test and the
-x-power tests share one mul-mod kernel (_mul_mod) on coefficient lists.
+x-power tests; a reducible f reads lcm ord(p) c(e) over its factors p^e.
+It is memoized per polynomial, since matrix orders ask for the same few
+irreducibles many times.  Ben-Or's Frobenius steps and the x-power tests
+share one mul-mod kernel (_mul_mod) on coefficient lists, and gcd and
+division share one long division (_divide).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .field import GF
@@ -174,22 +176,7 @@ class Poly:
         self._need_same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        add, mul, neg, inv = self.field.lookups
-        db = other.degree
-        to_quot = mul[inv[other.lc]]
-        # rem += c * (-b) over b's nonzero terms below its leading one
-        tail = [(i, neg[c]) for i, c in enumerate(other.coeffs[:db]) if c]
-        rem = list(self.coeffs)
-        quot = [0] * max(0, len(rem) - db)
-        for shift in range(len(quot) - 1, -1, -1):
-            lead = rem[shift + db]
-            if lead:
-                c = quot[shift] = to_quot[lead]
-                row = mul[c]
-                for i, nb in tail:
-                    rem[shift + i] = add[rem[shift + i]][row[nb]]
-        del rem[db:]
-        return quot, rem
+        return _divide(self.coeffs, other.coeffs, self.field.lookups)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         quot, rem = self._divide(other)
@@ -248,12 +235,43 @@ class Poly:
         return " + ".join(terms)
 
 
+def _divide(a, b, lookups) -> tuple[list[int], list[int]]:
+    """Quotient and remainder coefficient lists of a / b, for coefficient
+    sequences over a field with these lookups and b with a nonzero leading
+    coefficient; the remainder has no trailing zeros."""
+    add, mul, neg, inv = lookups
+    db = len(b) - 1
+    to_quot = mul[inv[b[-1]]]
+    # rem += c * (-b) over b's nonzero terms below its leading one
+    tail = [(i, neg[c]) for i, c in enumerate(b[:db]) if c]
+    rem = list(a)
+    quot = [0] * max(0, len(rem) - db)
+    for shift in range(len(quot) - 1, -1, -1):
+        lead = rem[shift + db]
+        if lead:
+            c = quot[shift] = to_quot[lead]
+            row = mul[c]
+            for i, nb in tail:
+                rem[shift + i] = add[rem[shift + i]][row[nb]]
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _gcd(a, b, lookups) -> list[int]:
+    """Monic gcd of two coefficient lists, the second without trailing
+    zeros; [] for two zeros.  Euclid on _divide's remainders."""
+    while b:
+        a, b = b, _divide(a, b, lookups)[1]
+    row = lookups[1][lookups[3][a[-1]]] if a else ()
+    return [row[c] for c in a]
+
+
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     f._need_same_field(g)
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    return Poly._trusted(f.field, _gcd(f.coeffs, g.coeffs, f.field.lookups))
 
 
 _IRR_CACHE: dict[tuple[GF, int], tuple[Poly, ...]] = {}
@@ -322,7 +340,9 @@ def is_irreducible(f: Poly) -> bool:
         r = _pow_mod(r, f.field.q, tail, add, mul)
         diff = list(r)
         diff[1] = add[diff[1]][neg[1]]
-        if gcd(f, Poly._trusted(f.field, diff)).degree != 0:
+        while diff and diff[-1] == 0:
+            diff.pop()
+        if len(_gcd(f.coeffs, diff, f.field.lookups)) != 1:
             return False
     return True
 
@@ -427,37 +447,33 @@ def _x_power(f: Poly, e: int) -> list[int]:
     return r
 
 
-def _search_order(f: Poly) -> int:
-    """Least e >= 1 with x^e = 1 (mod f), by stepping x, x^2, ...; f is
-    monic with f(0) != 0, so x is a unit mod f and e <= q^deg(f)."""
-    one = Poly.one(f.field)
-    x = Poly.x(f.field)
-    bound = f.field.q ** int(f.degree)
-    r = x % f
-    e = 1
-    while r != one:
-        r = (r * x) % f
-        e += 1
-        if e > bound:
-            raise RuntimeError(f"order search for {f!r} exceeded unit-group bound")
-    return e
-
-
 @lru_cache(maxsize=8192)
 def order(f: Poly) -> int:
     """Least e >= 1 with x^e = 1 (mod f), for f of degree >= 1 with f(0) != 0.
 
-    For irreducible f this is _irreducible_order; otherwise x is still a
-    unit mod f and the incremental _search_order is used.
+    For irreducible f this is _irreducible_order; otherwise it is read
+    from the factorization of f by _factored_order.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError(f"order is undefined for constant {f!r}")
     if f.coeff(0) == 0:
         raise ValueError(f"order requires a nonzero constant term, got {f!r}")
     f = f.monic()
-    if not is_irreducible(f):
-        return _search_order(f)
-    return _irreducible_order(f)
+    return _irreducible_order(f) if is_irreducible(f) else _factored_order(factor(f))
+
+
+def _char_power(field: GF, e: int) -> int:
+    """The least power of the characteristic that is >= e."""
+    c = 1
+    while c < e:
+        c *= field.p
+    return c
+
+
+def _factored_order(divisors) -> int:
+    """lcm of ord(p^e) = ord(p) c(e), c = _char_power, over pairs (p, e) of
+    monic irreducibles p != x (Lidl and Niederreiter, Finite Fields, Thm 3.8, 3.9)."""
+    return math.lcm(*(order(p) * _char_power(p.field, e) for p, e in divisors))
 
 
 def _irreducible_order(f: Poly) -> int:

@@ -107,7 +107,7 @@ def test_criterion_03_classification_oracle_equivalence():
         assert len(reps) == 3 and len(classes) == 3
         cells = []
         for rep in reps:
-            subgroup = frozenset(CyclicGroup(rep.rcf.matrix).elements())
+            subgroup = closure([rep.rcf.matrix]).elements
             (cell,) = [i for i, c in enumerate(classes) if subgroup in c]
             cells.append(cell)
         assert sorted(cells) == [0, 1, 2]

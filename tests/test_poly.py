@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, NEG_INF, Poly, factor, gcd, irreducibles, is_irreducible, order
 from orbitcodes import poly
-from orbitcodes.poly import _search_order, _x_power
+from orbitcodes.poly import _x_power
+from orbitcodes.verify import brute_force_poly_order
 
 F2 = GF(2)
 F3 = GF(3)
@@ -37,6 +38,41 @@ def test_char_two_square():
 def test_gcd_example():
     assert gcd(P2(1, 0, 1), P2(1, 1)) == P2(1, 1)
     assert gcd(Poly.zero(F2), Poly.zero(F2)).is_zero
+
+
+def euclid_gcd(f, g):
+    """Euclid on Poly values: the oracle for gcd's coefficient-list loop."""
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.monic()
+
+
+def random_poly(rng, field, d):
+    """A polynomial of degree d (zero for d < 0) with a random nonzero
+    leading coefficient, so mostly non-monic over q > 2."""
+    if d < 0:
+        return Poly.zero(field)
+    return Poly(field, [rng.randrange(field.q) for _ in range(d)] + [rng.randrange(1, field.q)])
+
+
+def test_gcd_matches_poly_level_euclid():
+    rng = random.Random(8)
+    for field in (F2, F3, F4, GF(257)):
+        for _ in range(150):
+            common = random_poly(rng, field, rng.randint(0, 4))
+            f = random_poly(rng, field, rng.randint(-1, 6)) * common
+            g = random_poly(rng, field, rng.randint(-1, 6)) * common
+            got = gcd(f, g)
+            assert got == euclid_gcd(f, g) == euclid_gcd(g, f) == gcd(g, f)
+            if f.is_zero and g.is_zero:
+                assert got.is_zero
+            else:
+                assert got.is_monic
+                assert (f % got).is_zero and (g % got).is_zero
+        zero = Poly.zero(field)
+        f = random_poly(rng, field, 5)
+        assert gcd(f, zero) == gcd(zero, f) == f.monic()
+        assert gcd(zero, zero).is_zero
 
 
 def test_divmod_by_one():
@@ -228,9 +264,37 @@ ORDER_CASES = [
 ]
 
 
+def sparse(field, terms):
+    """The polynomial with coefficient c at x^i for each i: c in terms."""
+    return Poly(field, [terms.get(i, 0) for i in range(max(terms) + 1)])
+
+
+# x^13 + x^4 + x^3 + x + 1 and x^14 + x^10 + x^6 + x + 1, irreducible over GF(2)
+P13 = sparse(F2, {13: 1, 4: 1, 3: 1, 1: 1, 0: 1})
+P14 = sparse(F2, {14: 1, 10: 1, 6: 1, 1: 1, 0: 1})
+P4 = Poly(F4, [2, 1, 1])  # x^2 + x + 2, irreducible of order 15 over GF(4)
+
+# (f, order of x mod f): reducible with repeated factors, the last not monic
+REPEATED_FACTORS = [
+    (Poly(F3, [1, 0, 1]) ** 4 * Poly(F3, [2, 1]) ** 2, 36),  # (x^2+1)^4 (x+2)^2
+    (P2(1, 1, 1) ** 3 * P13, 98292),  # (x^2+x+1)^3 P13
+    (P4**2 * Poly(F4, [2, 1]) ** 3 * Poly(F4, [1, 1]), 60),  # P4^2 (x+2)^3 (x+1)
+    ((Poly(F3, [1, 0, 1]) ** 2 * Poly(F3, [1, 1])).scale(2), 12),  # 2 (x^2+1)^2 (x+1)
+]
+
+
 def test_order_matches_incremental_oracle():
-    for f in ORDER_CASES + [P2(1, 1, 1, 1, 1), P2(1, 0, 0, 1), Poly(F3, [1, 0, 1, 1])]:
-        assert order(f) == _search_order(f)
+    extra = [P2(1, 1, 1, 1, 1), P2(1, 0, 0, 1), Poly(F3, [1, 0, 1, 1])]
+    for f in ORDER_CASES + extra + [f for f, _ in REPEATED_FACTORS]:
+        assert order(f) == brute_force_poly_order(f)
+
+
+def test_reducible_order_known_answers():
+    for f, known in REPEATED_FACTORS:
+        assert order(f) == known
+    # lcm(2^13 - 1, 2^14 - 1); stepping x would take about 1.3e8 steps
+    assert is_irreducible(P13) and is_irreducible(P14)
+    assert order(P13 * P14) == 134193153
 
 
 @settings(max_examples=200, deadline=None)
