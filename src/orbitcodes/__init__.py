@@ -3,9 +3,9 @@
 Layers, bottom up: exact GF(p^m) arithmetic on integer element codes
 (field), polynomials with irreducibility/factorization/order (poly), dense
 matrices with RREF and companion blocks (matrix), rational canonical forms
-through the Smith normal form of xI - A (rcf), cyclic-subgroup conjugacy
-classification (groups), orbit codes with distance distributions and block
-bounds (codes), seeded property suites (verify), and a CLI (cli).
+from the characteristic polynomial and kernel ranks (rcf), cyclic-subgroup
+conjugacy classification (groups), orbit codes with distance distributions
+and block bounds (codes), seeded property suites (verify), and a CLI (cli).
 """
 
 from .codes import (

@@ -23,6 +23,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 from .codes import (
@@ -110,7 +111,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     field = parse_field(args.field, args.modulus)
     if args.n < 1:
         raise ParseError("--n must be a positive integer", 0)
-    bits = args.n * (field.q.bit_length() - 1)
+    bits = math.ceil(args.n * math.log2(field.q))  # exact for q = 2^m
     if bits > args.max_bits:
         sys.stderr.write(
             f"refusing: n*log2(q) = {bits} exceeds the budget {args.max_bits}; "
@@ -183,7 +184,7 @@ def cmd_code(args: argparse.Namespace) -> int:
             f"subspace lives in dimension {base.n}, but --n is {args.n}", 0
         )
     bs = block_structure(base, divisors)
-    # the generator is built from its divisors, so no Smith form is needed
+    # the generator is built from its divisors, so they are not recomputed
     group_order = matrix_order(bs.generator, bs.divisors)
     profile = orbit_profile(base, bs.divisors)
     if group_order % profile.period:

@@ -18,10 +18,10 @@ a^(q-2).
 Every field hands out one set of lookups, `lookups = (add, mul, neg,
 inv)`, indexed as add[a][b], mul[a][b], neg[a] and inv[a]: the full
 tables for small fields, and dicts filled on first use above the table
-limit.  The hot loops of poly and codes index these instead of calling
-methods.  GF instances are otherwise immutable; filling a lazy lookup
-twice stores the same value, so a field may be shared across threads
-without synchronization.
+limit.  The methods add, neg, mul and inv read them too, and the hot
+loops of poly and codes index them directly.  GF instances are otherwise
+immutable; filling a lazy lookup twice stores the same value, so a field
+may be shared across threads without synchronization.
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ class GF:
     is deterministic across runs.  Prime fields (m = 1) always use x.
     """
 
-    __slots__ = (
-        "p", "m", "q", "modulus", "lookups", "_add", "_mul", "_inv", "_neg", "_hash"
-    )
+    __slots__ = ("p", "m", "q", "modulus", "lookups", "_hash")
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -103,15 +101,13 @@ class GF:
         self.modulus = mod
         self._hash = hash((p, mod))
         if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-            self.lookups = (self._add, self._mul, self._neg, self._inv)
+            self.lookups = self._build_tables()
         else:
-            self._add = self._mul = self._inv = self._neg = None
             self.lookups = (
-                _Memo(lambda a: _Memo(lambda b: self.add(a, b))),
-                _Memo(lambda a: _Memo(lambda b: self.mul(a, b))),
-                _Memo(self.neg),
-                _Memo(self.inv),
+                _Memo(lambda a: _Memo(lambda b: self._add_direct(a, b))),
+                _Memo(lambda a: _Memo(lambda b: self._mul_direct(a, b))),
+                _Memo(self._neg_direct),
+                _Memo(lambda a: pow(a, p - 2, p) if m == 1 else self.pow(a, self.q - 2)),
             )
 
     # -- representation helpers
@@ -140,9 +136,9 @@ class GF:
 
     # -- arithmetic
 
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> tuple:
+        """The (add, mul, neg, inv) tables."""
         q, p = self.q, self.p
-        self._neg = [self._neg_direct(a) for a in range(q)]
         # in a + b the low digits add mod p and the high parts a // p, b // p
         # add by an earlier row
         split = [divmod(b, p) for b in range(q)]
@@ -151,15 +147,15 @@ class GF:
         for a in range(1, q):
             high, low = add[a // p], digit_add[a % p]
             add.append([p * high[bh] + low[bl] for bh, bl in split])
-        self._add = add
         exp = self._antilog()
         log = [0] * q
         for k, a in enumerate(exp):
             log[a] = k
         exp2 = exp + exp  # log a + log b < 2 (q - 1) needs no reduction
         logs = log[1:]
-        self._mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
-        self._inv = [0] + [exp[-la] for la in logs]
+        mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        inv = [0] + [exp[-la] for la in logs]
+        return add, mul, [self._neg_direct(a) for a in range(q)], inv
 
     def _antilog(self) -> list[int]:
         """Powers g^0, ..., g^(q-2) of the first primitive element g."""
@@ -219,31 +215,21 @@ class GF:
         return self.code(prod[:m])
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_direct(a, b)
+        return self.lookups[0][a][b]
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._neg_direct(a)
+        return self.lookups[2][a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_direct(a, b)
+        return self.lookups[1][a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
-        if self._inv is not None:
-            return self._inv[a]
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self.lookups[3][a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

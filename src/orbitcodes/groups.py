@@ -60,8 +60,8 @@ def divisors_order(divisors) -> int:
 
 def matrix_order(a: Mat, divisors=None) -> int:
     """Multiplicative order of an invertible matrix, verified by one power
-    check.  The elementary divisors come from the Smith form unless the
-    caller built A from them and passes them as `divisors`."""
+    check.  The elementary divisors come from rcf.elementary_divisors unless
+    the caller built A from them and passes them as `divisors`."""
     n = divisors_order(elementary_divisors(a) if divisors is None else divisors)
     if not (a**n).is_identity():
         raise AssertionError("computed order failed the A^N = I check")

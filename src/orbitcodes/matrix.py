@@ -140,8 +140,9 @@ class Mat:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def transpose(self) -> "Mat":
@@ -244,14 +245,13 @@ def companion(f: Poly) -> Mat:
         raise ValueError(f"companion matrix needs degree >= 1, got {f!r}")
     if not f.is_monic:
         raise ValueError(f"companion matrix needs a monic polynomial, got {f!r}")
-    F = f.field
+    neg = f.field.lookups[2]
     s = int(f.degree)
     entries = [0] * (s * s)
     for i in range(s - 1):
         entries[i * s + i + 1] = 1
-    for j in range(s):
-        entries[(s - 1) * s + j] = F.neg(f.coeff(j))
-    return Mat(F, s, s, entries)
+    entries[(s - 1) * s :] = [neg[c] for c in f.coeffs[:-1]]
+    return Mat._trusted(f.field, s, s, tuple(entries))
 
 
 def block_diag(blocks: Sequence[Mat]) -> Mat:

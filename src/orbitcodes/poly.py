@@ -64,15 +64,15 @@ class Poly:
 
     @classmethod
     def zero(cls, field: GF) -> "Poly":
-        return cls(field, ())
+        return cls._trusted(field, [])
 
     @classmethod
     def one(cls, field: GF) -> "Poly":
-        return cls(field, (1,))
+        return cls._trusted(field, [1])
 
     @classmethod
     def x(cls, field: GF) -> "Poly":
-        return cls(field, (0, 1))
+        return cls._trusted(field, [0, 1])
 
     @classmethod
     def constant(cls, field: GF, c: int) -> "Poly":
@@ -198,10 +198,11 @@ class Poly:
                 out = out * base
                 if mod is not None:
                     out %= mod
-            base = base * base
-            if mod is not None:
-                base %= mod
             e >>= 1
+            if e:
+                base = base * base
+                if mod is not None:
+                    base %= mod
         return out
 
     def monic(self) -> "Poly":

@@ -1,10 +1,9 @@
-"""Rational canonical forms via the Smith normal form of xI - A.
+"""Rational canonical forms from the characteristic polynomial and kernel ranks.
 
-The Smith reduction works over F_q[x] with elementary row/column operations
-(swaps, scaling by nonzero constants, adding polynomial multiples), driving
-the (t, t) entry to a minimal-degree pivot that divides everything below and
-to the right.  The nonunit diagonal entries are the invariant factors
-d_1 | d_2 | ... ; factoring them yields the elementary divisors p^e.
+char_poly reduces A to Hessenberg form by similarity and expands det(xI - H)
+over its leading minors (Cohen, A Course in Computational Algebraic Number
+Theory, 2.2).  For each irreducible p of it, the number of elementary
+divisors p^e with e >= j is (rank p(A)^(j-1) - rank p(A)^j) / deg p.
 
 Divisor sequences are kept in one canonical total order -- ascending by
 (deg p, coefficient code of p, exponent descending) -- so two matrices are
@@ -14,103 +13,80 @@ conjugate exactly when their divisor tuples compare equal.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import SingularMatrixError
 from .field import GF
-from .matrix import Mat, block_diag, companion
+from .matrix import Mat, block_diag, companion, rank
 from .poly import Poly, factor
 
 
-def _char_matrix(a: Mat) -> list[list[Poly]]:
-    """xI - A as a mutable grid of polynomials."""
-    F = a.field
+def char_poly(a: Mat) -> Poly:
+    """Characteristic polynomial det(xI - A), through a Hessenberg form."""
+    if not a.is_square:
+        raise ValueError("a characteristic polynomial needs a square matrix")
+    add, mul, neg, inv = a.field.lookups
     n = a.rows
-    x = Poly.x(F)
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = Poly.constant(F, F.neg(a.entry(i, j)))
-            row.append(x + c if i == j else c)
-        grid.append(row)
-    return grid
-
-
-def _smith_diagonal(grid: list[list[Poly]]) -> list[Poly]:
-    """Diagonalize a square polynomial grid in place; returns the monic
-    diagonal in divisibility order (units included as 1)."""
-    n = len(grid)
-    for t in range(n):
-        while True:
-            # minimal-degree nonzero entry of the trailing submatrix
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    e = grid[i][j]
-                    if not e.is_zero and (best is None or e.degree < grid[best[0]][best[1]].degree):
-                        best = (i, j)
-            if best is None:
-                return [grid[i][i].monic() if not grid[i][i].is_zero else grid[i][i] for i in range(n)]
-            bi, bj = best
-            if bi != t:
-                grid[t], grid[bi] = grid[bi], grid[t]
-            if bj != t:
-                for row in grid:
-                    row[t], row[bj] = row[bj], row[t]
-            pivot = grid[t][t]
-            clean = True
-            for i in range(t + 1, n):
-                if not grid[i][t].is_zero:
-                    q = grid[i][t] // pivot
-                    if not q.is_zero:
-                        grid[i] = [a - q * b for a, b in zip(grid[i], grid[t])]
-                    if not grid[i][t].is_zero:
-                        clean = False  # a remainder of smaller degree appeared
-            for j in range(t + 1, n):
-                if not grid[t][j].is_zero:
-                    q = grid[t][j] // pivot
-                    if not q.is_zero:
-                        for row_i in range(n):
-                            grid[row_i][j] = grid[row_i][j] - q * grid[row_i][t]
-                    if not grid[t][j].is_zero:
-                        clean = False
-            if not clean:
-                continue
-            # pivot must divide the rest of the submatrix
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if not (grid[i][j] % pivot).is_zero:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+    h = [list(a.row(i)) for i in range(n)]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        t = inv[h[m][m - 1]]
+        for i in range(m + 1, n):
+            u = mul[h[i][m - 1]][t]
+            if u:
+                # row i -= u row m, then column m += u column i
+                scale = mul[neg[u]]
+                h[i] = [add[v][scale[w]] for v, w in zip(h[i], h[m])]
+                scale = mul[u]
+                for row in h:
+                    row[m] = add[row[m]][scale[row[i]]]
+    # chi_{m+1} = x chi_m - sum_{i<=m} h_im t_i chi_i, t_i = h_{m,m-1} ... h_{i+1,i}
+    chis = [[1]]
+    for m in range(n):
+        out = [0] + chis[m]
+        t = 1
+        for i in range(m, -1, -1):
+            scale = mul[neg[mul[t][h[i][m]]]]
+            for k, v in enumerate(chis[i]):
+                out[k] = add[out[k]][scale[v]]
+            t = mul[t][h[i][i - 1]] if i else 0
+            if not t:
                 break
-            grid[t] = [a + b for a, b in zip(grid[t], grid[offender])]
-    return [grid[i][i].monic() if not grid[i][i].is_zero else grid[i][i] for i in range(n)]
+        chis.append(out)
+    return Poly._trusted(a.field, chis[n])
+
+
+def _horner(p: Poly, a: Mat) -> Mat:
+    """p(A) by Horner's rule, for a monic p of degree >= 1."""
+    add = a.field.lookups[0]
+    n = a.rows
+    out = a
+    for k in range(len(p.coeffs) - 2, -1, -1):
+        entries = list(out.entries)
+        for i in range(0, n * n, n + 1):
+            entries[i] = add[entries[i]][p.coeffs[k]]
+        out = Mat._trusted(a.field, n, n, tuple(entries))
+        if k:
+            out = out * a
+    return out
 
 
 def invariant_factors(a: Mat) -> tuple[Poly, ...]:
     """Nonunit invariant factors of xI - A, monic, in divisibility order."""
-    if not a.is_square:
-        raise ValueError("invariant factors need a square matrix")
-    diag = _smith_diagonal(_char_matrix(a))
-    out = [d for d in diag if d.degree >= 1]
-    out.sort(key=lambda f: f.degree)
-    for lo, hi in zip(out, out[1:]):
-        if not (hi % lo).is_zero:
-            raise AssertionError("Smith reduction broke the divisibility chain")
-    return tuple(out)
-
-
-def char_poly(a: Mat) -> Poly:
-    """Characteristic polynomial: product of all invariant factors."""
-    out = Poly.one(a.field)
-    for f in invariant_factors(a):
-        out = out * f
-    return out
+    powers: dict[Poly, list[Poly]] = {}
+    for p, e in elementary_divisors(a):  # each p's exponents descend
+        powers.setdefault(p, []).append(p**e)
+    one = Poly.one(a.field)
+    rows = itertools.zip_longest(*powers.values(), fillvalue=one)
+    return tuple(reversed([math.prod(row, start=one) for row in rows]))
 
 
 def min_poly(a: Mat) -> Poly:
@@ -121,10 +97,6 @@ def min_poly(a: Mat) -> Poly:
 def divisor_key(pe: tuple[Poly, int]) -> tuple[int, int, int]:
     p, e = pe
     return (int(p.degree), p.code(), -e)
-
-
-def poly_key(p: Poly) -> tuple[int, int]:
-    return (int(p.degree), p.code())
 
 
 @dataclass(frozen=True)
@@ -144,9 +116,26 @@ def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
     Unlike rcf(), this does not reject singular matrices; divisors with
     irreducible part x mark exactly the singular case.
     """
+    chi = char_poly(a)
+    n = a.rows
+    if not n:
+        return ()
     pairs = []
-    for f in invariant_factors(a):
-        pairs.extend(factor(f))
+    for p, _ in factor(chi):
+        d = int(p.degree)
+        base = power = _horner(p, a)
+        ranks = [n, rank(base)]
+        # until the ranks stop falling, not up to p's multiplicity in chi, so
+        # that the degree sum below checks the ranks against chi
+        while ranks[-1] < ranks[-2]:
+            power = power * base
+            ranks.append(rank(power))
+        # at_least[j - 1]: how many divisors p^e have e >= j; the last is 0
+        at_least = [(hi - lo) // d for hi, lo in zip(ranks, ranks[1:])]
+        for j in range(1, len(at_least)):
+            pairs.extend([(p, j)] * (at_least[j - 1] - at_least[j]))
+    if sum(int(p.degree) * e for p, e in pairs) != n:
+        raise AssertionError("elementary divisor degrees do not sum to the matrix size")
     pairs.sort(key=divisor_key)
     return tuple(pairs)
 
@@ -165,7 +154,7 @@ def check_invertible(divisors) -> None:
     """Reject elementary divisors with a power of x among them: their
     matrices are singular, outside GL_n."""
     for p, _ in divisors:
-        if p == Poly.x(p.field):
+        if p.coeffs == (0, 1):
             raise SingularMatrixError(
                 "matrix is singular (an elementary divisor is a power of x), not in GL_n"
             )

@@ -87,6 +87,20 @@ def test_classify_resource_guard(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "field, n, accepted",
+    [("3", 13, True), ("3", 14, False), ("2^2", 11, True), ("2^2", 12, False)],
+)
+def test_classify_budget_is_exact_log2(capsys, monkeypatch, field, n, accepted):
+    # 3^13 < 2^22 < 3^14 and 4^11 = 2^22: n * log2(q), not n * floor(log2 q)
+    monkeypatch.setattr("orbitcodes.cli.class_representatives", lambda *args: [])
+    code, out, err = run(capsys, "classify", "--field", field, "--n", str(n))
+    if accepted:
+        assert (code, err) == (0, "") and out.endswith(": 0\n")
+    else:
+        assert code == 2 and out == "" and "exceeds the budget 22" in err
+
+
 def test_classify_out_file(tmp_path, capsys):
     target = tmp_path / "classes.json"
     code, out, _ = run(
@@ -306,7 +320,7 @@ def test_code_single_irreducible_never_walks(capsys, monkeypatch, field, divisor
     }
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the report walked the orbit or ran the Smith form")
+        raise AssertionError("the report walked the orbit or recomputed the divisors")
 
     codes._profile.cache_clear()
     monkeypatch.setattr(codes, "_walk", forbidden)

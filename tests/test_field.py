@@ -92,12 +92,14 @@ def test_digit_round_trip():
 
 def test_untabled_field_agrees_with_direct_ops():
     big = GF(2, 9)  # q = 512 sits above the table limit
-    assert big._mul is None
+    mul = big.lookups[1]
+    assert isinstance(mul, dict) and not mul  # no full table, rows filled on use
     for a, b in ((3, 7), (255, 2), (511, 511)):
         prod = big.mul(a, b)
         assert 0 <= prod < big.q
         if a:
             assert big.mul(a, big.inv(a)) == 1
+    assert len(mul) < big.q
 
 
 def test_field_equality_and_hash():

@@ -1,0 +1,40 @@
+"""CLI output is pinned byte for byte: the README examples and
+`verify --suite all --seed 0` must print exactly what they printed when
+these digests were recorded.  A change that alters any of them fails here;
+if the change is intended, the digest is updated in the same commit and
+the reason given in CHANGES.md."""
+
+import hashlib
+
+import pytest
+
+from orbitcodes.cli import main
+
+PINNED = [
+    (["classify", "--field", "2", "--n", "2"], 0,
+     "12edebcbd339031a1e810e0a62ea921fdbc1336476f4bb3fcf6656fb4c5509d0"),
+    (["classify", "--field", "2", "--n", "2", "--format", "json"], 0,
+     "6d191042059cc345a85cadd01d2200d87bf59bab97972ed7b3a8217a91ee1706"),
+    (["classify", "--field", "2", "--n", "2", "--format", "csv"], 0,
+     "a8cdea1054aae4319a8a4b19aef9871da3d9287598dc477e14f3e5ad3e5bbb55"),
+    (["code", "--field", "2", "--n", "3", "--divisors", "1,1,0,1", "--subspace", "1,0,0"], 0,
+     "7e653046b1a1a9dabd7be155008b924b4cc37aac27717f9b08c91fd116a3ce13"),
+    (["code", "--field", "2", "--n", "5", "--divisors", "1,1,0,1;1,1,1",
+      "--subspace", "1,0,0,0,0;0,0,0,1,0"], 0,
+     "6fa18e96263cb2f6fa981e5b2762e4ddab4b05ec7961c5611403f998887f1ff8"),
+    (["verify", "--suite", "all", "--seed", "0"], 0,
+     "1eed0fcbe4b0d6e2a8a206240415cee7b9519fcbb13b7441e95f55c68c7acb96"),
+    (["verify", "--suite", "bounds", "--trials", "20"], 0,
+     "3c602c71ef5a67fac1a7460b0fb2ebc8d57abdea6b1ddd469cbf9d48338928b0"),
+    (["examples"], 0,
+     "2d0e9932078655305ac830bde5efe46376c5d94362234394aefe5944203988ed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", PINNED, ids=[" ".join(argv) for argv, _, _ in PINNED]
+)
+def test_cli_output_is_byte_identical(capsys, argv, exit_code, digest):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -170,3 +171,94 @@ def test_size_mismatch_rejected():
         are_conjugate(Mat.identity(F2, 2), Mat.identity(F2, 3))
     with pytest.raises(ValueError):
         are_conjugate(Mat.identity(F2, 2), Mat.identity(F3, 2))
+
+
+def _all_matrices(field, n):
+    for entries in itertools.product(range(field.q), repeat=n * n):
+        yield Mat(field, n, n, entries)
+
+
+@pytest.mark.parametrize(
+    "field, n",
+    [(F2, 1), (F2, 2), (F2, 3), (F3, 1), (F3, 2), (F4, 1), (F4, 2)],
+    ids=repr,
+)
+def test_divisors_separate_brute_force_conjugacy_orbits(field, n):
+    # every matrix, singular ones included, grouped into its orbit under GL_n
+    group = [(g, g.inverse()) for g in _all_matrices(field, n) if is_invertible(g)]
+    unseen = set(_all_matrices(field, n))
+    tuples = set()
+    while unseen:
+        a = unseen.pop()
+        orbit = {g_inv * a * g for g, g_inv in group}
+        unseen -= orbit
+        divs = {elementary_divisors(a) for a in orbit}
+        assert len(divs) == 1
+        (d,) = divs
+        assert d not in tuples
+        tuples.add(d)
+        assert rcf_from_divisors(field, d).matrix in orbit
+
+
+def _det_x_minus(a):
+    """det(xI - A) by cofactor expansion along the first row, on ascending
+    coefficient lists."""
+    F = a.field
+
+    def add(f, g):
+        if len(f) < len(g):
+            f, g = g, f
+        return [F.add(c, g[i]) if i < len(g) else c for i, c in enumerate(f)]
+
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, c in enumerate(f):
+            for j, d in enumerate(g):
+                out[i + j] = F.add(out[i + j], F.mul(c, d))
+        return out
+
+    def det(rows, cols):
+        if not rows:
+            return [1]
+        out = [0]
+        i = rows[0]
+        for k, j in enumerate(cols):
+            entry = [F.neg(a.entry(i, j))] + ([1] if i == j else [])
+            term = mul(entry, det(rows[1:], cols[:k] + cols[k + 1 :]))
+            out = add(out, term if k % 2 == 0 else [F.neg(c) for c in term])
+        return out
+
+    return Poly(F, det(list(range(a.rows)), list(range(a.cols))))
+
+
+def test_char_poly_matches_cofactor_expansion():
+    rng = random.Random(23)
+    for field in (F2, F3, F4, GF(257)):
+        for n in range(6):
+            for _ in range(8):
+                # sparse entries make zero subdiagonal columns and row swaps
+                density = rng.choice((0.3, 0.6, 1.0))
+                a = Mat(field, n, n, [
+                    rng.randrange(field.q) if rng.random() < density else 0
+                    for _ in range(n * n)
+                ])
+                assert char_poly(a) == _det_x_minus(a)
+            if n >= 2:
+                # block upper triangular: a zero block below the diagonal
+                s = rng.randint(1, n - 1)
+                a = Mat(field, n, n, [
+                    0 if i >= s and j < s else rng.randrange(field.q)
+                    for i in range(n) for j in range(n)
+                ])
+                assert char_poly(a) == _det_x_minus(a)
+
+
+def test_empty_and_non_square_inputs():
+    empty = Mat(F2, 0, 0, ())
+    assert elementary_divisors(empty) == ()
+    assert invariant_factors(empty) == ()
+    assert char_poly(empty) == Poly.one(F2)
+    wide = Mat.zeros(F2, 2, 3)
+    for fn in (char_poly, elementary_divisors, invariant_factors, min_poly):
+        with pytest.raises(ValueError):
+            fn(wide)
