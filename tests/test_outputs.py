@@ -26,6 +26,9 @@ PINNED = [
      "1eed0fcbe4b0d6e2a8a206240415cee7b9519fcbb13b7441e95f55c68c7acb96"),
     (["verify", "--suite", "bounds", "--trials", "20"], 0,
      "3c602c71ef5a67fac1a7460b0fb2ebc8d57abdea6b1ddd469cbf9d48338928b0"),
+    # a fullrank_coprime mismatch: exit 1, with the FAIL line's values dict
+    (["verify", "--suite", "bounds", "--seed", "8"], 1,
+     "421f10d31172b35c8c618ce0a98a8ad1092f26f7ba7f62d042556c6c233fca13"),
     (["examples"], 0,
      "2d0e9932078655305ac830bde5efe46376c5d94362234394aefe5944203988ed"),
 ]
