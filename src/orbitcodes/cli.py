@@ -27,7 +27,6 @@ import math
 import sys
 
 from .codes import (
-    _component_profile,
     block_bound,
     block_bound_refined,
     block_structure,
@@ -202,13 +201,12 @@ def cmd_code(args: argparse.Namespace) -> int:
             "degree": blk.degree,
             "k": blk.k,
         }
-        if blk.k == 0:
+        if blk.profile is None:
             entry["cardinality"] = None
         else:
-            # the component code's size and distance, from its cached profile
-            component = _component_profile(blk)
-            entry["cardinality"] = component.period
-            entry["min_distance"] = component.min_distance
+            # the component code's size and distance, from the block's profile
+            entry["cardinality"] = blk.profile.period
+            entry["min_distance"] = blk.profile.min_distance
         components.append(entry)
     report = {
         "q": field.q,

@@ -25,10 +25,12 @@ the profile has two producers, and the input picks one:
   records each codeword's canonical key and dims[j]; orbit_code builds
   its codebook from it and is always walked.
 
-One profile per (subspace, divisors), and one walk per (subspace,
-generator), is cached and shared by the code, its block bounds and its
-component codes.  The walk is the reference the difference count is tested
-against, and the Mat/rref path (act, stabilizer_order, subspace_distance)
+The last few profiles per (subspace, divisors), and walks per (subspace,
+generator), are cached: the code report and its refined bound share the
+whole code's profile, and each sub-block of a block structure keeps its
+component profile, computed on first use, for both block bounds and the
+report's component lines.  The walk is the reference the difference count
+is tested against, and the Mat/rref path (act, stabilizer_order, subspace_distance)
 is kept as the independent slow oracle that the verify suites and the
 tests compare the walk against.
 
@@ -52,14 +54,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 from .field import GF
 from .groups import CyclicGroup
-from .matrix import Mat, block_diag, companion, is_invertible, rref
+from .matrix import Mat, block_diag_basis, companion, companion_diag, is_invertible, rref
 from .poly import Poly, is_irreducible, order as poly_order
 from .rows import _kernel
 from .textio import format_mat, format_poly
@@ -357,8 +359,7 @@ def _profile(u: Subspace, divisors: tuple[tuple[Poly, int], ...]) -> OrbitProfil
         # p = x has degree 1, so U = F_q^1 and _count_is_cheaper keeps it out
         if e == 1 and is_irreducible(p) and _count_is_cheaper(u, p):
             return OrbitProfile(_difference_profile(u, p))
-    generator = block_diag([companion(p**e) for p, e in divisors])
-    return OrbitProfile(_walk(u, generator).dims)
+    return OrbitProfile(_walk(u, companion_diag(divisors)).dims)
 
 
 def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitProfile:
@@ -399,6 +400,15 @@ class SubBlock:
     def degree(self) -> int:
         return self.col_stop - self.col_start
 
+    @cached_property
+    def profile(self) -> OrbitProfile | None:
+        """The profile of the sub-block's row space W under its own
+        companion block, computed on first use: its period is the component
+        code's size N_i.  None for an empty sub-block."""
+        if self.k == 0:
+            return None
+        return orbit_profile(subspace(self.matrix), (self.divisor,))
+
 
 @dataclass(frozen=True)
 class BlockStructure:
@@ -422,17 +432,10 @@ def _block_starts(degrees: Sequence[int]) -> list[int]:
     return list(accumulate(degrees, initial=0))
 
 
-def block_diag_basis(blocks: Sequence[Mat]) -> Mat:
-    """diag(B_1, ..., B_t) for blocks with any number of rows (zero
-    included): the rows of B_i placed in block i's columns."""
-    field = blocks[0].field
-    starts = _block_starts([b.cols for b in blocks])
-    n = starts[-1]
-    entries: list[int] = []
-    for b, lo in zip(blocks, starts):
-        for r in range(b.rows):
-            entries += [0] * lo + list(b.row(r)) + [0] * (n - lo - b.cols)
-    return Mat._trusted(field, sum(b.rows for b in blocks), n, tuple(entries))
+def _columns(basis: Mat, rows: Sequence[int], lo: int, hi: int) -> Mat:
+    """The given rows of a basis, restricted to columns lo .. hi - 1."""
+    entries = tuple(e for r in rows for e in basis.row(r)[lo:hi])
+    return Mat._trusted(basis.field, len(rows), hi - lo, entries)
 
 
 def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockStructure:
@@ -440,7 +443,8 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
 
     Sub-block i holds the rows whose pivot column lies in block i's column
     range, restricted to those columns; full row rank is automatic because
-    each such row keeps its pivot column.
+    each such row keeps its pivot column.  No orbit work happens here: each
+    sub-block computes its profile on first use.
     """
     divisors = tuple((p, int(e)) for p, e in divisors)
     degrees = [int(p.degree) * e for p, e in divisors]
@@ -453,17 +457,16 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
             raise ValueError("divisors and subspace must share a field")
         if e < 1:
             raise ValueError("divisor exponents must be positive")
-    pivots = rref(u.basis).pivots
+    # the basis is in RREF, so a row's pivot is its first nonzero column
+    pivots = [next(c for c, v in enumerate(u.basis.row(r)) if v) for r in range(u.k)]
     starts = _block_starts(degrees)
     blocks = []
     for i, (p, e) in enumerate(divisors):
         lo, hi = starts[i], starts[i + 1]
         row_idx = tuple(r for r, c in enumerate(pivots) if lo <= c < hi)
-        entries = tuple(u.basis.entry(r, c) for r in row_idx for c in range(lo, hi))
-        matrix = Mat._trusted(u.field, len(row_idx), hi - lo, entries)
+        matrix = _columns(u.basis, row_idx, lo, hi)
         blocks.append(SubBlock(i, (p, e), lo, hi, row_idx, matrix))
-    generator = block_diag([companion(p**e) for p, e in divisors])
-    return BlockStructure(u.field, u, divisors, generator, tuple(blocks))
+    return BlockStructure(u.field, u, divisors, companion_diag(divisors), tuple(blocks))
 
 
 def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:
@@ -479,12 +482,6 @@ def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:
     return tuple(out)
 
 
-def _component_profile(blk: SubBlock) -> OrbitProfile:
-    """The profile of the row space W of a nonempty sub-block under its own
-    companion block M: its period is the component code's size N_i."""
-    return orbit_profile(subspace(blk.matrix), (blk.divisor,))
-
-
 def block_bound(bs: BlockStructure) -> tuple[int, int]:
     """(per-component bound, lcm of component-code sizes).
 
@@ -492,15 +489,9 @@ def block_bound(bs: BlockStructure) -> tuple[int, int]:
     nonzero residues; a component whose orbit is a fixed point (N_i = 1)
     contributes its full dimension k_i.
     """
-    total = 0
-    lcm_card = 1
-    for blk in bs.blocks:
-        if blk.k == 0:
-            continue
-        dims = _component_profile(blk).dims
-        lcm_card = math.lcm(lcm_card, len(dims))
-        total += max(dims[1:], default=blk.k)
-    return 2 * bs.k - 2 * total, lcm_card
+    profiles = [blk.profile for blk in bs.blocks if blk.k]
+    total = sum(max(f.dims[1:], default=f.dims[0]) for f in profiles)
+    return 2 * bs.k - 2 * total, math.lcm(*(f.period for f in profiles))
 
 
 def orbit_period(u: Subspace, a: Mat) -> int:
@@ -520,16 +511,9 @@ def block_bound_refined(bs: BlockStructure) -> int:
     a basis whose period exceeds that lcm admits a power returning every
     component without fixing the whole space, which drags the bound to the
     trivial 0."""
-    profiles = []
-    lcm_card = 1
-    for blk in bs.blocks:
-        if blk.k == 0:
-            continue
-        dims = _component_profile(blk).dims
-        profiles.append((len(dims), dims))
-        lcm_card = math.lcm(lcm_card, len(dims))
+    profiles = [(blk.profile.period, blk.profile.dims) for blk in bs.blocks if blk.k]
     period = orbit_profile(bs.subspace, bs.divisors).period
-    if period % lcm_card:
+    if period % math.lcm(*(n_i for n_i, _ in profiles)):
         raise AssertionError("component orbit sizes must divide the code period")
     if period == 1:
         return 0
@@ -581,6 +565,10 @@ def _instance_dict(field: GF, divisors, basis: Mat) -> dict:
     }
 
 
+def _pairwise_coprime(sizes: Sequence[int]) -> bool:
+    return all(math.gcd(a, b) == 1 for a, b in combinations(sizes, 2))
+
+
 def fullrank_coprime_check(
     u: Subspace, divisors: Sequence[tuple[Poly, int]]
 ) -> CheckReport:
@@ -603,14 +591,7 @@ def fullrank_coprime_check(
     if any(u.k > d for d in degrees):
         return skipped("k exceeds a block degree")
     starts = _block_starts(degrees)
-    slices = []
-    for i, d in enumerate(degrees):
-        entries = tuple(
-            u.basis.entry(r, c)
-            for r in range(u.k)
-            for c in range(starts[i], starts[i + 1])
-        )
-        slices.append(Mat._trusted(u.field, u.k, d, entries))
+    slices = [_columns(u.basis, range(u.k), lo, hi) for lo, hi in zip(starts, starts[1:])]
     if any(rref(s).rank != u.k for s in slices):
         return skipped("a column slice is rank deficient")
     comps = [
@@ -618,23 +599,22 @@ def fullrank_coprime_check(
         for s, (p, e) in zip(slices, divisors)
     ]
     sizes = [len(c) for c in comps]
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            if math.gcd(sizes[i], sizes[j]) != 1:
-                return skipped("component cardinalities are not coprime")
-    if any(len(c) < 2 for c in comps):
+    if not _pairwise_coprime(sizes):
+        return skipped("component cardinalities are not coprime")
+    if any(size < 2 for size in sizes):
         # the minimum over component distances is undefined on such instances
         return skipped("a component code is a singleton")
-    code = orbit_code(u, CyclicGroup(block_diag([companion(p**e) for p, e in divisors])))
+    code = orbit_code(u, CyclicGroup(companion_diag(divisors)))
     if len(code) < 2:
         return skipped("the whole code is a singleton")
     lhs = min_distance(code)
-    rhs = min(min_distance(c) for c in comps)
+    distances = [min_distance(c) for c in comps]
+    rhs = min(distances)
     values = {
         "code_distance": lhs,
         "component_min": rhs,
         "component_sizes": sizes,
-        "component_distances": [min_distance(c) for c in comps],
+        "component_distances": distances,
         "code_size": len(code),
     }
     status = "ok" if lhs == rhs else "mismatch"
@@ -674,11 +654,9 @@ def blockdiag_coprime_check(
         return skipped("a block has more rows than columns")
     u = subspace(basis)
     bs = block_structure(u, divisors)
-    sizes = [_component_profile(blk).period for blk in bs.blocks]
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            if math.gcd(sizes[i], sizes[j]) != 1:
-                return skipped("component cardinalities are not coprime")
+    sizes = [blk.profile.period for blk in bs.blocks]
+    if not _pairwise_coprime(sizes):
+        return skipped("component cardinalities are not coprime")
     literal, lcm_card = block_bound(bs)
     refined = block_bound_refined(bs)
     code = orbit_code(u, CyclicGroup(bs.generator))

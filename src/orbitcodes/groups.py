@@ -156,15 +156,8 @@ def conjugacy_witness(a: Mat, b: Mat) -> int | None:
 
 
 def same_signature(a: Mat, b: Mat) -> bool:
-    """Signature-based conjugacy test: equal divisor counts and equal
-    (order, exponent) multisets."""
-    div_a = elementary_divisors(a)
-    check_invertible(div_a)
-    div_b = elementary_divisors(b)
-    check_invertible(div_b)
-    if len(div_a) != len(div_b):
-        return False
-    return signature_of_divisors(a.field, div_a) == signature_of_divisors(b.field, div_b)
+    """Signature-based conjugacy test: equal (order, exponent) multisets."""
+    return signature(a) == signature(b)
 
 
 def power_signature(a: Mat, i: int) -> Signature:

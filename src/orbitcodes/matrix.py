@@ -2,7 +2,10 @@
 
 Entries are element codes stored row-major in a flat tuple.  Mat values are
 immutable and hashable; every operation returns a fresh matrix, and its
-arithmetic indexes the field's lookups as Poly does.  The hot
+arithmetic indexes the field's lookups as Poly does.  Block diagonals of
+any shape come from one assembler, block_diag_basis (block_diag is its
+square-block case), and generators in rational canonical form,
+diag(companion(p_i^e_i)), from one builder, companion_diag.  The hot
 loops do not multiply Mats: the orbit walk (codes) and the group closure
 (groups) run on the packed rows of rows.py and build Mats only for their
 results, so Mat multiply and rref stay the slow oracle they are checked
@@ -56,11 +59,17 @@ class Mat:
 
     @classmethod
     def identity(cls, field: GF, n: int) -> "Mat":
-        return cls(field, n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
+        if n < 0:
+            raise ValueError(f"negative size {n}x{n}")
+        entries = [0] * (n * n)
+        entries[:: n + 1] = [1] * n
+        return cls._trusted(field, n, n, tuple(entries))
 
     @classmethod
     def zeros(cls, field: GF, rows: int, cols: int) -> "Mat":
-        return cls(field, rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative size {rows}x{cols}")
+        return cls._trusted(field, rows, cols, (0,) * (rows * cols))
 
     # -- access
 
@@ -254,6 +263,29 @@ def companion(f: Poly) -> Mat:
     return Mat._trusted(f.field, s, s, tuple(entries))
 
 
+def companion_diag(divisors: Iterable[tuple[Poly, int]]) -> Mat:
+    """diag(companion(p_1^e_1), ..., companion(p_t^e_t)) for (p, e) pairs,
+    in the given order."""
+    return block_diag([companion(p**e) for p, e in divisors])
+
+
+def block_diag_basis(blocks: Sequence[Mat]) -> Mat:
+    """diag(B_1, ..., B_t) for blocks of any shape, zero rows included: the
+    rows of B_i placed in block i's columns, below the rows of B_1 .. B_i-1."""
+    rows = sum(b.rows for b in blocks)
+    n = sum(b.cols for b in blocks)
+    entries = [0] * (rows * n)
+    top = left = 0
+    for b in blocks:
+        s = b.cols
+        for i in range(b.rows):
+            start = (top + i) * n + left
+            entries[start : start + s] = b.row(i)
+        top += b.rows
+        left += s
+    return Mat._trusted(blocks[0].field, rows, n, tuple(entries))
+
+
 def block_diag(blocks: Sequence[Mat]) -> Mat:
     """Block-diagonal assembly of square blocks, in the given order."""
     if not blocks:
@@ -264,14 +296,4 @@ def block_diag(blocks: Sequence[Mat]) -> Mat:
             raise ValueError(f"blocks must be square, got {b.rows}x{b.cols}")
         if b.field != F:
             raise ValueError("blocks must share a field")
-    n = sum(b.rows for b in blocks)
-    entries = [0] * (n * n)
-    offset = 0
-    for b in blocks:
-        s = b.rows
-        for i in range(s):
-            row = b.row(i)
-            start = (offset + i) * n + offset
-            entries[start : start + s] = row
-        offset += s
-    return Mat._trusted(F, n, n, tuple(entries))
+    return block_diag_basis(blocks)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import SingularMatrixError
 from .field import GF
-from .matrix import Mat, block_diag, companion, rank
+from .matrix import Mat, companion_diag, rank
 from .poly import Poly, factor
 
 
@@ -145,8 +145,7 @@ def rcf_from_divisors(field: GF, divisors) -> RcfData:
     pairs = sorted(divisors, key=divisor_key)
     if not pairs:
         raise ValueError("at least one elementary divisor is required")
-    blocks = [companion(p**e) for p, e in pairs]
-    m = block_diag(blocks)
+    m = companion_diag(pairs)
     return RcfData(tuple(pairs), m.rows, m)
 
 

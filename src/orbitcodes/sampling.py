@@ -11,19 +11,19 @@ from typing import Sequence
 
 from .codes import Subspace, block_diag_basis, subspace
 from .field import GF
-from .matrix import Mat, is_invertible, rref
+from .matrix import Mat, rref
 from .poly import Poly, irreducibles
 
 
 def random_matrix(rng: random.Random, field: GF, rows: int, cols: int) -> Mat:
-    return Mat(field, rows, cols, [rng.randrange(field.q) for _ in range(rows * cols)])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative size {rows}x{cols}")
+    entries = tuple([rng.randrange(field.q) for _ in range(rows * cols)])
+    return Mat._trusted(field, rows, cols, entries)
 
 
 def random_invertible(rng: random.Random, field: GF, n: int) -> Mat:
-    while True:
-        m = random_matrix(rng, field, n, n)
-        if is_invertible(m):
-            return m
+    return random_full_rank(rng, field, n, n)
 
 
 def random_full_rank(rng: random.Random, field: GF, rows: int, cols: int) -> Mat:
@@ -42,12 +42,13 @@ def random_monic(rng: random.Random, field: GF, degree: int) -> Poly:
 
 
 def random_unit_divisors(
-    rng: random.Random, field: GF, n: int, max_blocks: int = 3
+    rng: random.Random, field: GF, n: int
 ) -> tuple[tuple[Poly, int], ...]:
-    """Random (irreducible p != x, e) blocks with degrees summing to n."""
+    """Random (irreducible p != x, e) blocks, 1 to 3 of them, with degrees
+    summing to n."""
     x = Poly.x(field)
     while True:
-        t = rng.randint(1, min(max_blocks, n))
+        t = rng.randint(1, min(3, n))
         cuts = sorted(rng.sample(range(1, n), t - 1)) if t > 1 else []
         degrees = [b - a for a, b in zip([0] + cuts, cuts + [n])]
         divisors = []

@@ -15,6 +15,7 @@ negative one is rejected with ValueError.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -45,7 +46,7 @@ from .groups import (
     same_signature,
     signature,
 )
-from .matrix import Mat, block_diag, companion, is_invertible, rref
+from .matrix import Mat, companion_diag, is_invertible, rref
 from .numtheory import factorize, multiplicative_order
 from .poly import Poly, factor, irreducibles, is_irreducible, order as poly_order
 from .rcf import char_poly, elementary_divisors, min_poly, rcf
@@ -103,16 +104,16 @@ def _mobius(n: int) -> int:
     return -1 if len(exps) % 2 else 1
 
 
-def brute_force_order(a: Mat, cap: int = 100_000) -> int:
-    """Order by repeated multiplication; the oracle matrix_order is tested
-    against."""
+def brute_force_order(a: Mat) -> int:
+    """Order by repeated multiplication, giving up past 100 000; the oracle
+    matrix_order is tested against."""
     ident = Mat.identity(a.field, a.rows)
     power = a
     e = 1
     while power != ident:
         power = power * a
         e += 1
-        if e > cap:
+        if e > 100_000:
             raise RuntimeError("brute-force order exceeded cap")
     return e
 
@@ -295,8 +296,8 @@ def _known_signature_gap(field: GF) -> tuple[Mat, Mat]:
     with distinct versus repeated irreducibles (n = 6)."""
     p1 = Poly(field, [1, 1, 0, 1])
     p2 = Poly(field, [1, 0, 1, 1])
-    a = block_diag([companion(p1), companion(p2)])
-    b = block_diag([companion(p1), companion(p1)])
+    a = companion_diag([(p1, 1), (p2, 1)])
+    b = companion_diag([(p1, 1), (p1, 1)])
     return a, b
 
 
@@ -348,7 +349,7 @@ def brute_force_cyclic_classes(field: GF, n: int) -> list[set[frozenset[Mat]]]:
     conjugation."""
     all_mats = [
         Mat(field, n, n, entries)
-        for entries in _all_tuples(field.q, n * n)
+        for entries in itertools.product(range(field.q), repeat=n * n)
     ]
     units = [m for m in all_mats if is_invertible(m)]
     subgroups: set[frozenset[Mat]] = set()
@@ -372,13 +373,6 @@ def brute_force_cyclic_classes(field: GF, n: int) -> list[set[frozenset[Mat]]]:
         remaining -= cell
         classes.append(cell)
     return classes
-
-
-def _all_tuples(q: int, length: int):
-    out = [()]
-    for _ in range(length):
-        out = [t + (v,) for t in out for v in range(q)]
-    return out
 
 
 def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
@@ -670,7 +664,7 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
 def _fullrank_instance(rng: random.Random, field: GF) -> CheckReport:
     n = rng.randint(2, 8)
-    divisors = random_unit_divisors(rng, field, n, max_blocks=3)
+    divisors = random_unit_divisors(rng, field, n)
     degrees = [int(p.degree) * e for p, e in divisors]
     k = rng.randint(1, min(degrees))
     u = random_subspace(rng, field, n, k)
@@ -679,7 +673,7 @@ def _fullrank_instance(rng: random.Random, field: GF) -> CheckReport:
 
 def _blockdiag_instance(rng: random.Random, field: GF) -> CheckReport:
     n = rng.randint(2, 8)
-    divisors = random_unit_divisors(rng, field, n, max_blocks=3)
+    divisors = random_unit_divisors(rng, field, n)
     blocks = []
     for p, e in divisors:
         d = int(p.degree) * e

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +296,42 @@ def test_code_internal_failure_is_one_line(capsys, monkeypatch, name, exc):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("internal error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("basis", ["1,0,0,0;0,1,0,0", "0,1,0,0"])
+def test_code_rejects_an_x_divisor(capsys, basis):
+    # the x block holds a basis row in the first case and none in the second
+    code, out, err = run(
+        capsys, "code", "--field", "2", "--n", "4",
+        "--divisors", "0,1;1,1,0,1", "--subspace", basis,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: matrix is singular (an elementary divisor is a power of x), "
+        "not in GL_n\n"
+    )
+
+
+def test_code_requests_each_component_profile_once(capsys, monkeypatch):
+    requests = Counter()
+    requested = codes.orbit_profile
+
+    def counted(u, divisors):
+        requests[u, tuple(divisors)] += 1
+        return requested(u, divisors)
+
+    monkeypatch.setattr(codes, "orbit_profile", counted)
+    code, _, _ = run(
+        capsys, "code", "--field", "2", "--n", "5",
+        "--divisors", "1,1,0,1;1,1,1", "--subspace", "1,0,0,0,0;0,0,0,1,0",
+    )
+    assert code == 0
+    f = parse_field("2")
+    component = {
+        (subspace(parse_mat(f, "1,0,0")), ((parse_poly(f, "1,1,0,1"), 1),)): 1,
+        (subspace(parse_mat(f, "1,0")), ((parse_poly(f, "1,1,1"), 1),)): 1,
+    }
+    assert {key: n for key, n in requests.items() if key[0].n < 5} == component
 
 
 @pytest.mark.parametrize(

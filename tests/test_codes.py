@@ -32,7 +32,7 @@ from orbitcodes import (
     subspace_distance,
 )
 from orbitcodes import codes
-from orbitcodes.codes import _component_profile, _difference_profile, _walk
+from orbitcodes.codes import _difference_profile, _walk
 from orbitcodes.sampling import random_subspace, random_unit_divisors
 
 F2 = GF(2)
@@ -291,6 +291,24 @@ def test_component_codes_report_empty_blocks():
     assert comps[1] is None
 
 
+def test_empty_sub_block_has_no_profile():
+    u = subspace(mat2([[1, 0, 0, 0, 0]]))
+    blk0, blk1 = block_structure(u, SINGER_DIVISORS).blocks
+    assert blk1.k == 0 and blk1.profile is None
+    assert blk0.profile.period == 7 and blk0.profile.dims[0] == 1
+
+
+def test_block_structure_does_no_orbit_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("orbit work inside block_structure")
+
+    u = subspace(mat2([[1, 0, 1, 1, 0], [0, 1, 0, 0, 1]]))
+    monkeypatch.setattr(codes, "orbit_profile", forbidden)
+    monkeypatch.setattr(codes, "rref", forbidden)
+    bs = block_structure(u, SINGER_DIVISORS)
+    assert [blk.k for blk in bs.blocks] == [2, 0]
+
+
 def test_block_bound_single_block_matches_distance():
     u = line(1, 0, 0)
     bs = block_structure(u, [(Poly(F2, [1, 1, 0, 1]), 1)])
@@ -436,7 +454,7 @@ def test_component_profile_matches_oracle(field, seed):
         p, e = blk.divisor
         orbit = oracle_orbit(subspace(blk.matrix), companion(p**e))
         dims = [intersection_dim(orbit[0], v) for v in orbit[1:]]
-        profile = _component_profile(blk)
+        profile = blk.profile
         assert profile.period == len(orbit)
         assert list(profile.dims) == [blk.k] + dims
 

@@ -14,6 +14,8 @@ from orbitcodes import (
     rank,
     rref,
 )
+from orbitcodes.matrix import block_diag_basis, companion_diag
+from orbitcodes.sampling import random_matrix
 
 F2 = GF(2)
 F3 = GF(3)
@@ -131,6 +133,44 @@ def test_block_diag_assembly():
 def test_block_diag_rejects_non_square():
     with pytest.raises(ValueError):
         block_diag([Mat.zeros(F2, 1, 2)])
+
+
+def test_block_diag_is_the_square_case_of_block_diag_basis():
+    rng = random.Random(7)
+    for field in (F2, F3):
+        for _ in range(20):
+            blocks = [
+                Mat(field, s, s, [rng.randrange(field.q) for _ in range(s * s)])
+                for s in (rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+            ]
+            assert block_diag(blocks) == block_diag_basis(blocks)
+
+
+def test_block_diag_basis_keeps_the_columns_of_a_zero_row_block():
+    a = Mat.from_rows(F2, [[1, 1]])
+    d = block_diag_basis([a, Mat.zeros(F2, 0, 3), Mat.from_rows(F2, [[1]])])
+    assert (d.rows, d.cols) == (2, 6)
+    assert d.to_lists() == [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]
+
+
+def test_companion_diag_keeps_the_given_order():
+    p, r = Poly(F2, [1, 1, 1]), Poly(F2, [1, 1, 0, 1])
+    assert companion_diag([(r, 1), (p, 2)]) == block_diag([companion(r), companion(p**2)])
+    assert companion_diag([(p, 1), (r, 1)]) != companion_diag([(r, 1), (p, 1)])
+
+
+def test_identity_and_zeros_reject_negative_sizes():
+    assert Mat.identity(F3, 0) == Mat(F3, 0, 0, [])
+    assert Mat.identity(F3, 3) == Mat(F3, 3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+    assert Mat.zeros(F3, 0, 2) == Mat(F3, 0, 2, [])
+    rng = random.Random(0)
+    for make in (
+        lambda: Mat.identity(F2, -1),
+        lambda: Mat.zeros(F2, 2, -1),
+        lambda: random_matrix(rng, F2, -1, 2),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_transpose():
