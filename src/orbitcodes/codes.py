@@ -30,9 +30,11 @@ generator), are cached: the code report and its refined bound share the
 whole code's profile, and each sub-block of a block structure keeps its
 component profile, computed on first use, for both block bounds and the
 report's component lines.  The walk is the reference the difference count
-is tested against, and the Mat/rref path (act, stabilizer_order, subspace_distance)
-is kept as the independent slow oracle that the verify suites and the
-tests compare the walk against.
+is tested against, and the Mat/rref path is kept as the independent slow
+oracle that the verify suites and the tests compare the walk against: act
+and stabilizer_order canonicalize through subspace, and subspace_distance
+reads intersection_dim.  Every function that takes divisors checks them
+once, in _divisors.
 
 The block machinery splits an RREF basis along the column blocks of a
 block-diagonal generator diag(M_1, ..., M_t): sub-block i keeps the rows
@@ -96,12 +98,10 @@ def subspace(rows: Mat) -> Subspace:
 
 
 def _act_unchecked(u: Subspace, a: Mat) -> Subspace:
-    moved = u.basis * a
-    r = rref(moved)
-    if r.rank != u.k:
+    moved = subspace(u.basis * a)
+    if moved.k != u.k:
         raise SingularMatrixError("action dropped the dimension; matrix is singular")
-    basis = Mat._trusted(u.field, u.k, u.n, r.matrix.entries[: u.k * u.n])
-    return Subspace(u.field, u.n, u.k, basis)
+    return moved
 
 
 def _check_operator(u: Subspace, a: Mat) -> None:
@@ -121,24 +121,19 @@ def act(u: Subspace, a: Mat) -> Subspace:
     return _act_unchecked(u, a)
 
 
-def _stacked_rank(u1: Subspace, u2: Subspace) -> int:
+def intersection_dim(u1: Subspace, u2: Subspace) -> int:
+    """dim U1 + dim U2 - rank of the stacked bases."""
+    if u1.field != u2.field or u1.n != u2.n:
+        raise ValueError("subspaces live in different ambient spaces")
     stacked = Mat._trusted(
         u1.field, u1.k + u2.k, u1.n, u1.basis.entries + u2.basis.entries
     )
-    return rref(stacked).rank
-
-
-def intersection_dim(u1: Subspace, u2: Subspace) -> int:
-    if u1.field != u2.field or u1.n != u2.n:
-        raise ValueError("subspaces live in different ambient spaces")
-    return u1.k + u2.k - _stacked_rank(u1, u2)
+    return u1.k + u2.k - rref(stacked).rank
 
 
 def subspace_distance(u1: Subspace, u2: Subspace) -> int:
-    """dim U1 + dim U2 - 2 dim(U1 n U2), via the rank of the stacked bases."""
-    if u1.field != u2.field or u1.n != u2.n:
-        raise ValueError("subspaces live in different ambient spaces")
-    return 2 * _stacked_rank(u1, u2) - u1.k - u2.k
+    """dim U1 + dim U2 - 2 dim(U1 n U2)."""
+    return u1.k + u2.k - 2 * intersection_dim(u1, u2)
 
 
 @dataclass(frozen=True)
@@ -168,11 +163,6 @@ class OrbitCode:
             f"OrbitCode(|C|={len(self.codebook)}, k={self.k}, n={self.n}, "
             f"group order {self.group.order})"
         )
-
-
-def _check_ambient(u: Subspace, g: CyclicGroup) -> None:
-    if u.field != g.field or u.n != g.n:
-        raise ValueError("subspace and group act on different ambient spaces")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +197,6 @@ def _walk(u: Subspace, a: Mat) -> _Orbit:
 
 def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
     """Orbit of U under G, listed U, UA, UA^2, ... up to the period."""
-    _check_ambient(u, g)
     keys = _walk(u, g.generator).keys
     if g.order % len(keys):
         raise AssertionError("orbit period does not divide the group order; walk is broken")
@@ -222,7 +211,7 @@ def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
 def stabilizer_order(u: Subspace, g: CyclicGroup) -> int:
     """Number of powers of the generator fixing U, counted by Mat multiply
     and rref over all of G: the oracle for orbit_code's stab_order."""
-    _check_ambient(u, g)
+    _check_operator(u, g.generator)
     v = u
     stab = 0
     for _ in range(g.order):
@@ -293,6 +282,22 @@ class OrbitProfile(NamedTuple):
         if counts[0] != 1:
             raise RuntimeError("distance distribution identities failed")
         return tuple(counts)
+
+
+def _divisors(
+    u: Subspace, divisors: Sequence[tuple[Poly, int]]
+) -> tuple[tuple[Poly, int], ...]:
+    """The divisors p_i^e_i as a tuple of (p_i, int(e_i)), checked against U:
+    every p_i over U's field, every e_i >= 1, and the degrees summing to n."""
+    divisors = tuple((p, int(e)) for p, e in divisors)
+    if any(p.field != u.field for p, _ in divisors):
+        raise ValueError("divisors and subspace must share a field")
+    if any(e < 1 for _, e in divisors):
+        raise ValueError("divisor exponents must be positive")
+    total = sum(int(p.degree) * e for p, e in divisors)
+    if total != u.n:
+        raise ValueError(f"divisor degrees sum to {total}, ambient dimension is {u.n}")
+    return divisors
 
 
 def _difference_profile(u: Subspace, p: Poly) -> tuple[int, ...]:
@@ -371,12 +376,7 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
     generator (a reducible p included), and a U whose label pairs would
     cost more than the walk, takes the orbit walk.  The last few profiles
     are cached by (subspace, divisors)."""
-    divisors = tuple((p, int(e)) for p, e in divisors)
-    if any(p.field != u.field for p, _ in divisors):
-        raise ValueError("divisors and subspace must share a field")
-    if sum(int(p.degree) * e for p, e in divisors) != u.n:
-        raise ValueError("divisor degrees must sum to the ambient dimension")
-    return _profile(u, divisors)
+    return _profile(u, _divisors(u, divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +446,8 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
     each such row keeps its pivot column.  No orbit work happens here: each
     sub-block computes its profile on first use.
     """
-    divisors = tuple((p, int(e)) for p, e in divisors)
+    divisors = _divisors(u, divisors)
     degrees = [int(p.degree) * e for p, e in divisors]
-    if sum(degrees) != u.n:
-        raise ValueError(
-            f"divisor degrees sum to {sum(degrees)}, ambient dimension is {u.n}"
-        )
-    for p, e in divisors:
-        if p.field != u.field:
-            raise ValueError("divisors and subspace must share a field")
-        if e < 1:
-            raise ValueError("divisor exponents must be positive")
     # the basis is in RREF, so a row's pivot is its first nonzero column
     pivots = [next(c for c, v in enumerate(u.basis.row(r)) if v) for r in range(u.k)]
     starts = _block_starts(degrees)
@@ -579,15 +570,13 @@ def fullrank_coprime_check(
     instances outside those hypotheses are reported as skipped.
     """
     name = "fullrank_coprime"
+    divisors = _divisors(u, divisors)
     instance = _instance_dict(u.field, divisors, u.basis)
 
     def skipped(reason: str) -> CheckReport:
         return CheckReport(name, "skipped", reason, {}, instance)
 
-    divisors = tuple((p, int(e)) for p, e in divisors)
     degrees = [int(p.degree) * e for p, e in divisors]
-    if sum(degrees) != u.n:
-        raise ValueError("divisor degrees must sum to the ambient dimension")
     if any(u.k > d for d in degrees):
         return skipped("k exceeds a block degree")
     starts = _block_starts(degrees)

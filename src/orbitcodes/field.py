@@ -12,8 +12,8 @@ is imported lazily because it is built on top of GF.  For small fields
 built once at construction; multiplication and inverses come from the
 log/antilog tables of the first primitive element in ascending code order,
 so the build costs O(q) digit products rather than q^2.  Above the table
-limit every operation falls back to digit arithmetic, and inverses are
-a^(q-2).
+limit every operation falls back to digit arithmetic on the one digit
+codec, digits and code, and inverses are a^(q-2).
 
 Every field hands out one set of lookups, `lookups = (add, mul, neg,
 inv)`, indexed as add[a][b], mul[a][b], neg[a] and inv[a]: the full
@@ -121,6 +121,7 @@ class GF:
         return tuple(out)
 
     def code(self, digits: Sequence[int]) -> int:
+        """Code of a digit vector, least significant first, each digit mod p."""
         c = 0
         for d in reversed(list(digits)):
             c = c * self.p + d % self.p
@@ -172,27 +173,12 @@ class GF:
     def _add_direct(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        c = 0
-        scale = 1
-        for _ in range(self.m):
-            c += ((a + b) % p) * scale
-            a //= p
-            b //= p
-            scale *= p
-        return c
+        return self.code([x + y for x, y in zip(self.digits(a), self.digits(b))])
 
     def _neg_direct(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        p = self.p
-        c = 0
-        scale = 1
-        for _ in range(self.m):
-            c += ((-a) % p) * scale
-            a //= p
-            scale *= p
-        return c
+        return self.code([-x for x in self.digits(a)])
 
     def _mul_direct(self, a: int, b: int) -> int:
         """Product of the digit polynomials of a and b, reduced mod the modulus."""

@@ -5,11 +5,13 @@ immutable and hashable; every operation returns a fresh matrix, and its
 arithmetic indexes the field's lookups as Poly does.  Block diagonals of
 any shape come from one assembler, block_diag_basis (block_diag is its
 square-block case), and generators in rational canonical form,
-diag(companion(p_i^e_i)), from one builder, companion_diag.  The hot
-loops do not multiply Mats: the orbit walk (codes) and the group closure
-(groups) run on the packed rows of rows.py and build Mats only for their
-results, so Mat multiply and rref stay the slow oracle they are checked
-against.
+diag(companion(p_i^e_i)), from one builder, companion_diag.  The orbit
+walk (codes) and the group closure (groups) run on the packed rows of
+rows.py and build Mats only for their results; Mat multiply and rref are
+the slow oracle they are checked against.  Mat arithmetic is still on
+other hot paths: rcf.elementary_divisors reads the ranks of p(A)^j, and
+groups.matrix_order checks A^N = I with Mat.__pow__, so a verify run
+makes tens of thousands of Mat products and rref calls.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .codes import (
     CheckReport,
+    act,
     block_bound,
     block_bound_refined,
     block_structure,
@@ -463,8 +464,6 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
         u = random_subspace(rng, f, n, k)
         a = random_invertible(rng, f, n)
         mix = random_invertible(rng, f, k)
-        from .codes import act
-
         res.check(
             "action_well_defined",
             act(subspace(mix * u.basis), a) == act(u, a),
@@ -478,8 +477,6 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
         u1 = random_subspace(rng, f, n, rng.randint(1, n))
         u2 = random_subspace(rng, f, n, rng.randint(1, n))
         a = random_invertible(rng, f, n)
-        from .codes import act
-
         res.check(
             "action_distance_preserving",
             subspace_distance(act(u1, a), act(u2, a)) == subspace_distance(u1, u2),

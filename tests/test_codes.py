@@ -583,6 +583,36 @@ def test_orbit_profile_rejects_mismatched_divisors():
         orbit_profile(line(1, 0, 0), [(Poly(F3, [1, 2, 0, 1]), 1)])
 
 
+@pytest.mark.parametrize("fn", [orbit_profile, block_structure, fullrank_coprime_check])
+@pytest.mark.parametrize(
+    "divisors,message",
+    [
+        ([(Poly(F3, [1, 2, 0, 1]), 1)], "divisors and subspace must share a field"),
+        # the degrees sum to n, so only the exponent is wrong
+        ([(Poly(F2, [1, 1, 0, 1]), 1), (Poly(F2, [1, 1]), 0)], "divisor exponents must be positive"),
+        ([(Poly(F2, [1, 1, 1]), 1)], "divisor degrees sum to 2, ambient dimension is 3"),
+    ],
+    ids=["other field", "e = 0", "degree sum"],
+)
+def test_divisor_takers_share_one_check(fn, divisors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(line(1, 0, 0), divisors)
+
+
+@pytest.mark.parametrize("fn", [orbit_code, stabilizer_order])
+@pytest.mark.parametrize(
+    "generator,message",
+    [
+        (Mat.identity(F3, 3), "subspace and matrix must share a field"),
+        (companion(Poly(F2, [1, 1, 1])), "expected a 3x3 matrix, got 2x2"),
+    ],
+    ids=["other field", "other size"],
+)
+def test_group_of_another_ambient_space_is_rejected(fn, generator, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(line(1, 0, 0), CyclicGroup(generator))
+
+
 def test_fullrank_check_single_block_trivially_equal():
     report = fullrank_coprime_check(line(1, 0, 0), [(Poly(F2, [1, 1, 0, 1]), 1)])
     assert report.ok

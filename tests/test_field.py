@@ -134,12 +134,19 @@ ORACLE_FIELDS = [
 ]
 
 
+def _digits(f, a):
+    return [a // f.p**i % f.p for i in range(f.m)]
+
+
+def _from_digits(f, digits):
+    return sum(d % f.p * f.p**i for i, d in enumerate(digits))
+
+
 def _digit_product(f, a, b):
     """a * b from base-p digit polynomials reduced mod the modulus, in
     plain integer arithmetic."""
     p, m = f.p, f.m
-    da = [a // p**i % p for i in range(m)]
-    db = [b // p**i % p for i in range(m)]
+    da, db = _digits(f, a), _digits(f, b)
     prod = [0] * (2 * m - 1)
     for i, x in enumerate(da):
         for j, y in enumerate(db):
@@ -148,7 +155,7 @@ def _digit_product(f, a, b):
         c = prod[top] % p
         for i, mi in enumerate(f.modulus):
             prod[top - m + i] -= c * mi
-    return sum(d % p * p**i for i, d in enumerate(prod[:m]))
+    return _from_digits(f, prod[:m])
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,3 +166,16 @@ def test_mul_and_inv_match_digit_oracle(f, data):
     assert f.mul(a, b) == _digit_product(f, a, b)
     if a:
         assert _digit_product(f, a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("f", ORACLE_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_add_and_neg_match_digit_oracle(f, data):
+    # digit-wise sums and negations mod p, on every field: the tabled ones
+    # and the untabled GF(2^9) and GF(5^4), which compute add and neg on use
+    a = data.draw(st.integers(0, f.q - 1))
+    b = data.draw(st.integers(0, f.q - 1))
+    assert f.add(a, b) == _from_digits(f, [x + y for x, y in zip(_digits(f, a), _digits(f, b))])
+    assert f.neg(a) == _from_digits(f, [-x for x in _digits(f, a)])
+    assert f.add(a, f.neg(a)) == 0
