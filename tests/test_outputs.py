@@ -29,6 +29,12 @@ PINNED = [
     # a fullrank_coprime mismatch: exit 1, with the FAIL line's values dict
     (["verify", "--suite", "bounds", "--seed", "8"], 1,
      "421f10d31172b35c8c618ce0a98a8ad1092f26f7ba7f62d042556c6c233fca13"),
+    (["classify", "--field", "2", "--n", "12"], 0,
+     "5b53e6218ff1f9ad28fc29b55ea4dae75ae49854115a4ec969c39cc1eaaa5ff5"),
+    (["classify", "--field", "3", "--n", "6"], 0,
+     "6dd60e7fd428138ebf85e21515c41596ebb68c69c42fa6e9424a1284252b38db"),
+    (["classify", "--field", "2^2", "--n", "5"], 0,
+     "993e2a49cede8ba23dca1e7efabd96704b8235bdd0d42aa77a86f327430bad97"),
     (["examples"], 0,
      "2d0e9932078655305ac830bde5efe46376c5d94362234394aefe5944203988ed"),
 ]
