@@ -5,7 +5,8 @@ immutable and hashable; every operation returns a fresh matrix, and its
 arithmetic indexes the field's lookups as Poly does.  Block diagonals of
 any shape come from one assembler, block_diag_basis (block_diag is its
 square-block case), and generators in rational canonical form,
-diag(companion(p_i^e_i)), from one builder, companion_diag.  The orbit
+diag(companion(p_i^e_i)), from one builder, companion_diag, which builds
+each block companion(p^e) once and keeps it.  The orbit
 walk (codes) and the group closure (groups) run on the packed rows of
 rows.py and build Mats only for their results; Mat multiply and rref are
 the slow oracle they are checked against.  Mat arithmetic is still on
@@ -17,6 +18,7 @@ makes tens of thousands of Mat products and rref calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError
@@ -265,10 +267,22 @@ def companion(f: Poly) -> Mat:
     return Mat._trusted(f.field, s, s, tuple(entries))
 
 
+@lru_cache(maxsize=1024)
+def _companion_power(p: Poly, e: int) -> Mat:
+    """companion(p^e), built once per (p, e): class representatives and
+    code reports ask for the same few blocks many times."""
+    return companion(p**e)
+
+
 def companion_diag(divisors: Iterable[tuple[Poly, int]]) -> Mat:
     """diag(companion(p_1^e_1), ..., companion(p_t^e_t)) for (p, e) pairs,
     in the given order."""
-    return block_diag([companion(p**e) for p, e in divisors])
+    blocks = [_companion_power(p, e) for p, e in divisors]
+    if not blocks:
+        raise ValueError("block_diag needs at least one block")
+    if any(b.field != blocks[0].field for b in blocks):
+        raise ValueError("blocks must share a field")
+    return block_diag_basis(blocks)
 
 
 def block_diag_basis(blocks: Sequence[Mat]) -> Mat:

@@ -23,7 +23,7 @@ def format_poly(f: Poly) -> str:
 
 
 def format_mat(m: Mat) -> str:
-    return ";".join(",".join(str(e) for e in m.row(i)) for i in range(m.rows))
+    return ";".join([",".join(map(str, m.row(i))) for i in range(m.rows)])
 
 
 def _parse_codes(field: GF, text: str, offset: int) -> list[int]:

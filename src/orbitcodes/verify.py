@@ -150,10 +150,16 @@ def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
     if trials == 0:
         return res
 
+    # every field the suite uses, built once
+    fields = {
+        (p, m): GF(p, m)
+        for p, m in ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                     (2, 2), (2, 3), (2, 4), (3, 2))
+    }
+    f2, f3, f4 = fields[2, 1], fields[3, 1], fields[2, 2]
+
     # field axioms, exhaustive on every constructible field with q <= 16
-    for p, m in ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
-                 (2, 2), (2, 3), (2, 4), (3, 2)):
-        f = GF(p, m)
+    for f in fields.values():
         q = f.q
         ok = True
         for a in range(q):
@@ -172,7 +178,7 @@ def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
         res.check("field_axioms", ok, f"axiom failure in {f!r}")
 
     # irreducible counts against the necklace formula
-    for f in (GF(2), GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2), GF(2, 4)):
+    for f in (f2, f3, f4, fields[5, 1], fields[2, 3], fields[3, 2], fields[2, 4]):
         d = 1
         while f.q ** d <= 4096:
             got = irreducibles(f, d)
@@ -191,7 +197,7 @@ def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
     # factorization recomposes
     for _ in range(_count(trials, 500)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         g = random_monic(rng, f, rng.randint(1, 8))
         prod = Poly.one(f)
         for p, e in factor(g):
@@ -199,7 +205,7 @@ def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
         res.check("factor_recompose", prod == g, f"factor broke {g!r}")
 
     # order of irreducibles divides q^d - 1; degree matches the order of q
-    for f in (GF(2), GF(3), GF(2, 2)):
+    for f in (f2, f3, f4):
         for d in range(1, 5):
             for p in irreducibles(f, d):
                 if p.coeff(0) == 0:
@@ -217,7 +223,7 @@ def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
                 )
 
     # prime-power order formula against the incremental search
-    for f in (GF(2), GF(3)):
+    for f in (f2, f3):
         for d in range(1, 4):
             for p in irreducibles(f, d):
                 if p.coeff(0) == 0:
@@ -236,15 +242,16 @@ def suite_rcf(seed: int = 0, trials: int | None = None) -> SuiteResult:
     rng = random.Random(seed)
     if trials == 0:
         return res
+    f2, f3, f4 = GF(2), GF(3), GF(2, 2)
 
     for _ in range(_count(trials, 200)):
-        f = rng.choice((GF(2), GF(3), GF(2, 2)))
+        f = rng.choice((f2, f3, f4))
         m = random_matrix(rng, f, rng.randint(1, 6), rng.randint(1, 8))
         once = rref(m).matrix
         res.check("rref_idempotent", rref(once).matrix == once, f"rref not idempotent on {m!r}")
 
     for _ in range(_count(trials, 200)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         n = rng.randint(1, 5)
         a = random_invertible(rng, f, n)
         data = rcf(a)
@@ -278,9 +285,9 @@ def suite_rcf(seed: int = 0, trials: int | None = None) -> SuiteResult:
         res.check("divisors_lcm_min", lcm_poly == mu, f"divisor lcm != min for {a!r}")
 
     # invertibility matches the absence of x among elementary divisors
-    x = {f: Poly.x(f) for f in (GF(2), GF(3))}
+    x = {f: Poly.x(f) for f in (f2, f3)}
     for _ in range(_count(trials, 200)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         n = rng.randint(1, 4)
         a = random_matrix(rng, f, n, n)
         has_x = any(p == x[f] for p, _ in elementary_divisors(a))
@@ -381,15 +388,16 @@ def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
     rng = random.Random(seed)
     if trials == 0:
         return res
+    f2, f3 = GF(2), GF(3)
 
     # oracle vs signature test: exhaustive small ranges, sampled at n=4
-    for f, n in ((GF(2), 1), (GF(2), 2), (GF(2), 3), (GF(3), 1), (GF(3), 2), (GF(3), 3)):
+    for f, n in ((f2, 1), (f2, 2), (f2, 3), (f3, 1), (f3, 2), (f3, 3)):
         check_oracle_agreement(res, f, n, rng)
-    check_oracle_agreement(res, GF(2), 4, rng, pair_sample=12, conjugates=3)
+    check_oracle_agreement(res, f2, 4, rng, pair_sample=12, conjugates=3)
 
     # group order = lcm of divisor orders, against repeated multiplication
     for _ in range(_count(trials, 200)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         a = random_invertible(rng, f, rng.randint(1, 5))
         res.check(
             "order_lcm",
@@ -399,7 +407,7 @@ def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
     # coprime powers keep the signature
     for _ in range(_count(trials, 50)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         a = random_invertible(rng, f, rng.randint(1, 4))
         sig = signature(a)
         n_a = matrix_order(a)
@@ -411,7 +419,6 @@ def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
         res.check("power_signature", ok, f"a coprime power changed the signature of {a!r}")
 
     # class enumeration vs the first-principles partition of GL_2(F_2)
-    f2 = GF(2)
     reps = class_representatives(f2, 2)
     classes = brute_force_cyclic_classes(f2, 2)
     res.check(
@@ -455,10 +462,11 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
     rng = random.Random(seed)
     if trials == 0:
         return res
+    f2, f3 = GF(2), GF(3)
 
     # the action does not depend on the representing matrix
     for _ in range(_count(trials, 100)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         n = rng.randint(2, 5)
         k = rng.randint(1, n)
         u = random_subspace(rng, f, n, k)
@@ -472,7 +480,7 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
     # the action preserves subspace distance
     for _ in range(_count(trials, 200)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         n = rng.randint(2, 5)
         u1 = random_subspace(rng, f, n, rng.randint(1, n))
         u2 = random_subspace(rng, f, n, rng.randint(1, n))
@@ -485,7 +493,7 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
     # orbit-stabilizer and distribution identities
     for _ in range(_count(trials, 100)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         n = rng.randint(2, 6)
         g = CyclicGroup(random_invertible(rng, f, n))
         u = random_subspace(rng, f, n, rng.randint(1, n))
@@ -509,7 +517,7 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
     # conjugate codes keep cardinality and distribution
     for _ in range(_count(trials, 50)):
-        f = rng.choice((GF(2), GF(3)))
+        f = rng.choice((f2, f3))
         n = rng.randint(2, 5)
         g = CyclicGroup(random_invertible(rng, f, n))
         u = random_subspace(rng, f, n, rng.randint(1, n))

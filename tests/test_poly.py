@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, NEG_INF, Poly, factor, gcd, irreducibles, is_irreducible, order
 from orbitcodes import poly
-from orbitcodes.poly import _x_power
+from orbitcodes.poly import _Bits, _Lists, _kernel
 from orbitcodes.verify import brute_force_poly_order
 
 F2 = GF(2)
@@ -306,7 +306,78 @@ def test_reducible_order_known_answers():
 )
 def test_x_power_matches_pow(field, d, e, rng):
     f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
-    assert tuple(_x_power(f, e)) == pow(Poly.x(field), e, f).coeffs
+    for kern in {_kernel(field)(f), _Lists(f)}:
+        assert coeffs(kern.x_power(e)) == pow(Poly.x(field), e, f).coeffs
+
+
+# -- the GF(2) int kernel against the list kernel on the same GF(2) input,
+# at degrees beyond the exhaustive ranges above
+
+
+def coeffs(r):
+    """A residue's coefficients, ascending with no trailing zeros: the bits
+    of an int (_Bits), or a coefficient list (_Lists) trimmed."""
+    if isinstance(r, int):
+        return tuple(r >> i & 1 for i in range(r.bit_length()))
+    return _trim(r)
+
+
+def gf2_poly(d, low):
+    """The monic degree-d polynomial over GF(2) whose low coefficients are
+    the bits of low."""
+    return Poly.from_code(F2, d, low % 2**d)
+
+
+def first_gf2_irreducible(d, low):
+    """The first irreducible of degree d at or above the code of
+    gf2_poly(d, low), by the int kernel's Ben-Or, wrapping around."""
+    while not _Bits(f := gf2_poly(d, low)).ben_or():
+        low += 1
+    return f
+
+
+def test_kernel_choice():
+    assert _kernel(F2) is _Bits
+    assert all(_kernel(field) is _Lists for field in (F3, F4, GF(257)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(11, 32), st.integers(0, 2**32), st.integers(0, 2**64))
+def test_bits_x_power_matches_lists(d, low, e):
+    f = gf2_poly(d, low)
+    bits, lists = _Bits(f), _Lists(f)
+    r = bits.x_power(e)
+    assert coeffs(r) == coeffs(lists.x_power(e))
+    square = lists.frobenius(list(coeffs(r)) + [0] * (d - r.bit_length()))
+    assert coeffs(bits.frobenius(r)) == coeffs(square)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(11, 32), st.integers(0, 2**32), st.integers(1, 2**16))
+def test_bits_ben_or_matches_lists(d, low, other):
+    f = gf2_poly(d, low)
+    assert _Bits(f).ben_or() == _Lists(f).ben_or()
+    # a product of two irreducibles of degree >= 5, so that no early gcd
+    # step ends the test
+    k = 5 + other % (d - 9)
+    g = first_gf2_irreducible(k, other) * first_gf2_irreducible(d - k, low)
+    assert not _Bits(g).ben_or() and not _Lists(g).ben_or()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(11, 32), st.integers(1, 2**32))
+def test_bits_irreducible_order_matches_lists(d, low):
+    f = first_gf2_irreducible(d, low | 1)
+    assert _Lists(f).ben_or()
+    o = _Bits(f).order_of_x()
+    assert o == _Lists(f).order_of_x()
+    assert (2**d - 1) % o == 0
+    assert _Bits(f).x_power(o) == 1
+
+
+def test_bits_sieve_matches_lists():
+    for d in range(1, 14):
+        assert _Bits.reducible_marks(F2, d) == _Lists.reducible_marks(F2, d)
 
 
 def test_order_rejects_zero_constant_term():
