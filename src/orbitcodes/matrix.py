@@ -267,7 +267,7 @@ def companion(f: Poly) -> Mat:
     return Mat._trusted(f.field, s, s, tuple(entries))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _companion_power(p: Poly, e: int) -> Mat:
     """companion(p^e), built once per (p, e): class representatives and
     code reports ask for the same few blocks many times."""

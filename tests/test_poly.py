@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, NEG_INF, Poly, factor, gcd, irreducibles, is_irreducible, order
 from orbitcodes import poly
-from orbitcodes.poly import _Bits, _Lists, _kernel
+from orbitcodes.polykernel import _Bits, _Lists, _kernel
 from orbitcodes.verify import brute_force_poly_order
 
 F2 = GF(2)
@@ -377,7 +377,8 @@ def test_bits_irreducible_order_matches_lists(d, low):
 
 def test_bits_sieve_matches_lists():
     for d in range(1, 14):
-        assert _Bits.reducible_marks(F2, d) == _Lists.reducible_marks(F2, d)
+        lower = [irreducibles(F2, k) for k in range(1, d // 2 + 1)]
+        assert _Bits.reducible_marks(F2, d, lower) == _Lists.reducible_marks(F2, d, lower)
 
 
 def test_order_rejects_zero_constant_term():
