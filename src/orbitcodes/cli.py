@@ -30,7 +30,6 @@ from .codes import (
     block_bound,
     block_bound_refined,
     block_structure,
-    orbit_profile,
     subspace,
 )
 from .errors import ParseError
@@ -185,7 +184,7 @@ def cmd_code(args: argparse.Namespace) -> int:
     bs = block_structure(base, divisors)
     # the generator is built from its divisors, so they are not recomputed
     group_order = matrix_order(bs.generator, bs.divisors)
-    profile = orbit_profile(base, bs.divisors)
+    profile = bs.profile
     if group_order % profile.period:
         raise AssertionError("orbit period does not divide the group order")
     literal, lcm_card = block_bound(bs)

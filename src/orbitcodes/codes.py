@@ -25,16 +25,16 @@ the profile has two producers, and the input picks one:
   records each codeword's canonical key and dims[j]; orbit_code builds
   its codebook from it and is always walked.
 
-The last few profiles per (subspace, divisors), and walks per (subspace,
-generator), are cached: the code report and its refined bound share the
-whole code's profile, and each sub-block of a block structure keeps its
-component profile, computed on first use, for both block bounds and the
-report's component lines.  The walk is the reference the difference count
-is tested against, and the Mat/rref path is kept as the independent slow
-oracle that the verify suites and the tests compare the walk against: act
-and stabilizer_order canonicalize through subspace, and subspace_distance
-reads intersection_dim.  Every function that takes divisors checks them
-once, in _divisors.
+Each value holds the profile it owns, and the module keeps no cache: an
+OrbitCode carries its walk's profile for min_distance and
+distance_distribution; a BlockStructure and each of its sub-blocks compute
+theirs on first use (a one-block structure shares its block's), for the
+code report, both block bounds and the component lines.  The walk is the
+reference the difference count is tested against, and the Mat/rref path is
+kept as the independent slow oracle that the verify suites and the tests
+compare the walk against: act and stabilizer_order canonicalize through
+subspace, and subspace_distance reads intersection_dim.  Every function
+that takes divisors checks them once, in _divisors.
 
 The block machinery splits an RREF basis along the column blocks of a
 block-diagonal generator diag(M_1, ..., M_t): sub-block i keeps the rows
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
@@ -142,6 +142,7 @@ class OrbitCode:
     group: CyclicGroup
     codebook: tuple[Subspace, ...]
     stab_order: int
+    profile: OrbitProfile  # of the walk that listed the codebook
 
     @property
     def field(self) -> GF:
@@ -174,12 +175,9 @@ class _Orbit(NamedTuple):
     dims: tuple[int, ...]  # dim(U n U A^j) for the same j; dims[0] = k
 
 
-@lru_cache(maxsize=8)
 def _walk(u: Subspace, a: Mat) -> _Orbit:
-    """Walk U, UA, UA^2, ... on packed rows until it returns to U.
-
-    One walk serves the code, its distances and its block bounds, so the
-    last few are cached by (subspace, generator)."""
+    """Walk U, UA, UA^2, ... on packed rows until it returns to U; one
+    walk gives both the codebook's keys and the profile."""
     _check_operator(u, a)
     kern = _kernel(u.field, u.n)
     echelon, image = kern.echelon, kern.imager(a)
@@ -197,7 +195,7 @@ def _walk(u: Subspace, a: Mat) -> _Orbit:
 
 def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
     """Orbit of U under G, listed U, UA, UA^2, ... up to the period."""
-    keys = _walk(u, g.generator).keys
+    keys, dims = _walk(u, g.generator)
     if g.order % len(keys):
         raise AssertionError("orbit period does not divide the group order; walk is broken")
     kern = _kernel(u.field, u.n)
@@ -205,7 +203,7 @@ def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
     for key in keys[1:]:
         basis = Mat._trusted(u.field, u.k, u.n, kern.unpack(key))
         codebook.append(Subspace(u.field, u.n, u.k, basis))
-    return OrbitCode(u, g, tuple(codebook), g.order // len(keys))
+    return OrbitCode(u, g, tuple(codebook), g.order // len(keys), OrbitProfile(dims))
 
 
 def stabilizer_order(u: Subspace, g: CyclicGroup) -> int:
@@ -225,12 +223,12 @@ def min_distance(code: OrbitCode) -> int:
     """Minimum subspace distance of the code, seen from the base point."""
     if len(code.codebook) < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    return OrbitProfile(_walk(code.base, code.group.generator).dims).min_distance
+    return code.profile.min_distance
 
 
 def distance_distribution(code: OrbitCode) -> tuple[int, ...]:
     """Tuple (D_0, ..., D_k): codewords at each distance 2i from the base."""
-    counts = OrbitProfile(_walk(code.base, code.group.generator).dims).distribution
+    counts = code.profile.distribution
     if sum(counts) != len(code.codebook):
         raise RuntimeError("distance distribution identities failed")
     return counts
@@ -357,16 +355,6 @@ def _count_is_cheaper(u: Subspace, p: Poly) -> bool:
     return size * min(size, order) <= _PAIRS_PER_WALK_ROW * u.k * order
 
 
-@lru_cache(maxsize=8)
-def _profile(u: Subspace, divisors: tuple[tuple[Poly, int], ...]) -> OrbitProfile:
-    if len(divisors) == 1:
-        (p, e), = divisors
-        # p = x has degree 1, so U = F_q^1 and _count_is_cheaper keeps it out
-        if e == 1 and is_irreducible(p) and _count_is_cheaper(u, p):
-            return OrbitProfile(_difference_profile(u, p))
-    return OrbitProfile(_walk(u, companion_diag(divisors)).dims)
-
-
 def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitProfile:
     """The profile of U under A = diag(companion(p_i^e_i)), for divisors
     p_i^e_i with p_i irreducible.
@@ -374,9 +362,14 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
     A single irreducible p other than x (e = 1) takes the difference count
     of _difference_profile when _count_is_cheaper says so; every other
     generator (a reducible p included), and a U whose label pairs would
-    cost more than the walk, takes the orbit walk.  The last few profiles
-    are cached by (subspace, divisors)."""
-    return _profile(u, _divisors(u, divisors))
+    cost more than the walk, takes the orbit walk."""
+    divisors = _divisors(u, divisors)
+    if len(divisors) == 1:
+        (p, e), = divisors
+        # p = x has degree 1, so U = F_q^1 and _count_is_cheaper keeps it out
+        if e == 1 and is_irreducible(p) and _count_is_cheaper(u, p):
+            return OrbitProfile(_difference_profile(u, p))
+    return OrbitProfile(_walk(u, companion_diag(divisors)).dims)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +419,15 @@ class BlockStructure:
     def k(self) -> int:
         return self.subspace.k
 
+    @cached_property
+    def profile(self) -> OrbitProfile:
+        """The whole code's profile under the generator, computed on first
+        use.  A single block has the same subspace and divisor, so it
+        shares that block's profile."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].profile
+        return orbit_profile(self.subspace, self.divisors)
+
 
 def _block_starts(degrees: Sequence[int]) -> list[int]:
     """Column offsets [0, d_1, d_1 + d_2, ..., n] of consecutive blocks."""
@@ -443,8 +445,8 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
 
     Sub-block i holds the rows whose pivot column lies in block i's column
     range, restricted to those columns; full row rank is automatic because
-    each such row keeps its pivot column.  No orbit work happens here: each
-    sub-block computes its profile on first use.
+    each such row keeps its pivot column.  No orbit work happens here: the
+    structure and each sub-block compute their profiles on first use.
     """
     divisors = _divisors(u, divisors)
     degrees = [int(p.degree) * e for p, e in divisors]
@@ -463,14 +465,11 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
 def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:
     """Orbit code of each nonempty sub-block under its own companion block;
     empty sub-blocks (no pivot rows) report as None."""
-    out = []
-    for blk in bs.blocks:
-        if blk.k == 0:
-            out.append(None)
-            continue
-        p, e = blk.divisor
-        out.append(orbit_code(subspace(blk.matrix), CyclicGroup(companion(p**e))))
-    return tuple(out)
+    return tuple(
+        orbit_code(subspace(blk.matrix), CyclicGroup(companion_diag((blk.divisor,))))
+        if blk.k else None
+        for blk in bs.blocks
+    )
 
 
 def block_bound(bs: BlockStructure) -> tuple[int, int]:
@@ -503,7 +502,7 @@ def block_bound_refined(bs: BlockStructure) -> int:
     component without fixing the whole space, which drags the bound to the
     trivial 0."""
     profiles = [(blk.profile.period, blk.profile.dims) for blk in bs.blocks if blk.k]
-    period = orbit_profile(bs.subspace, bs.divisors).period
+    period = bs.profile.period
     if period % math.lcm(*(n_i for n_i, _ in profiles)):
         raise AssertionError("component orbit sizes must divide the code period")
     if period == 1:
@@ -584,8 +583,8 @@ def fullrank_coprime_check(
     if any(rref(s).rank != u.k for s in slices):
         return skipped("a column slice is rank deficient")
     comps = [
-        orbit_code(subspace(s), CyclicGroup(companion(p**e)))
-        for s, (p, e) in zip(slices, divisors)
+        orbit_code(subspace(s), CyclicGroup(companion_diag((d,))))
+        for s, d in zip(slices, divisors)
     ]
     sizes = [len(c) for c in comps]
     if not _pairwise_coprime(sizes):

@@ -11,6 +11,7 @@ import orbitcodes
 from orbitcodes import (
     GF,
     CyclicGroup,
+    block_diag,
     companion,
     distance_distribution,
     min_distance,
@@ -287,7 +288,9 @@ def test_code_internal_failure_is_one_line(capsys, monkeypatch, name, exc):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(f"orbitcodes.cli.{name}", broken)
+    # the report reaches orbit_profile through codes, matrix_order directly
+    owner = "codes" if name == "orbit_profile" else "cli"
+    monkeypatch.setattr(f"orbitcodes.{owner}.{name}", broken)
     code, out, err = run(
         capsys, "code", "--field", "2", "--n", "3",
         "--divisors", "1,1,0,1", "--subspace", "1,0,0",
@@ -334,6 +337,44 @@ def test_code_requests_each_component_profile_once(capsys, monkeypatch):
     assert {key: n for key, n in requests.items() if key[0].n < 5} == component
 
 
+def test_singer_code_report_counts_once(capsys, monkeypatch):
+    # the report, its refined bound and its one block share one profile
+    calls = []
+    computed = codes._difference_profile
+
+    def counted(u, p):
+        calls.append((u, p))
+        return computed(u, p)
+
+    monkeypatch.setattr(codes, "_difference_profile", counted)
+    code, _, _ = run(
+        capsys, "code", "--field", "2", "--n", "3",
+        "--divisors", "1,1,0,1", "--subspace", "1,0,0",
+    )
+    assert code == 0 and len(calls) == 1
+
+
+def test_two_block_code_report_walks_once(capsys, monkeypatch):
+    walks = Counter()
+    walked = codes._walk
+
+    def counted(u, a):
+        walks[u, a] += 1
+        return walked(u, a)
+
+    monkeypatch.setattr(codes, "_walk", counted)
+    code, _, _ = run(
+        capsys, "code", "--field", "2", "--n", "5",
+        "--divisors", "1,1,0,1;1,1,1", "--subspace", "1,0,0,0,0;0,0,0,1,0",
+    )
+    assert code == 0
+    f = parse_field("2")
+    whole = subspace(parse_mat(f, "1,0,0,0,0;0,0,0,1,0"))
+    generator = block_diag([companion(parse_poly(f, p)) for p in ("1,1,0,1", "1,1,1")])
+    # both components take the difference count, so only the whole code walks
+    assert walks == {(whole, generator): 1}
+
+
 @pytest.mark.parametrize(
     "field, divisor, basis",
     [
@@ -359,7 +400,6 @@ def test_code_single_irreducible_never_walks(capsys, monkeypatch, field, divisor
     def forbidden(*args, **kwargs):
         raise AssertionError("the report walked the orbit or recomputed the divisors")
 
-    codes._profile.cache_clear()
     monkeypatch.setattr(codes, "_walk", forbidden)
     monkeypatch.setattr(groups, "elementary_divisors", forbidden)
     code, out, err = run(

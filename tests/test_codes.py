@@ -309,6 +309,31 @@ def test_block_structure_does_no_orbit_work(monkeypatch):
     assert [blk.k for blk in bs.blocks] == [2, 0]
 
 
+def test_one_block_structure_shares_its_block_profile():
+    u = line(1, 0, 1)
+    bs = block_structure(u, [(Poly(F2, [1, 1, 0, 1]), 1)])
+    assert bs.profile is bs.blocks[0].profile
+    assert bs.profile == orbit_profile(u, [(Poly(F2, [1, 1, 0, 1]), 1)])
+
+
+def test_two_block_structure_profile_is_the_whole_code_profile():
+    u = subspace(mat2([[1, 0, 0, 0, 0], [0, 0, 0, 1, 0]]))
+    bs = block_structure(u, SINGER_DIVISORS)
+    assert bs.profile == orbit_profile(u, SINGER_DIVISORS)
+    assert bs.profile.period == 21
+
+
+def test_code_parameters_read_the_code_profile(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the code's orbit was walked again")
+
+    code = orbit_code(line(1, 0, 0), CyclicGroup(GEN3))
+    monkeypatch.setattr(codes, "_walk", forbidden)
+    assert min_distance(code) == 2
+    assert distance_distribution(code) == (1, 6)
+    assert code.profile.period == len(code) == 7
+
+
 def test_block_bound_single_block_matches_distance():
     u = line(1, 0, 0)
     bs = block_structure(u, [(Poly(F2, [1, 1, 0, 1]), 1)])
@@ -545,7 +570,6 @@ def test_orbit_profile_picks_the_cheaper_producer(monkeypatch, p, k, counted):
     def forbidden(*args):
         raise AssertionError("the other producer ran")
 
-    codes._profile.cache_clear()
     monkeypatch.setattr(codes, "_walk" if counted else "_difference_profile", forbidden)
     assert orbit_profile(u, [(p, 1)]).dims == dims
 

@@ -1,4 +1,5 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, and the README's
+library snippet gives the value its closing comment shows."""
 
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import orbitcodes
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -26,3 +28,13 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_library_snippet_matches_its_comment():
+    section = (ROOT / "README.md").read_text().split("## Library in one minute", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    *body, expr, comment = block.strip().splitlines()
+    namespace = {}
+    exec("\n".join(body), namespace)
+    assert comment.startswith("# ")
+    assert repr(eval(expr, namespace)) == comment[2:]
