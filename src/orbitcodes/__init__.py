@@ -65,6 +65,7 @@ from .rcf import (
     are_conjugate,
     char_poly,
     elementary_divisors,
+    evaluate_poly_at_matrix,
     invariant_factors,
     min_poly,
     rcf,

@@ -380,18 +380,15 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
 class SubBlock:
     index: int
     divisor: tuple[Poly, int]
-    col_start: int
-    col_stop: int
-    row_indices: tuple[int, ...]
     matrix: Mat  # k_i x d_i slice of the pivot rows
 
     @property
     def k(self) -> int:
-        return len(self.row_indices)
+        return self.matrix.rows
 
     @property
     def degree(self) -> int:
-        return self.col_stop - self.col_start
+        return self.matrix.cols
 
     @cached_property
     def profile(self) -> OrbitProfile | None:
@@ -405,7 +402,6 @@ class SubBlock:
 
 @dataclass(frozen=True)
 class BlockStructure:
-    field: GF
     subspace: Subspace
     divisors: tuple[tuple[Poly, int], ...]
     generator: Mat
@@ -458,8 +454,8 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
         lo, hi = starts[i], starts[i + 1]
         row_idx = tuple(r for r, c in enumerate(pivots) if lo <= c < hi)
         matrix = _columns(u.basis, row_idx, lo, hi)
-        blocks.append(SubBlock(i, (p, e), lo, hi, row_idx, matrix))
-    return BlockStructure(u.field, u, divisors, companion_diag(divisors), tuple(blocks))
+        blocks.append(SubBlock(i, (p, e), matrix))
+    return BlockStructure(u, divisors, companion_diag(divisors), tuple(blocks))
 
 
 def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:
@@ -582,28 +578,25 @@ def fullrank_coprime_check(
     slices = [_columns(u.basis, range(u.k), lo, hi) for lo, hi in zip(starts, starts[1:])]
     if any(rref(s).rank != u.k for s in slices):
         return skipped("a column slice is rank deficient")
-    comps = [
-        orbit_code(subspace(s), CyclicGroup(companion_diag((d,))))
-        for s, d in zip(slices, divisors)
-    ]
-    sizes = [len(c) for c in comps]
+    comps = [orbit_profile(subspace(s), (d,)) for s, d in zip(slices, divisors)]
+    sizes = [c.period for c in comps]
     if not _pairwise_coprime(sizes):
         return skipped("component cardinalities are not coprime")
     if any(size < 2 for size in sizes):
         # the minimum over component distances is undefined on such instances
         return skipped("a component code is a singleton")
-    code = orbit_code(u, CyclicGroup(companion_diag(divisors)))
-    if len(code) < 2:
+    code = orbit_profile(u, divisors)
+    if code.period < 2:
         return skipped("the whole code is a singleton")
-    lhs = min_distance(code)
-    distances = [min_distance(c) for c in comps]
+    lhs = code.min_distance
+    distances = [c.min_distance for c in comps]
     rhs = min(distances)
     values = {
         "code_distance": lhs,
         "component_min": rhs,
         "component_sizes": sizes,
         "component_distances": distances,
-        "code_size": len(code),
+        "code_size": code.period,
     }
     status = "ok" if lhs == rhs else "mismatch"
     return CheckReport(name, status, None, values, instance)
@@ -647,10 +640,12 @@ def blockdiag_coprime_check(
         return skipped("component cardinalities are not coprime")
     literal, lcm_card = block_bound(bs)
     refined = block_bound_refined(bs)
-    code = orbit_code(u, CyclicGroup(bs.generator))
-    if len(code) < 2:
+    # the brute force walks the generator, not bs.profile: for a single
+    # block that is the block's own profile, which the refined bound reads
+    code = OrbitProfile(_walk(u, bs.generator).dims)
+    if code.period < 2:
         return skipped("the whole code is a singleton")
-    brute = min_distance(code)
+    brute = code.min_distance
     values = {
         "brute_distance": brute,
         "bound_literal": literal,
@@ -658,7 +653,7 @@ def blockdiag_coprime_check(
         "literal_matches": literal == brute,
         "component_sizes": sizes,
         "lcm_cardinality": lcm_card,
-        "code_size": len(code),
+        "code_size": code.period,
     }
     status = "ok" if brute == refined else "mismatch"
     return CheckReport(name, status, None, values, instance)

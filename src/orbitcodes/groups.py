@@ -106,10 +106,6 @@ class Signature:
         self.entries = entries
         self._key = tuple((o, e) for o, e, _ in entries)
 
-    @property
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return self._key
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Signature):
             return NotImplemented

@@ -4,6 +4,8 @@ char_poly reduces A to Hessenberg form by similarity and expands det(xI - H)
 over its leading minors (Cohen, A Course in Computational Algebraic Number
 Theory, 2.2).  For each irreducible p of it, the number of elementary
 divisors p^e with e >= j is (rank p(A)^(j-1) - rank p(A)^j) / deg p.
+evaluate_poly_at_matrix is the library's one evaluation of p(A): these ranks
+and verify's Cayley-Hamilton and minimal-polynomial checks all call it.
 
 Divisor sequences are kept in one canonical total order -- ascending by
 (deg p, coefficient code of p, exponent descending) -- so two matrices are
@@ -64,15 +66,24 @@ def char_poly(a: Mat) -> Poly:
     return Poly._trusted(a.field, chis[n])
 
 
-def _horner(p: Poly, a: Mat) -> Mat:
-    """p(A) by Horner's rule, for a monic p of degree >= 1."""
-    add = a.field.lookups[0]
+def evaluate_poly_at_matrix(f: Poly, a: Mat) -> Mat:
+    """f(A) by Horner's rule, for any f over A's field: the zero polynomial
+    gives the zero matrix and a constant c gives cI.  Horner starts from
+    (lead f) A, so a monic f of degree d >= 1 makes d - 1 products."""
+    if not a.is_square:
+        raise ValueError("a polynomial is evaluated at square matrices only")
+    if f.field != a.field:
+        raise ValueError("the polynomial and the matrix need the same field")
+    add, mul = a.field.lookups[:2]
     n = a.rows
-    out = a
-    for k in range(len(p.coeffs) - 2, -1, -1):
+    *low, lead = f.coeffs or (0,)
+    out = a if low else Mat.identity(a.field, n)
+    if lead != 1:
+        out = Mat._trusted(a.field, n, n, tuple(mul[lead][v] for v in out.entries))
+    for k in range(len(low) - 1, -1, -1):
         entries = list(out.entries)
         for i in range(0, n * n, n + 1):
-            entries[i] = add[entries[i]][p.coeffs[k]]
+            entries[i] = add[entries[i]][low[k]]
         out = Mat._trusted(a.field, n, n, tuple(entries))
         if k:
             out = out * a
@@ -123,7 +134,7 @@ def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
     pairs = []
     for p, _ in factor(chi):
         d = int(p.degree)
-        base = power = _horner(p, a)
+        base = power = evaluate_poly_at_matrix(p, a)
         ranks = [n, rank(base)]
         # until the ranks stop falling, not up to p's multiplicity in chi, so
         # that the degree sum below checks the ranks against chi

@@ -2,9 +2,11 @@
 
 Each suite re-derives its expected values by brute force (repeated
 multiplication for orders, full orbit scans for distances, first-principles
-subgroup partitions) and checks the library against them.  Suites return a
-SuiteResult carrying FAIL findings (hard errors: proven statements that
-must hold) and WARN findings (documented ambiguities: the per-component
+subgroup partitions) and checks the library against them; minimal
+polynomials by annihilation and minimality through rcf's p(A) evaluator:
+mu(A) = 0 and (mu/p)(A) != 0 for each irreducible p of factor(mu).  Suites
+return a SuiteResult carrying FAIL findings (hard errors: proven statements
+that must hold) and WARN findings (documented ambiguities: the per-component
 bound overshooting the true distance, code sizes differing from the lcm of
 component sizes, and one known signature-test disagreement in dimension 6).
 
@@ -50,7 +52,7 @@ from .groups import (
 from .matrix import Mat, companion_diag, is_invertible, rref
 from .numtheory import factorize, multiplicative_order
 from .poly import Poly, factor, irreducibles, is_irreducible, order as poly_order
-from .rcf import char_poly, elementary_divisors, min_poly, rcf
+from .rcf import char_poly, elementary_divisors, evaluate_poly_at_matrix, min_poly, rcf
 from .sampling import (
     random_block_diag_basis,
     random_full_rank,
@@ -129,16 +131,6 @@ def brute_force_poly_order(f: Poly) -> int:
             raise RuntimeError(f"order search for {f!r} exceeded unit-group bound")
         r, e = (r * x) % f, e + 1
     return e
-
-
-def evaluate_poly_at_matrix(f: Poly, a: Mat) -> Mat:
-    """Horner evaluation of a polynomial at a square matrix."""
-    out = Mat.zeros(a.field, a.rows, a.cols)
-    ident = Mat.identity(a.field, a.rows)
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        scaled = Mat(a.field, a.rows, a.cols, (a.field.mul(f.coeffs[i], e) for e in ident.entries))
-        out = out * a + scaled
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +259,24 @@ def suite_rcf(seed: int = 0, trials: int | None = None) -> SuiteResult:
         mu = min_poly(a)
         res.check("char_of_rcf", char_poly(data.matrix) == chi, f"char mismatch {a!r}")
         res.check("min_divides_char", (chi % mu).is_zero, f"min does not divide char {a!r}")
+        zero = Mat.zeros(f, n, n)
         res.check(
             "cayley_hamilton",
-            evaluate_poly_at_matrix(chi, a) == Mat.zeros(f, n, n),
+            evaluate_poly_at_matrix(chi, a) == zero,
             f"Cayley-Hamilton failed for {a!r}",
         )
         prod = Poly.one(f)
-        lcm_poly = Poly.one(f)
         for p, e in data.divisors:
             prod = prod * p**e
-        per_p: dict = {}
-        for p, e in data.divisors:
-            per_p[p] = max(per_p.get(p, 0), e)
-        for p, e in per_p.items():
-            lcm_poly = lcm_poly * p**e
         res.check("divisors_product_char", prod == chi, f"divisor product != char for {a!r}")
-        res.check("divisors_lcm_min", lcm_poly == mu, f"divisor lcm != min for {a!r}")
+        # mu(A) = 0 and (mu / p)(A) != 0, with each p from factor(mu), not
+        # from the divisors mu was assembled from
+        res.check(
+            "min_poly_minimal",
+            evaluate_poly_at_matrix(mu, a) == zero
+            and all(evaluate_poly_at_matrix(mu // p, a) != zero for p, _ in factor(mu)),
+            f"min is not the least annihilator of {a!r}",
+        )
 
     # invertibility matches the absence of x among elementary divisors
     x = {f: Poly.x(f) for f in (f2, f3)}

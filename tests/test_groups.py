@@ -101,7 +101,7 @@ def test_order_and_signature_build_no_canonical_matrix(monkeypatch):
     monkeypatch.setattr(groups, "rcf_from_divisors", forbidden)
     a = block_diag([GEN3, companion(Poly(F2, [1, 1, 1, 1, 1]))])
     assert matrix_order(a) == 35
-    assert signature(a).key == ((5, 1), (7, 1))
+    assert signature(a).entries == ((5, 1, 4), (7, 1, 3))
     assert same_signature(a, block_diag([companion(Poly(F2, [1, 0, 1, 1])), companion(Poly(F2, [1, 1, 1, 1, 1]))]))
 
 

@@ -29,6 +29,10 @@ PINNED = [
     # a fullrank_coprime mismatch: exit 1, with the FAIL line's values dict
     (["verify", "--suite", "bounds", "--seed", "8"], 1,
      "421f10d31172b35c8c618ce0a98a8ad1092f26f7ba7f62d042556c6c233fca13"),
+    (["verify", "--suite", "rcf", "--seed", "1"], 0,
+     "219bcde5d840d28214eeeaa5d3d1a5183a09ee3b069eeccd3bb08625ff0f1c03"),
+    (["verify", "--suite", "bounds", "--seed", "1"], 0,
+     "cdbe01331dabca1c5c752628cb55d68f9b485279b3aba5f52c402142c9c062ab"),
     (["classify", "--field", "2", "--n", "12"], 0,
      "5b53e6218ff1f9ad28fc29b55ea4dae75ae49854115a4ec969c39cc1eaaa5ff5"),
     (["classify", "--field", "3", "--n", "6"], 0,

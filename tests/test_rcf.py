@@ -13,13 +13,14 @@ from orbitcodes import (
     char_poly,
     companion,
     elementary_divisors,
+    factor,
     invariant_factors,
     is_invertible,
     min_poly,
     rcf,
     rcf_from_divisors,
 )
-from orbitcodes.verify import evaluate_poly_at_matrix
+from orbitcodes.rcf import evaluate_poly_at_matrix
 
 F2 = GF(2)
 F3 = GF(3)
@@ -151,7 +152,57 @@ def test_divisor_product_and_lcm():
         lcm = Poly.one(F2)
         for p, e in largest.items():
             lcm = lcm * p**e
-        assert lcm == min_poly(a)
+        mu = min_poly(a)
+        assert lcm == mu
+        # mu annihilates A, and no proper divisor mu / p does
+        zero = Mat.zeros(F2, a.rows, a.rows)
+        assert evaluate_poly_at_matrix(mu, a) == zero
+        assert all(evaluate_poly_at_matrix(mu // p, a) != zero for p, _ in factor(mu))
+
+
+def _horner_oracle(f, a):
+    """f(A) from checked Mat sums and products only."""
+    n, mul = a.rows, a.field.mul
+    out = Mat.zeros(a.field, n, n)
+    for c in reversed(f.coeffs):
+        out = out * a + Mat(a.field, n, n, [mul(c, v) for v in Mat.identity(a.field, n).entries])
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["GF(2)", "GF(3)", "GF(4)"])
+def test_evaluate_poly_at_matrix_matches_mat_horner(field):
+    rng = random.Random(24)
+    q = field.q
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        a = Mat(field, n, n, [rng.randrange(q) for _ in range(n * n)])
+        random_f = Poly(field, [rng.randrange(q) for _ in range(rng.randint(2, 7))])
+        # leading coefficient q - 1: non-monic except over GF(2)
+        non_monic = Poly(field, [rng.randrange(q) for _ in range(3)] + [q - 1])
+        for f in (Poly.zero(field), Poly(field, [rng.randrange(1, q)]), non_monic, random_f):
+            assert evaluate_poly_at_matrix(f, a) == _horner_oracle(f, a), (f, a)
+    a = Mat(field, 3, 3, [rng.randrange(q) for _ in range(9)])
+    assert evaluate_poly_at_matrix(Poly.zero(field), a) == Mat.zeros(field, 3, 3)
+    assert evaluate_poly_at_matrix(Poly.one(field), a) == Mat.identity(field, 3)
+
+
+def test_evaluate_poly_at_matrix_counts_products(monkeypatch):
+    # a monic f of degree d >= 1 takes d - 1 products, a constant none
+    calls = []
+    mat_mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: calls.append(1) or mat_mul(a, b))
+    a = companion(Poly(F3, [1, 2, 0, 1]))
+    for coeffs in ([2], [1, 1], [2, 0, 1], [1, 1, 0, 2, 1], [0, 0, 0, 0, 0, 0, 1]):
+        calls.clear()
+        evaluate_poly_at_matrix(Poly(F3, coeffs), a)
+        assert len(calls) == max(len(coeffs) - 2, 0), coeffs
+
+
+def test_evaluate_poly_at_matrix_rejects_mismatches():
+    with pytest.raises(ValueError):
+        evaluate_poly_at_matrix(Poly.x(F2), Mat.zeros(F2, 2, 3))
+    with pytest.raises(ValueError):
+        evaluate_poly_at_matrix(Poly.x(F3), Mat.identity(F2, 2))
 
 
 def test_canonical_divisor_order():

@@ -2,9 +2,14 @@
 module pins their contract: default runs stay green, documented ambiguities
 surface as WARN (never FAIL), and trials=0 is vacuous."""
 
+import importlib
+
 import pytest
 
-from orbitcodes.verify import SUITES, run_suites
+from orbitcodes.verify import SUITES, run_suites, suite_rcf
+
+# the module, not the rcf() function the package exports under that name
+rcf = importlib.import_module("orbitcodes.rcf")
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -41,3 +46,32 @@ def test_unknown_suite_rejected():
 def test_negative_trials_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         run_suites(["groups"], trials=-3)
+
+
+def _split_squares(divisors):
+    """p^2 reported as p, p: chi and the degree sum are kept."""
+    out = []
+    for p, e in divisors:
+        out.extend([(p, 1), (p, 1)] if e == 2 else [(p, e)])
+    return tuple(sorted(out, key=rcf.divisor_key))
+
+
+def _merge_pairs(divisors):
+    """p, p reported as p^2: chi and the degree sum are kept."""
+    out = list(divisors)
+    for p in {p for p, e in divisors if e == 1 and out.count((p, 1)) >= 2}:
+        out.remove((p, 1))
+        out.remove((p, 1))
+        out.append((p, 2))
+    return tuple(sorted(out, key=rcf.divisor_key))
+
+
+@pytest.mark.parametrize("mutate", [_split_squares, _merge_pairs], ids=["split", "merge"])
+def test_rcf_suite_catches_a_wrong_exponent_split(monkeypatch, mutate):
+    # both mutants keep the divisor product, so only the minimal-polynomial
+    # check, which takes its irreducibles from factor(mu), can see them
+    original = rcf.elementary_divisors
+    monkeypatch.setattr(rcf, "elementary_divisors", lambda a: mutate(original(a)))
+    result = suite_rcf(seed=0)
+    assert result.failed
+    assert {f.name for f in result.findings if f.level == "FAIL"} == {"min_poly_minimal"}
