@@ -39,6 +39,24 @@ PINNED = [
      "6dd60e7fd428138ebf85e21515c41596ebb68c69c42fa6e9424a1284252b38db"),
     (["classify", "--field", "2^2", "--n", "5"], 0,
      "993e2a49cede8ba23dca1e7efabd96704b8235bdd0d42aa77a86f327430bad97"),
+    (["classify", "--field", "2^2", "--n", "3", "--format", "csv"], 0,
+     "8e7061ddeff9df68ccff241e8d04c9155fe18b63d9d23a90f319b1ef25b2b717"),
+    (["classify", "--field", "2^2", "--n", "3", "--format", "json"], 0,
+     "0856aaad0917e1caa944a4b96b4d9e1ec04387a8d03ff31bdb00de4214a17879"),
+    (["classify", "--field", "3", "--n", "3", "--format", "csv"], 0,
+     "998066d6170fbbacb79e6ef387337d2a6d73d8bac7f7fa0cca899aad0e14a584"),
+    (["code", "--field", "2", "--n", "5", "--divisors", "1,1,0,1;1,1,1",
+      "--subspace", "1,0,0,0,0;0,0,0,1,0", "--format", "csv"], 0,
+     "c053caef6d84f138b4f0d30f1e260d7a19ee822cc7cbc4f217d36c25f20365a2"),
+    (["code", "--field", "2", "--n", "5", "--divisors", "1,1,0,1;1,1,1",
+      "--subspace", "1,0,0,0,0;0,0,0,1,0", "--format", "text"], 0,
+     "1c5815266acb7cdd874d35db4af3c545ca0f44b89a183444ec54ccacb2ec86a0"),
+    # a singleton code: min_distance is null in JSON and None in text
+    (["code", "--field", "2", "--n", "2", "--divisors", "1,0,1", "--subspace", "1,0;0,1"], 0,
+     "f1394a2c4e8c306d780f88c3fa6f0fdbf5157c215d955a4da0232360150f5793"),
+    (["code", "--field", "2", "--n", "2", "--divisors", "1,0,1", "--subspace", "1,0;0,1",
+      "--format", "text"], 0,
+     "c80e3fca313e70f24e0be410bd0c4e573409438c5862775f06fd809cbbebe535"),
     (["examples"], 0,
      "2d0e9932078655305ac830bde5efe46376c5d94362234394aefe5944203988ed"),
 ]
