@@ -10,6 +10,9 @@ Subcommands:
 * examples: reproduce the two small non-extendability counterexamples
   end to end, printing one PASS line per claim.
 
+classify and code only build their records, and one formatter, _render,
+writes them as JSON, CSV or text; the code CSV columns lead its JSON report.
+
 Exit codes: 0 success, 1 hard-assertion failure (a failed verify check or
 an internal invariant, reported in one line on stderr), 2 usage or parse
 error.
@@ -22,6 +25,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -101,8 +105,20 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _signature_rows(sig) -> list[list[int]]:
-    return [[o, e, d] for o, e, d in sig.entries]
+def _render(fmt: str, doc: dict, columns: list[str], rows, lines) -> str:
+    """One report as text: the JSON document, the CSV columns and rows (a list
+    cell joined by "|"), or the text lines.  rows and lines are iterables read
+    only for their own format, so the formats not chosen are never built."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["|".join(map(str, v)) if isinstance(v, list) else v for v in row])
+        return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -116,47 +132,42 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "raise --max-bits to force\n"
         )
         return 2
-    reps = class_representatives(field, args.n)
-    rows = [
+    classes = [
         {
             "class": i,
             "group_order": rep.order,
-            "signature": _signature_rows(rep.signature),
+            "signature": rep.signature.entries,
             "divisors": [
                 {"p": format_poly(p), "e": e} for p, e in rep.rcf.divisors
             ],
             "generator": format_mat(rep.rcf.matrix),
         }
-        for i, rep in enumerate(reps)
+        for i, rep in enumerate(class_representatives(field, args.n))
     ]
-    if args.format == "json":
-        text = json.dumps({"q": field.q, "n": args.n, "classes": rows}, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["class", "group_order", "signature", "divisors", "generator"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["class"],
-                    row["group_order"],
-                    "|".join(f"{o}:{e}:{d}" for o, e, d in row["signature"]),
-                    "|".join(f"{d['p']}^{d['e']}" for d in row["divisors"]),
-                    row["generator"],
-                ]
-            )
-        text = buf.getvalue()
-    else:
-        lines = [f"cyclic subgroup classes of GL_{args.n}(F_{field.q}): {len(rows)}"]
-        for row in rows:
-            sig = ", ".join(f"(ord={o}, e={e}, deg={d})" for o, e, d in row["signature"])
-            divs = "; ".join(f"({d['p']})^{d['e']}" for d in row["divisors"])
-            lines.append(
-                f"  class {row['class']}: order {row['group_order']}, "
-                f"signature [{sig}], divisors {divs}, generator {row['generator']}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    rows = (
+        [
+            c["class"],
+            c["group_order"],
+            [f"{o}:{e}:{d}" for o, e, d in c["signature"]],
+            [f"{d['p']}^{d['e']}" for d in c["divisors"]],
+            c["generator"],
+        ]
+        for c in classes
+    )
+
+    def text_line(c: dict) -> str:
+        sig = ", ".join(f"(ord={o}, e={e}, deg={d})" for o, e, d in c["signature"])
+        divs = "; ".join(f"({d['p']})^{d['e']}" for d in c["divisors"])
+        return (
+            f"  class {c['class']}: order {c['group_order']}, "
+            f"signature [{sig}], divisors {divs}, generator {c['generator']}"
+        )
+
+    header = f"cyclic subgroup classes of GL_{args.n}(F_{field.q}): {len(classes)}"
+    doc = {"q": field.q, "n": args.n, "classes": classes}
+    columns = ["class", "group_order", "signature", "divisors", "generator"]
+    lines = itertools.chain([header], map(text_line, classes))
+    _emit(_render(args.format, doc, columns, rows, lines), args.out)
     return 0
 
 
@@ -189,7 +200,7 @@ def cmd_code(args: argparse.Namespace) -> int:
         raise AssertionError("orbit period does not divide the group order")
     literal, lcm_card = block_bound(bs)
     refined = block_bound_refined(bs)
-    dist = profile.distribution
+    dist = list(profile.distribution)
     components = []
     for blk in bs.blocks:
         p, e = blk.divisor
@@ -207,51 +218,38 @@ def cmd_code(args: argparse.Namespace) -> int:
             entry["cardinality"] = blk.profile.period
             entry["min_distance"] = blk.profile.min_distance
         components.append(entry)
-    report = {
+    # the code's parameters lead the report and are its CSV columns
+    summary = {
         "q": field.q,
         "n": args.n,
         "k": base.k,
         "group_order": group_order,
         "cardinality": profile.period,
         "min_distance": profile.min_distance,
-        "distance_distribution": list(dist),
+        "distance_distribution": dist,
         "bound_literal": literal,
         "bound_refined": refined,
         "lcm_cardinality": lcm_card,
+    }
+    report = {
+        **summary,
         "components": components,
         "base_subspace": format_mat(base.basis),
         "generator": format_mat(bs.generator),
     }
-    if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        fields = [
-            "q", "n", "k", "group_order", "cardinality", "min_distance",
-            "distance_distribution", "bound_literal", "bound_refined",
-            "lcm_cardinality",
-        ]
-        writer.writerow(fields)
-        row = dict(report)
-        row["distance_distribution"] = "|".join(str(v) for v in dist)
-        writer.writerow([row[f] for f in fields])
-        text = buf.getvalue()
-    else:
-        lines = [
-            f"orbit code in Gr(q={field.q}, k={base.k}, n={args.n})",
-            f"  group order {group_order}, cardinality {profile.period}",
-            f"  min distance {report['min_distance']}, distribution {list(dist)}",
-            f"  bounds: per-component {literal}, refined {refined}, "
-            f"lcm cardinality {lcm_card}",
-        ]
-        for entry in components:
-            lines.append(
-                f"  block {entry['block']}: ({entry['p']})^{entry['e']} "
-                f"degree {entry['degree']}, k_i={entry['k']}, "
-                f"|C_i|={entry['cardinality']}"
+
+    def text_lines():
+        yield f"orbit code in Gr(q={field.q}, k={base.k}, n={args.n})"
+        yield f"  group order {group_order}, cardinality {profile.period}"
+        yield f"  min distance {profile.min_distance}, distribution {dist}"
+        yield f"  bounds: per-component {literal}, refined {refined}, lcm cardinality {lcm_card}"
+        for c in components:
+            yield (
+                f"  block {c['block']}: ({c['p']})^{c['e']} degree {c['degree']}, "
+                f"k_i={c['k']}, |C_i|={c['cardinality']}"
             )
-        text = "\n".join(lines) + "\n"
+
+    text = _render(args.format, report, list(summary), [summary.values()], text_lines())
     _emit(text, args.out)
     return 0
 

@@ -408,10 +408,6 @@ class BlockStructure:
     blocks: tuple[SubBlock, ...]
 
     @property
-    def n(self) -> int:
-        return self.subspace.n
-
-    @property
     def k(self) -> int:
         return self.subspace.k
 

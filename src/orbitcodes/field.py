@@ -132,9 +132,6 @@ class GF:
             raise ValueError(f"{a!r} is not an element code of {self!r}")
         return a
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- arithmetic
 
     def _build_tables(self) -> tuple:
@@ -216,9 +213,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         return self.lookups[3][a]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -277,12 +277,7 @@ def _companion_power(p: Poly, e: int) -> Mat:
 def companion_diag(divisors: Iterable[tuple[Poly, int]]) -> Mat:
     """diag(companion(p_1^e_1), ..., companion(p_t^e_t)) for (p, e) pairs,
     in the given order."""
-    blocks = [_companion_power(p, e) for p, e in divisors]
-    if not blocks:
-        raise ValueError("block_diag needs at least one block")
-    if any(b.field != blocks[0].field for b in blocks):
-        raise ValueError("blocks must share a field")
-    return block_diag_basis(blocks)
+    return block_diag([_companion_power(p, e) for p, e in divisors])
 
 
 def block_diag_basis(blocks: Sequence[Mat]) -> Mat:

@@ -4,7 +4,8 @@ Each suite re-derives its expected values by brute force (repeated
 multiplication for orders, full orbit scans for distances, first-principles
 subgroup partitions) and checks the library against them; minimal
 polynomials by annihilation and minimality through rcf's p(A) evaluator:
-mu(A) = 0 and (mu/p)(A) != 0 for each irreducible p of factor(mu).  Suites
+mu(A) = 0 and (mu/p)(A) != 0 for each irreducible p of factor(mu); elementary
+divisors by their product (chi) and by the kernel ranks of p(A)^j.  Suites
 return a SuiteResult carrying FAIL findings (hard errors: proven statements
 that must hold) and WARN findings (documented ambiguities: the per-component
 bound overshooting the true distance, code sizes differing from the lcm of
@@ -49,7 +50,7 @@ from .groups import (
     same_signature,
     signature,
 )
-from .matrix import Mat, companion_diag, is_invertible, rref
+from .matrix import Mat, companion_diag, is_invertible, rank, rref
 from .numtheory import factorize, multiplicative_order
 from .poly import Poly, factor, irreducibles, is_irreducible, order as poly_order
 from .rcf import char_poly, elementary_divisors, evaluate_poly_at_matrix, min_poly, rcf
@@ -229,6 +230,20 @@ def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
     return res
 
 
+def _kernel_ranks_match(a: Mat, chi: Poly, divisors) -> bool:
+    """rank p(A)^j = n - deg p * sum of min(e, j) over the divisors p^e, for
+    each irreducible p of chi with multiplicity m and j = 1..m: a split that
+    keeps chi and the largest exponent (p^3, p^2 as p^3, p, p) breaks it."""
+    for p, m in factor(chi):
+        exponents = [e for q, e in divisors if q == p]
+        base = power = evaluate_poly_at_matrix(p, a)
+        for j in range(1, m + 1):
+            if rank(power) != a.rows - int(p.degree) * sum(min(e, j) for e in exponents):
+                return False
+            power = power * base if j < m else power
+    return True
+
+
 def suite_rcf(seed: int = 0, trials: int | None = None) -> SuiteResult:
     res = SuiteResult("rcf")
     rng = random.Random(seed)
@@ -268,7 +283,8 @@ def suite_rcf(seed: int = 0, trials: int | None = None) -> SuiteResult:
         prod = Poly.one(f)
         for p, e in data.divisors:
             prod = prod * p**e
-        res.check("divisors_product_char", prod == chi, f"divisor product != char for {a!r}")
+        ok = prod == chi and _kernel_ranks_match(a, chi, data.divisors)
+        res.check("divisors_product_char", ok, f"divisor product or ranks wrong for {a!r}")
         # mu(A) = 0 and (mu / p)(A) != 0, with each p from factor(mu), not
         # from the divisors mu was assembled from
         res.check(

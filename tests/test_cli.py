@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 from collections import Counter
@@ -209,6 +211,48 @@ def test_code_csv(capsys):
     header, row = out.strip().splitlines()
     assert header.startswith("q,n,k,group_order,cardinality,min_distance")
     assert row.startswith("2,3,1,7,7,2,1|6,2,2,7")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "5", "--divisors", "1,1,0,1;1,1,1", "--subspace", "1,0,0,0,0;0,0,0,1,0"),
+        ("--n", "2", "--divisors", "1,0,1", "--subspace", "1,0;0,1"),
+    ],
+    ids=["two-block", "singleton"],
+)
+def test_code_csv_is_the_leading_keys_of_the_json_report(capsys, argv):
+    _, out, _ = run(capsys, "code", "--field", "2", *argv)
+    report = json.loads(out)
+    _, out, _ = run(capsys, "code", "--field", "2", *argv, "--format", "csv")
+    header, row = csv.reader(io.StringIO(out))
+    # the columns are every key before the components, in report order
+    assert header == list(report)[: list(report).index("components")]
+    cells = [
+        "|".join(map(str, v)) if isinstance(v, list) else "" if v is None else str(v)
+        for v in (report[key] for key in header)
+    ]
+    assert row == cells
+
+
+def test_classify_csv_rows_match_json_classes(capsys):
+    args = ("classify", "--field", "2^2", "--n", "3")
+    _, out, _ = run(capsys, *args, "--format", "json")
+    classes = json.loads(out)["classes"]
+    _, out, _ = run(capsys, *args, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == list(classes[0])
+    assert rows == [
+        [
+            str(c["class"]),
+            str(c["group_order"]),
+            "|".join(":".join(map(str, entry)) for entry in c["signature"]),
+            "|".join(f"{d['p']}^{d['e']}" for d in c["divisors"]),
+            c["generator"],
+        ]
+        for c in classes
+    ]
+    assert len(rows) == 18
 
 
 def test_code_deterministic(capsys):

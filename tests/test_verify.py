@@ -66,12 +66,33 @@ def _merge_pairs(divisors):
     return tuple(sorted(out, key=rcf.divisor_key))
 
 
-@pytest.mark.parametrize("mutate", [_split_squares, _merge_pairs], ids=["split", "merge"])
-def test_rcf_suite_catches_a_wrong_exponent_split(monkeypatch, mutate):
-    # both mutants keep the divisor product, so only the minimal-polynomial
-    # check, which takes its irreducibles from factor(mu), can see them
+def _split_squares_under_higher(divisors):
+    """p^2 reported as p, p only where a higher power of p remains, as
+    (x+1)^3, (x+1)^2 into (x+1)^3, x+1, x+1: chi and mu are kept."""
+    top = {}
+    for p, e in divisors:
+        top[p] = max(top.get(p, 0), e)
+    out = []
+    for p, e in divisors:
+        out.extend([(p, 1), (p, 1)] if e == 2 and top[p] > 2 else [(p, e)])
+    return tuple(sorted(out, key=rcf.divisor_key))
+
+
+@pytest.mark.parametrize(
+    "mutate, caught",
+    [
+        (_split_squares, {"min_poly_minimal", "divisors_product_char"}),
+        (_merge_pairs, {"min_poly_minimal", "divisors_product_char"}),
+        # chi and mu are kept, so only the kernel ranks of p(A)^j see it
+        (_split_squares_under_higher, {"divisors_product_char"}),
+    ],
+    ids=["split", "merge", "split-under-higher"],
+)
+def test_rcf_suite_catches_a_wrong_exponent_split(monkeypatch, mutate, caught):
+    # every mutant keeps the divisor product; the minimal-polynomial check,
+    # which takes its irreducibles from factor(mu), and the kernel ranks see them
     original = rcf.elementary_divisors
     monkeypatch.setattr(rcf, "elementary_divisors", lambda a: mutate(original(a)))
     result = suite_rcf(seed=0)
     assert result.failed
-    assert {f.name for f in result.findings if f.level == "FAIL"} == {"min_poly_minimal"}
+    assert {f.name for f in result.findings if f.level == "FAIL"} == caught
