@@ -45,7 +45,6 @@ from .groups import (
     conjugacy_witness,
     divisors_order,
     matrix_order,
-    power_signature,
     same_signature,
     signature,
     signature_of_divisors,

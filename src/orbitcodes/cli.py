@@ -15,7 +15,7 @@ writes them as JSON, CSV or text; the code CSV columns lead its JSON report.
 
 Exit codes: 0 success, 1 hard-assertion failure (a failed verify check or
 an internal invariant, reported in one line on stderr), 2 usage or parse
-error.
+error (an --out path that cannot be written included).
 Identical arguments (including --seed) produce byte-identical output.
 """
 
@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (RuntimeError, AssertionError) as exc:

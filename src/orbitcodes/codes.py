@@ -30,9 +30,11 @@ OrbitCode carries its walk's profile for min_distance and
 distance_distribution; a BlockStructure and each of its sub-blocks compute
 theirs on first use (a one-block structure shares its block's), for the
 code report, both block bounds and the component lines.  The walk is the
-reference the difference count is tested against, and the Mat/rref path is
-kept as the independent slow oracle that the verify suites and the tests
-compare the walk against: act and stabilizer_order canonicalize through
+reference the difference count is tested against: a multi-block structure
+walks the whole code, so the refined bound, read from component counts,
+meets its walked distance only if they are right.  The Mat/rref path is
+the independent slow oracle that the verify suites and the tests compare
+the walk against: act and stabilizer_order canonicalize through
 subspace, and subspace_distance reads intersection_dim.  Every function
 that takes divisors checks them once, in _divisors.
 
@@ -602,12 +604,13 @@ def blockdiag_coprime_check(
     blocks: Sequence[Mat], divisors: Sequence[tuple[Poly, int]]
 ) -> CheckReport:
     """For a block-diagonal basis diag(B_1, ..., B_t) with full-rank blocks
-    and coprime component sizes: brute-force distance, the per-component
-    bound, and the refined bound side by side.
+    and coprime component sizes: the whole code's distance, the
+    per-component bound, and the refined bound side by side.
 
-    Brute force vs refined is the hard equality; the per-component value is
-    recorded (with a match flag) because it can legitimately exceed the
-    true distance.
+    The distance comes from the structure's own profile, so the code is
+    walked once.  Distance vs refined is the hard equality; the
+    per-component value is recorded (with a match flag) because it can
+    legitimately exceed the true distance.
     """
     name = "blockdiag_coprime"
     divisors = tuple((p, int(e)) for p, e in divisors)
@@ -627,8 +630,6 @@ def blockdiag_coprime_check(
         return skipped("an empty block was supplied")
     if any(rref(b).rank != b.rows for b in blocks):
         return skipped("a block is rank deficient")
-    if any(b.rows > b.cols for b in blocks):
-        return skipped("a block has more rows than columns")
     u = subspace(basis)
     bs = block_structure(u, divisors)
     sizes = [blk.profile.period for blk in bs.blocks]
@@ -636,20 +637,20 @@ def blockdiag_coprime_check(
         return skipped("component cardinalities are not coprime")
     literal, lcm_card = block_bound(bs)
     refined = block_bound_refined(bs)
-    # the brute force walks the generator, not bs.profile: for a single
-    # block that is the block's own profile, which the refined bound reads
-    code = OrbitProfile(_walk(u, bs.generator).dims)
+    # the profile the refined bound read: with two or more blocks it walks
+    # the whole code, while the components may take the difference count
+    code = bs.profile
     if code.period < 2:
         return skipped("the whole code is a singleton")
-    brute = code.min_distance
+    distance = code.min_distance
     values = {
-        "brute_distance": brute,
+        "brute_distance": distance,
         "bound_literal": literal,
         "bound_refined": refined,
-        "literal_matches": literal == brute,
+        "literal_matches": literal == distance,
         "component_sizes": sizes,
         "lcm_cardinality": lcm_card,
         "code_size": code.period,
     }
-    status = "ok" if brute == refined else "mismatch"
+    status = "ok" if distance == refined else "mismatch"
     return CheckReport(name, status, None, values, instance)

@@ -62,7 +62,8 @@ class GF:
 
     When no modulus is supplied, the monic irreducible of degree m over F_p
     with the smallest base-p coefficient code is chosen, so the presentation
-    is deterministic across runs.  Prime fields (m = 1) always use x.
+    is deterministic across runs; Ben-Or's test scans the codes upward to
+    it.  Prime fields (m = 1) always use x.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "lookups", "_hash")
@@ -83,10 +84,12 @@ class GF:
                     raise ValueError("a prime field is presented with modulus x")
             mod = (0, 1)
         else:
-            from .poly import Poly, irreducibles, is_irreducible
+            from .poly import Poly, is_irreducible
 
             if modulus is None:
-                mod = irreducibles(GF(p), m)[0].coeffs
+                base = GF(p)
+                candidates = (Poly.from_code(base, m, c) for c in range(p**m))
+                mod = next(f.coeffs for f in candidates if is_irreducible(f))
             else:
                 mod = tuple(int(c) % p for c in modulus)
                 if len(mod) != m + 1 or mod[-1] != 1:

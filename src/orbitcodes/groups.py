@@ -156,16 +156,6 @@ def same_signature(a: Mat, b: Mat) -> bool:
     return signature(a) == signature(b)
 
 
-def power_signature(a: Mat, i: int) -> Signature:
-    """Signature of A^i for i coprime to the order of A."""
-    if i < 1:
-        raise ValueError(f"power must be a positive integer, got {i}")
-    n = matrix_order(a)
-    if math.gcd(i, n) != 1:
-        raise ValueError(f"power {i} is not coprime to the group order {n}")
-    return signature(a**i)
-
-
 @dataclass(frozen=True)
 class ClassRep:
     """One conjugacy class of cyclic subgroups: canonical representative,

@@ -1,11 +1,14 @@
 """Property suites with independent oracles.
 
 Each suite re-derives its expected values by brute force (repeated
-multiplication for orders, full orbit scans for distances, first-principles
-subgroup partitions) and checks the library against them; minimal
-polynomials by annihilation and minimality through rcf's p(A) evaluator:
-mu(A) = 0 and (mu/p)(A) != 0 for each irreducible p of factor(mu); elementary
-divisors by their product (chi) and by the kernel ranks of p(A)^j.  Suites
+multiplication for orders, Mat/rref stabilizer scans, first-principles
+subgroup partitions) and checks the library against them; the block bounds,
+read from the component profiles, against the whole code's profile, which a
+multi-block structure walks while its components may take the difference
+count; minimal polynomials by annihilation and minimality through rcf's
+p(A) evaluator: mu(A) = 0 and (mu/p)(A) != 0 for each irreducible p of
+factor(mu); elementary divisors by their product (chi) and by the kernel
+ranks of p(A)^j.  Suites
 return a SuiteResult carrying FAIL findings (hard errors: proven statements
 that must hold) and WARN findings (documented ambiguities: the per-component
 bound overshooting the true distance, code sizes differing from the lcm of
@@ -33,7 +36,6 @@ from .codes import (
     conjugate_code,
     distance_distribution,
     fullrank_coprime_check,
-    min_distance,
     orbit_code,
     stabilizer_order,
     subspace,
@@ -46,7 +48,6 @@ from .groups import (
     closure,
     conjugacy_witness,
     matrix_order,
-    power_signature,
     same_signature,
     signature,
 )
@@ -422,7 +423,7 @@ def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
         sig = signature(a)
         n_a = matrix_order(a)
         ok = all(
-            power_signature(a, i) == sig
+            signature(a**i) == sig
             for i in range(1, n_a + 1)
             if math.gcd(i, n_a) == 1
         )
@@ -561,17 +562,18 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
     bs = block_structure(u, divisors)
     literal, lcm_card = block_bound(bs)
     refined = block_bound_refined(bs)
-    code = orbit_code(u, CyclicGroup(bs.generator))
-    brute = min_distance(code)
+    # the whole code's distance and size: the profile the refined bound read
+    code = bs.profile
+    distance = code.min_distance
     res.check(
         "separation_instance",
-        (literal, refined, brute, lcm_card, len(code)) == (4, 2, 2, 21, 21),
+        (literal, refined, distance, lcm_card, code.period) == (4, 2, 2, 21, 21),
         f"3+2 instance changed: literal={literal} refined={refined} "
-        f"brute={brute} lcm={lcm_card} |C|={len(code)}",
+        f"brute={distance} lcm={lcm_card} |C|={code.period}",
     )
     res.warn(
         "bound_literal_invalid",
-        f"3+2 separation: per-component bound {literal} exceeds the true distance {brute} "
+        f"3+2 separation: per-component bound {literal} exceeds the true distance {distance} "
         f"(refined bound {refined} is exact here)",
     )
 
@@ -589,39 +591,39 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
         bs = block_structure(u, divisors)
         literal, lcm_card = block_bound(bs)
         refined = block_bound_refined(bs)
-        code = orbit_code(u, CyclicGroup(bs.generator))
-        if len(code) < 2:
+        code = bs.profile
+        if code.period < 2:
             res.checks += 1
             continue
-        brute = min_distance(code)
+        distance = code.min_distance
         tag = f"instance {idx} (n={n}, divisors={[(repr(p), e) for p, e in divisors]}, basis={u!r})"
         if block_diagonal:
             res.check(
                 "bound_exact_blockdiag",
-                brute == refined,
-                f"refined bound {refined} != brute distance {brute} on block-diagonal {tag}",
+                distance == refined,
+                f"refined bound {refined} != brute distance {distance} on block-diagonal {tag}",
             )
         else:
             res.check(
                 "bound_valid",
-                brute >= refined,
-                f"refined bound {refined} exceeds brute distance {brute} on {tag}",
+                distance >= refined,
+                f"refined bound {refined} exceeds brute distance {distance} on {tag}",
             )
-        if literal > brute:
+        if literal > distance:
             res.warn(
                 "bound_literal_invalid",
-                f"per-component bound {literal} exceeds true distance {brute} on {tag}",
+                f"per-component bound {literal} exceeds true distance {distance} on {tag}",
             )
         if block_diagonal:
             res.check(
                 "lcm_cardinality_blockdiag",
-                len(code) == lcm_card,
-                f"|C|={len(code)} differs from lcm {lcm_card} on block-diagonal {tag}",
+                code.period == lcm_card,
+                f"|C|={code.period} differs from lcm {lcm_card} on block-diagonal {tag}",
             )
-        elif len(code) != lcm_card:
+        elif code.period != lcm_card:
             res.warn(
                 "lcm_cardinality",
-                f"|C|={len(code)} differs from lcm of component sizes {lcm_card} on {tag}",
+                f"|C|={code.period} differs from lcm of component sizes {lcm_card} on {tag}",
             )
 
     # documented counterexample to the component-minimum equality: two

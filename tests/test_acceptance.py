@@ -22,7 +22,6 @@ from orbitcodes import (
     matrix_order,
     min_distance,
     orbit_code,
-    power_signature,
     signature,
     stabilizer_order,
     subspace,
@@ -132,7 +131,7 @@ def test_criterion_05_coprime_powers_keep_the_signature():
             n_a = matrix_order(a)
             for i in range(1, n_a + 1):
                 if math.gcd(i, n_a) == 1:
-                    assert power_signature(a, i) == sig
+                    assert signature(a**i) == sig
 
 
 def test_criterion_06_orbit_stabilizer_and_distribution_identities():

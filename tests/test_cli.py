@@ -114,6 +114,25 @@ def test_classify_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 2
 
 
+def test_classify_refuses_a_large_extension_field(capsys):
+    # the default modulus comes from a scan, so the budget refuses before
+    # any sieve over the field's p^m codes
+    code, out, err = run(capsys, "classify", "--field", "1048573^2", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "refusing: n*log2(q) = 40 exceeds the budget 22; raise --max-bits to force\n"
+    )
+
+
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "classes.txt"
+    code, out, err = run(capsys, "classify", "--field", "2", "--n", "2", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_code_singer_line(capsys):
     code, out, _ = run(
         capsys,

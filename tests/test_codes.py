@@ -698,6 +698,21 @@ def test_blockdiag_check_three_plus_two():
     assert report.values["literal_matches"] is False
 
 
+def test_blockdiag_check_walks_the_whole_code_once(monkeypatch):
+    walks = []
+    walked = codes._walk
+
+    def counted(u, a):
+        walks.append((u, a))
+        return walked(u, a)
+
+    monkeypatch.setattr(codes, "_walk", counted)
+    report = blockdiag_coprime_check([mat2([[1, 0, 0]]), mat2([[1, 0]])], SINGER_DIVISORS)
+    assert report.ok and report.values["brute_distance"] == 2
+    # both components take the difference count; the distance is the walk's
+    assert len(walks) == 1
+
+
 def test_blockdiag_check_skips_equal_cardinalities():
     divisors = ((Poly(F2, [1, 1, 0, 1]), 1), (Poly(F2, [1, 0, 1, 1]), 1))
     report = blockdiag_coprime_check([mat2([[1, 0, 0]]), mat2([[1, 0, 0]])], divisors)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcodes import GF
+from orbitcodes import GF, poly
 
 
 def test_prime_field_modulus_is_x():
@@ -20,6 +20,19 @@ def test_default_modulus_gf4():
     [(2, 3, (1, 1, 0, 1)), (2, 4, (1, 1, 0, 0, 1)), (3, 2, (1, 0, 1))],
 )
 def test_default_modulus_larger_fields(p, m, modulus):
+    assert GF(p, m).modulus == modulus
+
+
+@pytest.mark.parametrize(
+    "p, m, modulus",
+    [(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), (3, 5, (1, 2, 0, 0, 0, 1))],
+)
+def test_default_modulus_scans_without_the_sieve(monkeypatch, p, m, modulus):
+    # the least irreducible code, found by testing codes upward
+    def forbidden(*args):
+        raise AssertionError("the default modulus sieved every code")
+
+    monkeypatch.setattr(poly, "irreducibles", forbidden)
     assert GF(p, m).modulus == modulus
 
 

@@ -21,7 +21,6 @@ from orbitcodes import (
     irreducibles,
     is_invertible,
     matrix_order,
-    power_signature,
     same_signature,
     signature,
     signature_of_divisors,
@@ -181,14 +180,6 @@ def test_same_signature_for_conjugate_pair_over_gf4():
     assert same_signature(b1, b2)
 
 
-def test_power_signature():
-    assert power_signature(GEN3, 1) == signature(GEN3)
-    assert power_signature(GEN3, 3) == signature(GEN3)
-    assert power_signature(Mat.identity(F2, 3), 1).entries == ((1, 1, 1),) * 3
-    with pytest.raises(ValueError):
-        power_signature(GEN3, 7)
-
-
 def test_class_representatives_dimension_one():
     reps = class_representatives(F2, 1)
     assert len(reps) == 1
@@ -222,6 +213,28 @@ def test_class_representatives_match_brute_force_partition():
         (cell,) = [i for i, c in enumerate(classes) if subgroup in c]
         hits.append(cell)
     assert sorted(hits) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "field, n",
+    [
+        (F2, 2),
+        (F2, 3),
+        (F3, 2),
+        pytest.param(
+            GF(2, 2), 2,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="classify lists signature cells, not classes: diag(w, w^2) and "
+                "wI share one over GF(4) (ROADMAP item 1); 7 listed against 8",
+            ),
+        ),
+    ],
+)
+def test_class_count_matches_brute_force(field, n):
+    # the multiset oracle partitions by signature too, so only the
+    # first-principles partition can see a cell holding two classes
+    assert len(class_representatives(field, n)) == len(brute_force_cyclic_classes(field, n))
 
 
 def multiset_class_representatives(field, n):

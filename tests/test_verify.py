@@ -6,7 +6,8 @@ import importlib
 
 import pytest
 
-from orbitcodes.verify import SUITES, run_suites, suite_rcf
+from orbitcodes import codes, groups
+from orbitcodes.verify import SUITES, run_suites, suite_bounds, suite_rcf
 
 # the module, not the rcf() function the package exports under that name
 rcf = importlib.import_module("orbitcodes.rcf")
@@ -96,3 +97,31 @@ def test_rcf_suite_catches_a_wrong_exponent_split(monkeypatch, mutate, caught):
     result = suite_rcf(seed=0)
     assert result.failed
     assert {f.name for f in result.findings if f.level == "FAIL"} == caught
+
+
+def test_bounds_suite_checks_the_difference_count_against_the_walk(monkeypatch):
+    # every overlap reported 0: the components' counts now disagree with the
+    # walk of the whole code, so the refined bound stops matching its distance
+    original = codes._difference_profile
+
+    def zero_overlaps(u, p):
+        dims = original(u, p)
+        return (dims[0],) + (0,) * (len(dims) - 1)
+
+    monkeypatch.setattr(codes, "_difference_profile", zero_overlaps)
+    result = suite_bounds(seed=0)
+    assert "bound_exact_blockdiag" in {f.name for f in result.findings if f.level == "FAIL"}
+
+
+def test_bounds_suite_builds_no_group(monkeypatch):
+    # the generators are built from their divisors, so no RCF re-derives |G|
+    built = []
+    init = groups.CyclicGroup.__init__
+
+    def counted(self, generator):
+        built.append(generator)
+        init(self, generator)
+
+    monkeypatch.setattr(groups.CyclicGroup, "__init__", counted)
+    suite_bounds(seed=0)
+    assert built == []
