@@ -45,7 +45,7 @@ from .groups import (
     matrix_order,
 )
 from .poly import factor
-from .textio import format_mat, format_poly, parse_field, parse_mat, parse_poly
+from .textio import format_mat, format_poly, parse_designator, parse_field, parse_mat, parse_poly
 from .verify import SUITES, run_suites
 
 _DEFAULT_MAX_BITS = 22
@@ -122,16 +122,18 @@ def _render(fmt: str, doc: dict, columns: list[str], rows, lines) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    field = parse_field(args.field, args.modulus)
+    p, m, _ = parse_designator(args.field, args.modulus)
     if args.n < 1:
         raise ParseError("--n must be a positive integer", 0)
-    bits = math.ceil(args.n * math.log2(field.q))  # exact for q = 2^m
-    if bits > args.max_bits:
+    # exact for q = 2^m; q = 0 (p = 0) is left for GF to reject
+    bits = math.ceil(args.n * math.log2(max(p**m, 1)))
+    if bits > args.max_bits:  # before GF is built: finding its modulus is work too
         sys.stderr.write(
             f"refusing: n*log2(q) = {bits} exceeds the budget {args.max_bits}; "
             "raise --max-bits to force\n"
         )
         return 2
+    field = parse_field(args.field, args.modulus)
     classes = [
         {
             "class": i,

@@ -146,24 +146,12 @@ class OrbitCode:
     stab_order: int
     profile: OrbitProfile  # of the walk that listed the codebook
 
-    @property
-    def field(self) -> GF:
-        return self.base.field
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
     def __len__(self) -> int:
         return len(self.codebook)
 
     def __repr__(self) -> str:
         return (
-            f"OrbitCode(|C|={len(self.codebook)}, k={self.k}, n={self.n}, "
+            f"OrbitCode(|C|={len(self.codebook)}, k={self.base.k}, n={self.base.n}, "
             f"group order {self.group.order})"
         )
 
@@ -584,8 +572,6 @@ def fullrank_coprime_check(
         # the minimum over component distances is undefined on such instances
         return skipped("a component code is a singleton")
     code = orbit_profile(u, divisors)
-    if code.period < 2:
-        return skipped("the whole code is a singleton")
     lhs = code.min_distance
     distances = [c.min_distance for c in comps]
     rhs = min(distances)

@@ -1,5 +1,9 @@
 """Exact arithmetic in GF(p^m) with an explicit irreducible modulus.
 
+The characteristic is checked against the size limit first and only then
+for primality, by numtheory.factorize, the library's one primality test:
+trial division of a huge p would run for minutes.
+
 Field elements are integer codes in [0, q) where q = p^m.  The base-p
 digits of a code, least significant first, are the coefficients of the
 element's polynomial representative modulo the field's modulus.  Code 0
@@ -28,21 +32,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .numtheory import factorize
+
 _PRIME_LIMIT = 1 << 20  # larger characteristics are out of scope
 _TABLE_LIMIT = 256
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 class _Memo(dict):
@@ -69,10 +62,10 @@ class GF:
     __slots__ = ("p", "m", "q", "modulus", "lookups", "_hash")
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p!r}")
-        if p > _PRIME_LIMIT:
+        if isinstance(p, int) and p > _PRIME_LIMIT:
             raise ValueError(f"characteristic {p} too large for this library")
+        if not isinstance(p, int) or p < 2 or factorize(p) != {p: 1}:
+            raise ValueError(f"characteristic must be prime, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m!r}")
         if m == 1:

@@ -2,7 +2,9 @@
 
 Entries are element codes stored row-major in a flat tuple.  Mat values are
 immutable and hashable; every operation returns a fresh matrix, and its
-arithmetic indexes the field's lookups as Poly does.  Block diagonals of
+arithmetic indexes the field's lookups as Poly does.  rref and
+Mat.inverse run one Gauss-Jordan elimination, _reduce; the inverse reduces
+[A | I] over A's columns and reads the right half.  Block diagonals of
 any shape come from one assembler, block_diag_basis (block_diag is its
 square-block case), and generators in rational canonical form,
 diag(companion(p_i^e_i)), from one builder, companion_diag, which builds
@@ -168,22 +170,11 @@ class Mat:
         """Gauss-Jordan inverse; raises SingularMatrixError when singular."""
         if not self.is_square:
             raise ValueError("only square matrices have inverses")
-        F = self.field
-        add, mul, neg, inv = F.lookups
         n = self.rows
         aug = [list(self.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError(f"matrix is singular:\n{self!r}")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            scale = mul[inv[aug[col][col]]]
-            aug[col] = [scale[v] for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    scale = mul[neg[aug[r][col]]]
-                    aug[r] = [add[v][scale[w]] for v, w in zip(aug[r], aug[col])]
-        return Mat._trusted(F, n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+        if len(_reduce(aug, n, self.field.lookups)) < n:
+            raise SingularMatrixError(f"matrix is singular:\n{self!r}")
+        return Mat._trusted(self.field, n, n, tuple(e for row in aug for e in row[n:]))
 
     def is_identity(self) -> bool:
         return self.is_square and self == Mat.identity(self.field, self.rows)
@@ -215,15 +206,18 @@ class RrefResult:
     rank: int
 
 
-def rref(m: Mat) -> RrefResult:
-    """Reduced row echelon form with leading ones and zeros above pivots."""
-    F = m.field
-    add, mul, neg, inv = F.lookups
-    rows = [list(m.row(i)) for i in range(m.rows)]
+def _reduce(rows: list[list[int]], cols: int, lookups: tuple) -> list[int]:
+    """Gauss-Jordan in place: bring rows to reduced row echelon form over
+    their first cols columns, with leading ones, and return the pivot
+    columns.  The one elimination behind rref and Mat.inverse."""
+    add, mul, neg, inv = lookups
+    height = len(rows)
     pivots = []
-    r = 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if rows[i][col]), None)
+    for col in range(cols):
+        r = len(pivots)
+        if r == height:
+            break
+        pivot = next((i for i in range(r, height) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -231,16 +225,20 @@ def rref(m: Mat) -> RrefResult:
         if inv_p != 1:
             scale = mul[inv_p]
             rows[r] = [scale[v] for v in rows[r]]
-        for i in range(m.rows):
+        for i in range(height):
             if i != r and rows[i][col]:
                 scale = mul[neg[rows[i][col]]]
                 rows[i] = [add[v][scale[w]] for v, w in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == m.rows:
-            break
+    return pivots
+
+
+def rref(m: Mat) -> RrefResult:
+    """Reduced row echelon form with leading ones and zeros above pivots."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = _reduce(rows, m.cols, m.field.lookups)
     flat = tuple(e for row in rows for e in row)
-    return RrefResult(Mat._trusted(F, m.rows, m.cols, flat), tuple(pivots), len(pivots))
+    return RrefResult(Mat._trusted(m.field, m.rows, m.cols, flat), tuple(pivots), len(pivots))
 
 
 def rank(m: Mat) -> int:

@@ -116,7 +116,6 @@ class RcfData:
     the block diagonal of their companion matrices."""
 
     divisors: tuple[tuple[Poly, int], ...]
-    n: int
     matrix: Mat
 
 
@@ -156,8 +155,7 @@ def rcf_from_divisors(field: GF, divisors) -> RcfData:
     pairs = sorted(divisors, key=divisor_key)
     if not pairs:
         raise ValueError("at least one elementary divisor is required")
-    m = companion_diag(pairs)
-    return RcfData(tuple(pairs), m.rows, m)
+    return RcfData(tuple(pairs), companion_diag(pairs))
 
 
 def check_invertible(divisors) -> None:

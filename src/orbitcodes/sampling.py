@@ -47,19 +47,15 @@ def random_unit_divisors(
     """Random (irreducible p != x, e) blocks, 1 to 3 of them, with degrees
     summing to n."""
     x = Poly.x(field)
-    while True:
-        t = rng.randint(1, min(3, n))
-        cuts = sorted(rng.sample(range(1, n), t - 1)) if t > 1 else []
-        degrees = [b - a for a, b in zip([0] + cuts, cuts + [n])]
-        divisors = []
-        for d in degrees:
-            s, e = rng.choice([(s, d // s) for s in range(1, d + 1) if d % s == 0])
-            options = [p for p in irreducibles(field, s) if p != x]
-            if not options:
-                break
-            divisors.append((rng.choice(options), e))
-        if len(divisors) == len(degrees):
-            return tuple(divisors)
+    t = rng.randint(1, min(3, n))
+    cuts = sorted(rng.sample(range(1, n), t - 1)) if t > 1 else []
+    degrees = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    divisors = []
+    for d in degrees:
+        s, e = rng.choice([(s, d // s) for s in range(1, d + 1) if d % s == 0])
+        # never empty: x + 1 has degree 1, and no irreducible of degree >= 2 is x
+        divisors.append((rng.choice([p for p in irreducibles(field, s) if p != x]), e))
+    return tuple(divisors)
 
 
 def random_block_diag_basis(

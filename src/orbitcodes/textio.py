@@ -68,8 +68,11 @@ def parse_mat(field: GF, text: str) -> Mat:
     return Mat.from_rows(field, rows)
 
 
-def parse_field(designator: str, modulus: str | None = None) -> GF:
-    """Build a field from "p" or "p^m" plus an optional modulus string."""
+def parse_designator(
+    designator: str, modulus: str | None = None
+) -> tuple[int, int, list[int] | None]:
+    """The (p, m, modulus coefficients) of "p" or "p^m" plus an optional
+    modulus string, read but not checked: parse_field builds the field."""
     text = designator.strip()
     if "^" in text:
         p_text, _, m_text = text.partition("^")
@@ -94,7 +97,12 @@ def parse_field(designator: str, modulus: str | None = None) -> GF:
                 raise ParseError(f"expected a coefficient, got {stripped!r}", pos)
             mod.append(int(stripped))
             pos += len(token) + 1
+    return p, m, mod
+
+
+def parse_field(designator: str, modulus: str | None = None) -> GF:
+    """Build a field from "p" or "p^m" plus an optional modulus string."""
     try:
-        return GF(p, m, mod)
+        return GF(*parse_designator(designator, modulus))
     except ValueError as exc:
         raise ParseError(str(exc), 0) from exc

@@ -124,6 +124,51 @@ def test_classify_refuses_a_large_extension_field(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "field, n, bits", [("2^4096", 1, 4096), ("4", 30, 60), ("1000000000000000003", 1, 60)]
+)
+def test_classify_budget_refuses_before_building_the_field(capsys, monkeypatch, field, n, bits):
+    # a default modulus of degree 4096 takes seconds to find; a field that
+    # would not build is refused on budget all the same
+    def forbidden(*args):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr("orbitcodes.field.GF.__init__", forbidden)
+    code, out, err = run(capsys, "classify", "--field", field, "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"refusing: n*log2(q) = {bits} exceeds the budget 22; raise --max-bits to force\n"
+    )
+
+
+def test_classify_huge_characteristic_is_refused_without_trial_division(capsys, monkeypatch):
+    def forbidden(n):
+        raise AssertionError(f"factorize({n}) ran above the limit")
+
+    monkeypatch.setattr("orbitcodes.field.factorize", forbidden)
+    argv = ["classify", "--field", "1000000000000000003", "--n", "1", "--max-bits", "64"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "parse error: characteristic 1000000000000000003 too large for this library"
+        " (at position 0)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, n, message",
+    [
+        ("2", "0", "--n must be a positive integer"),
+        ("0", "1", "characteristic must be prime, got 0"),
+        ("1", "1", "characteristic must be prime, got 1"),
+    ],
+)
+def test_classify_rejects_bad_n_and_field(capsys, field, n, message):
+    code, out, err = run(capsys, "classify", "--field", field, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message} (at position 0)\n"
+
+
 def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "classes.txt"
     code, out, err = run(capsys, "classify", "--field", "2", "--n", "2", "--out", str(target))
@@ -208,6 +253,16 @@ def test_code_rejects_degree_mismatch(capsys):
     )
     assert code == 2
     assert "sum to" in err
+
+
+def test_code_rejects_a_subspace_of_another_dimension(capsys):
+    code, out, err = run(
+        capsys,
+        "code", "--field", "2", "--n", "3",
+        "--divisors", "1,1,0,1", "--subspace", "1,0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "parse error: subspace lives in dimension 2, but --n is 3 (at position 0)\n"
 
 
 def test_code_reports_parse_position(capsys):

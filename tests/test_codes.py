@@ -643,6 +643,13 @@ def test_fullrank_check_single_block_trivially_equal():
     assert report.values["code_distance"] == report.values["component_min"] == 2
 
 
+def test_fullrank_check_instance_names_the_extension_modulus():
+    divisors = [(irreducibles(F4, 2)[0], 1)]
+    report = fullrank_coprime_check(subspace(Mat.from_rows(F4, [[1, 0]])), divisors)
+    assert report.ok
+    assert report.instance["field"] == {"p": 2, "m": 2, "modulus": "1,1,1"}
+
+
 def test_fullrank_check_three_plus_two():
     report = fullrank_coprime_check(line(1, 0, 0, 1, 0), SINGER_DIVISORS)
     assert report.ok

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitcodes import GF, poly
+from orbitcodes import GF, field, poly
 
 
 def test_prime_field_modulus_is_x():
@@ -47,9 +47,20 @@ def test_non_monic_modulus_rejected():
 
 
 def test_non_prime_characteristic_rejected():
-    for bad in (0, 1, 4, 6, 9):
-        with pytest.raises(ValueError):
+    for bad in (-3, 0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match="^characteristic must be prime"):
             GF(bad)
+
+
+@pytest.mark.parametrize("p", [1000000000000000003, 1 << 21])
+def test_large_characteristic_is_refused_before_the_primality_test(monkeypatch, p):
+    # trial division of 10^18 + 3 would run towards 10^9 divisors
+    def forbidden(n):
+        raise AssertionError(f"factorize({n}) ran above the limit")
+
+    monkeypatch.setattr(field, "factorize", forbidden)
+    with pytest.raises(ValueError, match=f"^characteristic {p} too large"):
+        GF(p)
 
 
 def test_bad_extension_degree_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -45,6 +46,23 @@ def test_swap_matrix_is_its_own_inverse():
 def test_inverse_of_singular_raises():
     with pytest.raises(SingularMatrixError):
         Mat.from_rows(F2, [[1, 1], [1, 1]]).inverse()
+
+
+@pytest.mark.parametrize("field, n, invertible", [(F3, 2, 48), (F2, 3, 168)])
+def test_inverse_exhaustive(field, n, invertible):
+    # |GL_n(F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1)): 8 * 6 and 7 * 6 * 4
+    identity = Mat.identity(field, n)
+    count = 0
+    for entries in itertools.product(range(field.q), repeat=n * n):
+        m = Mat(field, n, n, entries)
+        try:
+            inv = m.inverse()
+        except SingularMatrixError:
+            assert not is_invertible(m)
+            continue
+        assert m * inv == identity and inv * m == identity
+        count += 1
+    assert count == invertible
 
 
 def test_negative_power_uses_inverse():

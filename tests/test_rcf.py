@@ -211,7 +211,7 @@ def test_canonical_divisor_order():
     q = Poly(F2, [1, 1, 1])
     data = rcf_from_divisors(F2, [(q, 1), (p, 1), (p, 2)])
     assert data.divisors == ((p, 2), (p, 1), (q, 1))
-    assert data.n == 5
+    assert data.matrix.rows == 5
     assert data.matrix == block_diag(
         [companion(p**2), companion(p), companion(q)]
     )
