@@ -15,6 +15,7 @@ from orbitcodes import (
     closure,
     companion,
     conjugacy_witness,
+    irreducibles,
     matrix_order,
     same_signature,
     signature,
@@ -41,6 +42,16 @@ for rep in class_representatives(f2, 3):
 pair = closure([a, a.transpose()])
 print("\n|<A>| =", matrix_order(a), " but  |<A, A^t>| =", pair.order,
       "= |GL_3(F_2)|")
+
+# The closure finds the order from a stabilizer chain without listing the
+# group, so the same pair at n = 6 is no harder: A primitive of degree 6.
+a6 = next(companion(p) for p in irreducibles(f2, 6)
+          if p.coeff(0) and matrix_order(companion(p)) == 2**6 - 1)
+gl6 = 1
+for i in range(6):
+    gl6 *= 2**6 - 2**i
+print("|<A6, A6^t>| =", closure([a6, a6.transpose()], cap=gl6).order,
+      "= |GL_6(F_2)| =", gl6)
 
 # Over GF(4) even two *conjugate* matrices B1 ~ B2 can pair up with the same
 # A into groups of different sizes.

@@ -16,7 +16,8 @@ class SingularMatrixError(ValueError):
 
 
 class ClosureCapError(RuntimeError):
-    """Group closure exceeded its element cap; carries the partial count."""
+    """A group has more elements than the closure's cap; `reached` carries
+    the group's order, found before any element is listed."""
 
     def __init__(self, cap: int, reached: int):
         super().__init__(f"group closure exceeded cap {cap} (reached {reached} elements)")

@@ -22,9 +22,12 @@ has turned up, and its group order is lcm(o c(e)), with c(e) the least
 power of the characteristic that is >= e; no member of a cell other
 than its representative is built.
 
-closure, the one enumeration of group elements, runs breadth first on
-the packed rows of rows.py, the kernel the orbit walk in codes.py also
-runs on: one loop for every field size, with no table over all of F_q^n.
+closure, the one enumeration of group elements, builds a Schreier-Sims
+stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, Sec. 4.4) on the packed rows of rows.py,
+the kernel the orbit walk in codes.py also runs on.  The base is the rows
+of I, so the chain's orbits hold at most q^n - 1 rows each, the order is
+their product, and no element is listed unless `elements` is read.
 """
 
 from __future__ import annotations
@@ -246,29 +249,130 @@ def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
 
 @dataclass(frozen=True)
 class GeneratedGroup:
-    """A finite matrix group: its order, and its elements as Mats, unpacked
-    from the closure's packed-row keys on the first read of `elements`."""
+    """A finite matrix group: its generators, its order and, per level of
+    its stabilizer chain, the keys u of the transversal of the base point
+    e_i (the packed rows of rows.py).  Every element is one product
+    u_{n-1} ... u_1 u_0, so `elements` lists them, unpacked to Mats, on its
+    first read."""
 
     generators: tuple[Mat, ...]
     order: int
-    _keys: frozenset
+    _transversals: tuple[tuple[tuple, ...], ...]
 
     @cached_property
     def elements(self) -> frozenset[Mat]:
         F = self.generators[0].field
         n = self.generators[0].rows
-        unpack = _kernel(F, n).unpack
-        return frozenset(Mat._trusted(F, n, n, unpack(key)) for key in self._keys)
+        kern = _kernel(F, n)
+        product = kern.product
+        keys = [kern.key(Mat.identity(F, n))]
+        for transversal in reversed(self._transversals):
+            keys = [product(k, u) for k in keys for u in transversal]
+        return frozenset(Mat._trusted(F, n, n, kern.unpack(k)) for k in keys)
+
+
+class _Level:
+    """Level i of a stabilizer chain: the strong generators that fix the
+    base points e_0 .. e_{i-1}, each with its inverse, and the orbit of e_i
+    under them with its transversal, point p -> (u, u^-1) with e_i u = p.
+    done[k] counts the generators already applied to points[k]."""
+
+    __slots__ = ("gens", "points", "transversal", "done")
+
+    def __init__(self, base_point, one: tuple):
+        self.gens: list[tuple[tuple, tuple]] = []
+        self.points = [base_point]
+        self.transversal = {base_point: (one, one)}
+        self.done = [0]
+
+
+def _stabilizer_chain(F: GF, n: int, generators) -> list[_Level]:
+    """The deterministic Schreier-Sims algorithm over the base e_0 .. e_{n-1}.
+
+    Level i is swept for i = n-1 down to 0: each orbit point p meets each
+    generator s, and p s either joins the orbit or gives the Schreier
+    generator u_p s u_{ps}^-1, which is sifted through the levels below.
+    A nontrivial residue fails at some level j > i; it joins every level
+    whose base points it fixes (0 .. j) and the sweep resumes at j.  When
+    no level has an unswept pair, every Schreier generator sifts to I, so
+    by Sims' criterion level i's orbit is the orbit of e_i under the
+    stabilizer of e_0 .. e_{i-1}.  Only I fixes every e_i, so the chain
+    ends in the trivial group.  Each strong generator's inverse comes once
+    from Mat.inverse.
+    """
+    kern = _kernel(F, n)
+    times, product, key, unpack = kern.times, kern.product, kern.key, kern.unpack
+    one = key(Mat.identity(F, n))
+    levels = [_Level(b, one) for b in one]
+
+    def add(s: tuple) -> int:
+        """Make s a strong generator; the number of base points it fixes."""
+        s_inv = key(Mat._trusted(F, n, n, unpack(s)).inverse())
+        depth = next(j for j, (r, b) in enumerate(zip(s, one)) if r != b)
+        for level in levels[: depth + 1]:
+            level.gens.append((s, s_inv))
+        return depth
+
+    def sift(h: list, j: int):
+        """Sift the element with rows h from row j on, which fixes e_0 ..
+        e_{j-1}: the key of its residue where a level fails, or None when
+        it sifts to I.  Each step fixes one more e_j, so only the rows
+        after it are carried on."""
+        while h:
+            if h[0] != one[j]:
+                t = levels[j].transversal.get(h[0])
+                if t is None:
+                    return one[:j] + tuple(h)
+                u_inv = t[1]
+                h = [times(r, u_inv) for r in h[1:]]
+            else:
+                h = h[1:]
+            j += 1
+        return None  # h fixes every e_j
+
+    def sweep(i: int):
+        """Apply level i's generators to its orbit; the first nontrivial
+        residue of a Schreier generator, or None."""
+        level = levels[i]
+        points, transversal, done = level.points, level.transversal, level.done
+        k = 0
+        while k < len(points):
+            p = points[k]
+            u, u_inv = transversal[p]
+            while done[k] < len(level.gens):
+                s, s_inv = level.gens[done[k]]
+                done[k] += 1
+                ps = times(p, s)
+                t = transversal.get(ps)
+                if t is None:
+                    transversal[ps] = (product(u, s), product(s_inv, u_inv))
+                    points.append(ps)
+                    done.append(0)
+                else:  # u s t^-1 fixes e_0 .. e_i
+                    v = t[1]
+                    residue = sift([times(times(r, s), v) for r in u[i + 1 :]], i + 1)
+                    if residue is not None:
+                        return residue
+            k += 1
+        return None
+
+    for g in dict.fromkeys(map(key, generators)):
+        if g != one:
+            add(g)
+    i = len(levels) - 1
+    while i >= 0:
+        residue = sweep(i)
+        i = i - 1 if residue is None else add(residue)
+    return levels
 
 
 def closure(generators: Sequence[Mat], cap: int = 1_000_000) -> GeneratedGroup:
-    """Breadth-first closure of invertible generators under multiplication.
+    """The group generated by invertible matrices, by a stabilizer chain.
 
-    Every generator has finite order, so closing under right multiplication
-    alone yields the whole group.  Each element is keyed by the tuple of its
-    packed rows, and row i of M G is the image of M's row i under G, so a
-    product is one memo lookup per row.  Raises ClosureCapError (with the
-    partial count) once more than `cap` elements appear.
+    Each matrix is keyed by the tuple of its packed rows.  The order, the
+    product of the chain's orbit lengths, is known before any element is
+    listed: a group of more than `cap` elements raises ClosureCapError,
+    carrying the order, and lists none.
     """
     if not generators:
         raise ValueError("closure needs at least one generator")
@@ -280,20 +384,9 @@ def closure(generators: Sequence[Mat], cap: int = 1_000_000) -> GeneratedGroup:
         if not is_invertible(g):
             raise SingularMatrixError("generators must be invertible")
 
-    kern = _kernel(F, n)
-    images = [kern.imager(g) for g in dict.fromkeys(generators)]
-    one = Mat.identity(F, n)
-    frontier = [tuple([kern.pack(one.row(i)) for i in range(n)])]
-    seen = set(frontier)
-    while frontier:
-        new = []
-        for key in frontier:
-            for image in images:
-                prod = tuple([image[r] for r in key])
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > cap:
-                        raise ClosureCapError(cap, len(seen))
-                    new.append(prod)
-        frontier = new
-    return GeneratedGroup(tuple(generators), len(seen), frozenset(seen))
+    levels = _stabilizer_chain(F, n, generators)
+    order = math.prod(len(level.points) for level in levels)
+    if order > cap:
+        raise ClosureCapError(cap, order)
+    transversals = tuple(tuple(u for u, _ in level.transversal.values()) for level in levels)
+    return GeneratedGroup(tuple(generators), order, transversals)

@@ -10,7 +10,8 @@ square-block case), and generators in rational canonical form,
 diag(companion(p_i^e_i)), from one builder, companion_diag, which builds
 each block companion(p^e) once and keeps it.  The orbit
 walk (codes) and the group closure (groups) run on the packed rows of
-rows.py and build Mats only for their results; Mat multiply and rref are
+rows.py and build Mats only for their results and, in the closure, for
+one inverse per strong generator; Mat multiply and rref are
 the slow oracle they are checked against.  Mat arithmetic is still on
 other hot paths: rcf.elementary_divisors reads the ranks of p(A)^j, and
 groups.matrix_order checks A^N = I with Mat.__pow__, so a verify run

@@ -2,23 +2,26 @@
 
 A row vector of F_q^n is packed so that it hashes cheaply and its image
 under a matrix is quick to form.  Over GF(2) it is an int with column j
-at bit n-1-j, and its image under A is the XOR of A's rows at its set
-bits; over larger fields it is a tuple of element codes reduced with the
-field's lookups.  imager(A) hands out a memo indexed as image[v] = v A,
-filled on first use, so each distinct row is mapped once and no q^n table
-is built: one path serves every field size.  For a companion matrix A,
-stepper(A) maps v to v A without a memo: a shift by one column plus the
-last entry of v times A's last row (over GF(2) a shift and an XOR).
+at bit n-1-j; over larger fields it is a tuple of element codes.  A
+matrix M is keyed by the tuple of its packed rows, row i being e_i M, and
+times(v, key) forms v M: over GF(2) the XOR of M's rows at v's set bits,
+above it a sum reduced with the field's lookups.  imager(A) hands out a
+memo of times indexed as image[v] = v A, filled on first use, so each
+distinct row is mapped once and no q^n table is built: one path serves
+every field size.  For a companion matrix A, stepper(A) maps v to v A
+without a memo: a shift by one column plus the last entry of v times A's
+last row (over GF(2) a shift and an XOR).
 
 codes._walk reduces packed rows to canonical echelon keys to walk the
 orbit of a subspace; codes._difference_profile steps the nonzero vectors
 of a subspace (span) around the cycles of multiplication by x;
-groups.closure keys each group element by the tuple of its packed rows
-and multiplies by a generator row by row.
+groups.closure multiplies matrix keys (product) and moves rows by times
+to build a stabilizer chain.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from typing import Sequence
 
@@ -26,7 +29,25 @@ from .field import GF, _Memo
 from .matrix import Mat
 
 
-class _Bits:
+class _Keys:
+    """What both kernels build on their pack and times: matrix keys, their
+    products and memoized row images."""
+
+    def key(self, a: Mat) -> tuple:
+        """A's packed rows: row i is e_i A."""
+        return tuple([self.pack(a.row(i)) for i in range(self.n)])
+
+    def product(self, a: tuple, b: tuple) -> tuple:
+        """The key of A B from the keys of A and B: row i is (e_i A) B."""
+        times = self.times
+        return tuple([times(r, b) for r in a])
+
+    def imager(self, a: Mat) -> _Memo:
+        """image[v] = v A."""
+        return _Memo(partial(self.times, rows=self.key(a)))
+
+
+class _Bits(_Keys):
     """GF(2) rows packed into ints, column j at bit n-1-j: a row reads as a
     binary numeral, its pivot is its highest set bit, and a reduced echelon
     basis lists its rows in decreasing order."""
@@ -45,19 +66,16 @@ class _Bits:
     def unpack(self, key: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(chain.from_iterable(map(self._bits.__getitem__, key)))
 
-    def imager(self, a: Mat) -> _Memo:
-        """image[v] = v A: the XOR of A's rows at the set bits of v."""
-        n = self.n
-        rows = [self.pack(a.row(n - 1 - i)) for i in range(n)]  # bit i's image
-
-        def image(v: int) -> int:
-            w = 0
-            for i, g in enumerate(rows):
-                if v >> i & 1:
-                    w ^= g
-            return w
-
-        return _Memo(image)
+    def times(self, v: int, rows: tuple[int, ...]) -> int:
+        """v M for the matrix M with packed rows `rows`: the XOR of the rows
+        at the set bits of v, row i at bit n-1-i."""
+        w, i = 0, self.n
+        while v:
+            i -= 1
+            if v & 1:
+                w ^= rows[i]
+            v >>= 1
+        return w
 
     def stepper(self, a: Mat):
         """step(v) = v A for a companion matrix A: v shifted one column
@@ -89,13 +107,14 @@ class _Bits:
         return tuple(basis)
 
 
-class _Tuples:
+class _Tuples(_Keys):
     """Rows over GF(q), q > 2, as tuples of element codes reduced with the
     field's lookups.  A reduced echelon basis also lists its rows in
     decreasing order, since an earlier pivot is a larger leading entry."""
 
     def __init__(self, field: GF, n: int):
         self.n, self.q = n, field.q
+        self.zero = (0,) * n
         self.add, self.mul, self.neg, self.inv = field.lookups
 
     pack = staticmethod(tuple)
@@ -109,20 +128,13 @@ class _Tuples:
         add, m = self.add, self.mul[x]
         return tuple([add[s][m[t]] for s, t in zip(r, b)])
 
-    def imager(self, a: Mat) -> _Memo:
-        """image[v] = v A."""
-        axpy = self.axpy
-        rows = [a.row(i) for i in range(self.n)]
-        zero = (0,) * self.n
-
-        def image(v: tuple[int, ...]) -> tuple[int, ...]:
-            w = zero
-            for x, g in zip(v, rows):
-                if x:
-                    w = axpy(w, x, g)
-            return w
-
-        return _Memo(image)
+    def times(self, v: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        """v M for the matrix M with rows `rows`: the sum of v_i times row i."""
+        axpy, w = self.axpy, self.zero
+        for x, g in zip(v, rows):
+            if x:
+                w = axpy(w, x, g)
+        return w
 
     def stepper(self, a: Mat):
         """step(v) = v A for a companion matrix A: v shifted one column
@@ -138,7 +150,7 @@ class _Tuples:
     def span(self, rows) -> list[tuple[int, ...]]:
         """Every vector of the span of independent rows, zero first."""
         axpy = self.axpy
-        vecs = [(0,) * self.n]
+        vecs = [self.zero]
         for r in rows:
             vecs += [axpy(v, x, r) for x in range(1, self.q) for v in vecs]
         return vecs

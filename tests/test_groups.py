@@ -400,17 +400,84 @@ def test_closure_matches_mat_multiply_oracle():
 
 
 def test_closure_cap_matches_oracle():
+    # the oracle stops at the first element over the cap; the chain knows
+    # the order before it lists anything and reports the order
     for gens in CLOSURE_PAIRS:
-        cap = len(mat_closure(gens, cap=10**6)) // 2
+        order = len(mat_closure(gens, cap=10**6))
+        cap = order // 2
         with pytest.raises(ClosureCapError) as got:
             closure(gens, cap=cap)
         with pytest.raises(ClosureCapError) as want:
             mat_closure(gens, cap=cap)
-        assert got.value.reached == want.value.reached == cap + 1
+        assert want.value.reached == cap + 1
+        assert got.value.reached == order
     # the generators count toward the cap: {I, A, A^2} has three elements
     a = companion(Poly(F2, [1, 1, 1]))
     with pytest.raises(ClosureCapError):
         closure([a, a * a], cap=2)
+
+
+def test_chain_matches_mat_closure_oracle():
+    # random sets of 1-3 generators, about half replaced by a small power so
+    # that proper subgroups turn up next to the full linear groups
+    sizes = [(F2, n) for n in (1, 2, 3, 4)] + [(F3, n) for n in (1, 2, 3)]
+    sizes += [(F4, 1), (F4, 2), (F5, 2)]
+    rng = random.Random(18)
+    full = proper = 0
+    for trial in range(30):
+        field, n = sizes[trial % len(sizes)]
+        gens = [rand_invertible(rng, field, n) for _ in range(rng.randint(1, 3))]
+        gens = [g ** rng.randint(2, 4) if rng.random() < 0.5 else g for g in gens]
+        want = mat_closure(gens, cap=10**6)
+        g = closure(gens)
+        assert g.order == len(want)
+        assert g.elements == want
+        if n > 1:
+            full += g.order == gl_order(field.q, n)
+            proper += 1 < g.order < gl_order(field.q, n)
+    assert full >= 3 and proper >= 10
+
+
+def test_closure_of_size_zero_and_one_matrices():
+    g = closure([Mat.identity(F2, 0)])
+    assert g.order == 1
+    assert g.elements == {Mat.identity(F2, 0)}
+    g = closure([Mat.from_rows(F5, [[2]])])
+    assert g.order == 4
+    assert g.elements == {Mat.from_rows(F5, [[x]]) for x in (1, 2, 3, 4)}
+
+
+def primitive_companion(field, n):
+    q = field.q
+    return next(
+        companion(p)
+        for p in irreducibles(field, n)
+        if p.coeff(0) and divisors_order([(p, 1)]) == q**n - 1
+    )
+
+
+def gl_order(q, n):
+    return math.prod(q**n - q**i for i in range(n))
+
+
+def test_closure_order_of_full_linear_groups_no_listing_could_reach():
+    # <A, A^t> is GL_n(F_q) for a primitive companion A; GL_6(F_2) has
+    # 2.0e10 elements, so only the chain's orbits can be formed
+    for field, n in ((F2, 5), (F2, 6), (F3, 4)):
+        a = primitive_companion(field, n)
+        assert closure([a, a.transpose()], cap=gl_order(field.q, n)).order == gl_order(field.q, n)
+
+
+def test_closure_cap_refuses_before_listing(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("listed the elements of a group over the cap")
+
+    monkeypatch.setattr(groups.GeneratedGroup, "elements", property(forbidden))
+    a = primitive_companion(F2, 6)
+    with pytest.raises(ClosureCapError) as info:
+        closure([a, a.transpose()])
+    assert info.value.reached == gl_order(2, 6) == 20158709760
+    assert info.value.cap == 1_000_000
 
 
 def test_order_lcm_random_agrees_with_brute_force():
