@@ -39,9 +39,9 @@ from typing import Sequence
 
 from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
-from .matrix import Mat, is_invertible
+from .matrix import Mat, companion_diag, is_invertible
 from .numtheory import factorize, multiplicative_order
-from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles
+from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
 from .rcf import (
     RcfData,
@@ -62,11 +62,25 @@ def divisors_order(divisors) -> int:
 
 
 def matrix_order(a: Mat, divisors=None) -> int:
-    """Multiplicative order of an invertible matrix, verified by one power
-    check.  The elementary divisors come from rcf.elementary_divisors unless
-    the caller built A from them and passes them as `divisors`."""
-    n = divisors_order(elementary_divisors(a) if divisors is None else divisors)
-    if not (a**n).is_identity():
+    """Multiplicative order N of an invertible matrix, verified by one check
+    that A^N = I.
+
+    Without `divisors` the elementary divisors come from
+    rcf.elementary_divisors and the check is Mat.__pow__.  A caller that
+    built A = diag(companion(p_i^e_i)) passes the pairs (p_i, e_i) as
+    `divisors`; then A must equal companion_diag(divisors), and since
+    companion(f) is multiplication by x on F_q[x]/(f), with e_j the residue
+    x^j, A^N = I is checked as x^N = 1 mod every p_i^e_i by poly.x_power."""
+    if divisors is None:
+        n = divisors_order(elementary_divisors(a))
+        holds = (a**n).is_identity()
+    else:
+        n = divisors_order(divisors)
+        if a != companion_diag(divisors):
+            raise AssertionError("the matrix is not companion_diag(divisors)")
+        one = [(1,) + (0,) * (int(p.degree) * e - 1) for p, e in divisors]
+        holds = [x_power(p**e, n) for p, e in divisors] == one
+    if not holds:
         raise AssertionError("computed order failed the A^N = I check")
     return n
 

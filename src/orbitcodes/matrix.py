@@ -14,8 +14,9 @@ rows.py and build Mats only for their results and, in the closure, for
 one inverse per strong generator; Mat multiply and rref are
 the slow oracle they are checked against.  Mat arithmetic is still on
 other hot paths: rcf.elementary_divisors reads the ranks of p(A)^j, and
-groups.matrix_order checks A^N = I with Mat.__pow__, so a verify run
-makes tens of thousands of Mat products and rref calls.
+groups.matrix_order checks A^N = I with Mat.__pow__ for a matrix not
+built from divisors it is given, so a verify run makes tens of thousands
+of Mat products and rref calls.
 """
 
 from __future__ import annotations

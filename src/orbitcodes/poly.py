@@ -15,12 +15,15 @@ Candidate polynomials are ordered by their base-q coefficient code
 order used everywhere a polynomial sequence is produced.  irreducibles()
 enumerates by a product sieve: it marks the code of every product of a
 lower-degree irreducible with a monic cofactor and keeps the unmarked
-codes.  is_irreducible() runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for
-k up to deg(f)/2.  factor() divides by the enumerated irreducibles.
+codes, and refuses a sieve over more than 2^22 codes.  is_irreducible()
+runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for k up to deg(f)/2.
+factor() divides by the enumerated irreducibles.
 order() of an irreducible f strips prime factors from q^deg(f) - 1 with
 x-power tests; a reducible f reads lcm ord(p) c(e) over its factors p^e.
 It is memoized per polynomial, since matrix orders ask for the same few
-irreducibles many times.
+irreducibles many times.  x_power() gives the coefficients of x^e mod f,
+for the order check of groups.matrix_order and the giant steps of
+codes._difference_profile.
 
 Ben-Or's Frobenius steps, the x-power tests and the sieve's products run
 in polykernel, on packed ints over GF(2) and on coefficient lists over
@@ -247,6 +250,10 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 _IRR_CACHE: dict[tuple[GF, int], tuple[Poly, ...]] = {}
 
+# The most codes q^d one sieve may mark: GF(2) degree 22, the largest sieve
+# classify's default budget of n log2(q) <= 22 bits asks for.
+_SIEVE_LIMIT = 2**22
+
 
 def irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree exactly d, by ascending coefficient code.
@@ -254,10 +261,16 @@ def irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     A product sieve: every reducible monic f of degree d is g h for some
     irreducible g of degree k <= d/2 and a monic h of degree d - k, so
     marking the codes of all such products (the kernel's reducible_marks)
-    leaves the irreducibles.
+    leaves the irreducibles.  The sieve holds one mark per code, so it is
+    refused with ValueError when q^d exceeds _SIEVE_LIMIT = 2^22 codes.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
+    if field.q**d > _SIEVE_LIMIT:
+        raise ValueError(
+            f"the irreducibles of degree {d} over GF({field.q}) need a sieve of "
+            f"q^d = {field.q**d} marks, above the limit of 2^22"
+        )
     key = (field, d)
     got = _IRR_CACHE.get(key)
     if got is None:
@@ -325,6 +338,16 @@ def order(f: Poly) -> int:
         raise ValueError(f"order requires a nonzero constant term, got {f!r}")
     f = f.monic()
     return _irreducible_order(f) if is_irreducible(f) else _factored_order(factor(f))
+
+
+def x_power(f: Poly, e: int) -> tuple[int, ...]:
+    """The d coefficients of x^e mod a monic f of degree d >= 1, that of x^0
+    first, by polykernel's x_power."""
+    residues = _kernel(f.field)(f)
+    r = residues.x_power(e)
+    if f.field.q == 2:
+        return tuple((r >> i) & 1 for i in range(residues.d))
+    return tuple(r)
 
 
 def _char_power(field: GF, e: int) -> int:

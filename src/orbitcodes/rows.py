@@ -8,15 +8,18 @@ times(v, key) forms v M: over GF(2) the XOR of M's rows at v's set bits,
 above it a sum reduced with the field's lookups.  imager(A) hands out a
 memo of times indexed as image[v] = v A, filled on first use, so each
 distinct row is mapped once and no q^n table is built: one path serves
-every field size.  For a companion matrix A, stepper(A) maps v to v A
-without a memo: a shift by one column plus the last entry of v times A's
-last row (over GF(2) a shift and an XOR).
+every field size.  For a companion matrix A = companion(p), stepper(A)
+maps v to v A without a memo: a shift by one column plus the last entry
+of v times A's last row (over GF(2) a shift and an XOR).  The same step
+builds the key of multiplication by any residue r of F_q[x]/(p)
+(multiplier), row i being r x^i, so v times a power of x costs one times.
 
 codes._walk reduces packed rows to canonical echelon keys to walk the
-orbit of a subspace; codes._difference_profile steps the nonzero vectors
-of a subspace (span) around the cycles of multiplication by x;
-groups.closure multiplies matrix keys (product) and moves rows by times
-to build a stabilizer chain.
+orbit of a subspace; codes._difference_profile labels the nonzero vectors
+of a subspace (span) in the cycles of multiplication by x, with baby
+steps by stepper and giant steps by times on the multiplier key of
+x^-m; groups.closure multiplies matrix keys (product) and moves rows by
+times to build a stabilizer chain.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ class _Keys:
     def imager(self, a: Mat) -> _Memo:
         """image[v] = v A."""
         return _Memo(partial(self.times, rows=self.key(a)))
+
+    def multiplier(self, step, r) -> tuple:
+        """For step(v) = v A, A = companion(p): the key of the matrix of
+        multiplication by the residue r on F_q[x]/(p), whose row i is
+        r x^i = step^i(r)."""
+        key = [r]
+        for _ in range(self.n - 1):
+            key.append(step(key[-1]))
+        return tuple(key)
 
 
 class _Bits(_Keys):

@@ -5,6 +5,7 @@ import os
 from collections import Counter
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from orbitcodes import (
     parse_poly,
     subspace,
 )
-from orbitcodes import codes, groups
+from orbitcodes import codes, groups, polykernel
 from orbitcodes.cli import main
 
 
@@ -121,6 +122,23 @@ def test_classify_refuses_a_large_extension_field(capsys):
     assert (code, out) == (2, "")
     assert err == (
         "refusing: n*log2(q) = 40 exceeds the budget 22; raise --max-bits to force\n"
+    )
+
+
+def test_forced_classify_refuses_an_oversized_sieve(capsys, monkeypatch):
+    # forcing the budget once ran a sieve over all q ~ 2^40 linear monics
+    def forbidden(*args):
+        raise AssertionError("a sieve started")
+
+    for kernel in (polykernel._Bits, polykernel._Lists):
+        monkeypatch.setattr(kernel, "reducible_marks", staticmethod(forbidden))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--field", "1048573^2", "--n", "1", "--max-bits", "100")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the irreducibles of degree 1 over GF(1099505336329) need a sieve of "
+        "q^d = 1099505336329 marks, above the limit of 2^22\n"
     )
 
 

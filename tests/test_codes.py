@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -31,8 +32,9 @@ from orbitcodes import (
     subspace,
     subspace_distance,
 )
-from orbitcodes import codes
+from orbitcodes import codes, rows, verify
 from orbitcodes.codes import _difference_profile, _walk
+from orbitcodes.poly import order as poly_order
 from orbitcodes.sampling import random_subspace, random_unit_divisors
 
 F2 = GF(2)
@@ -544,6 +546,143 @@ def test_difference_profile_known_stabilizers(p, powers, period):
     assert len(dims) == period
     assert _difference_profile(u, p) == dims
     assert orbit_profile(u, [(p, 1)]).period == period
+
+
+def of_order(field, d, order):
+    return next(p for p in irreducibles(field, d) if p.coeff(0) and poly_order(p) == order)
+
+
+def cosets_meeting(u, p):
+    """How many cosets of <x> the nonzero vectors of U meet, by Mat multiply."""
+    a, q = companion(p), u.field.q
+    vectors = set()
+    for coeffs in itertools.product(range(q), repeat=u.k):
+        if any(coeffs):
+            v = Mat._trusted(u.field, 1, u.k, coeffs) * u.basis
+            vectors.add(v)
+    cosets = 0
+    while vectors:
+        v = vectors.pop()
+        cosets += 1
+        for _ in range(poly_order(p)):
+            v = v * a
+            vectors.discard(v)
+    return cosets
+
+
+def counted_steps(monkeypatch):
+    """Count the difference count's baby steps and giant steps."""
+    steps = {"baby": 0, "giant": 0}
+    for kernel in (rows._Bits, rows._Tuples):
+        stepper, times = kernel.stepper, kernel.times
+
+        def counting_stepper(self, a, stepper=stepper):
+            step = stepper(self, a)
+
+            def counted(v):
+                steps["baby"] += 1
+                return step(v)
+
+            return counted
+
+        def counting_times(self, v, rows, times=times):
+            steps["giant"] += 1
+            return times(self, v, rows)
+
+        monkeypatch.setattr(kernel, "stepper", counting_stepper)
+        monkeypatch.setattr(kernel, "times", counting_times)
+    return steps
+
+
+# non-primitive p, so several cosets of <x> meet U: ord 85 over GF(2),
+# 40 over GF(3) and 21 over GF(4)
+COSET_CASES = [(F2, 8, 85, 2), (F3, 4, 40, 2), (F4, 3, 21, 2)]
+
+
+@pytest.mark.parametrize("field, d, order, k", COSET_CASES)
+@pytest.mark.parametrize("m", [None, 1, 2, 5, 9])
+def test_giant_steps_label_several_cosets(monkeypatch, field, d, order, k, m):
+    """The labels equal the walk's profile for the table size the count
+    picks (None) and for forced smaller ones, which run giant steps."""
+    p = of_order(field, d, order)
+    u = random_subspace(random.Random(order), field, d, k)
+    assert cosets_meeting(u, p) >= 2
+    dims = _walk(u, companion(p)).dims
+    if m is not None:
+        monkeypatch.setattr(codes, "_baby_steps", lambda unlabelled, order: m)
+    steps = counted_steps(monkeypatch)
+    assert _difference_profile(u, p) == dims
+    if m is not None or field is F2:
+        assert steps["giant"] > 0
+
+
+def test_giant_steps_label_a_primitive_cycle(monkeypatch):
+    p = of_order(F2, 14, 2**14 - 1)
+    u = random_subspace(random.Random(14), F2, 14, 3)
+    dims = _walk(u, companion(p)).dims
+    steps = counted_steps(monkeypatch)
+    assert _difference_profile(u, p) == dims
+    assert steps["giant"] > 0
+
+
+def test_difference_count_does_not_step_the_whole_cycle(monkeypatch):
+    # primitive over GF(2) n = 16: the cycle has 65 535 steps, and baby-step
+    # giant-step labels U's 7 nonzero vectors in fewer than 2^12
+    p = of_order(F2, 16, 2**16 - 1)
+    u = random_subspace(random.Random(16), F2, 16, 3)
+    steps = counted_steps(monkeypatch)
+    dims = _difference_profile(u, p)
+    assert steps["baby"] + steps["giant"] < 2**12
+    assert len(dims) == 2**16 - 1 and dims[0] == 3
+
+
+def test_equal_sub_blocks_share_one_profile(monkeypatch):
+    walks = []
+    walked = codes._walk
+
+    def counted(u, a):
+        walks.append((u, a))
+        return walked(u, a)
+
+    monkeypatch.setattr(codes, "_walk", counted)
+    p = Poly(F2, [1, 1, 1])
+    basis = [[0] * 10 for _ in range(3)]
+    for row, pivot in zip(basis, (0, 4, 8)):
+        row[pivot] = 1
+    bs = block_structure(subspace(mat2(basis)), [(p, 2), (p, 2), (p, 1)])
+    assert bs.blocks[0].matrix == bs.blocks[1].matrix
+    assert bs.blocks[0].profile is bs.blocks[1].profile
+    # lines: ord((x^2 + x + 1)^2) = 6 and ord(x^2 + x + 1) = 3, no overlaps
+    assert block_bound(bs) == (6, 6)
+    # the two equal (x^2 + x + 1)^2 blocks walk once; the third is counted
+    assert len(walks) == 1
+
+
+def test_bounds_suite_walks_no_pair_twice_within_a_structure(monkeypatch):
+    """Within one block_structure, fullrank_coprime_check or
+    blockdiag_coprime_check call, no (U, generator) pair is walked twice."""
+    seen, repeats = set(), []
+    walked = codes._walk
+
+    def counted(u, a):
+        if (u, a) in seen:
+            repeats.append((u, a))
+        seen.add((u, a))
+        return walked(u, a)
+
+    def resetting(fn):
+        def wrapped(*args, **kwargs):
+            seen.clear()
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(codes, "_walk", counted)
+    for name in ("block_structure", "fullrank_coprime_check", "blockdiag_coprime_check"):
+        for module in (codes, verify):
+            monkeypatch.setattr(module, name, resetting(getattr(module, name)))
+    assert not verify.suite_bounds(seed=0).failed
+    assert repeats == []
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from orbitcodes import (
     signature_of_divisors,
 )
 from orbitcodes import groups, poly
+from orbitcodes.matrix import companion_diag
 from orbitcodes.rcf import divisor_key, rcf_from_divisors
 from orbitcodes.sampling import random_unit_divisors
 from orbitcodes.verify import (
@@ -71,6 +72,45 @@ def test_divisors_order_matches_smith_form():
             order = matrix_order(a)
             assert divisors_order(divisors) == order
             assert matrix_order(a, divisors) == order
+
+
+def test_divisor_order_check_matches_the_matrix_power():
+    # matrix_order(A, divisors) checks x^N = 1 mod p^e; without divisors it
+    # checks A^N = I by Mat.__pow__, the oracle here
+    rng = random.Random(19)
+    for field in (F2, F3, GF(2, 2)):
+        for _ in range(12):
+            divisors = random_unit_divisors(rng, field, rng.randint(1, 7))
+            a = companion_diag(divisors)
+            assert matrix_order(a, divisors) == matrix_order(a)
+
+
+def test_order_checks_reject_a_wrong_order(monkeypatch):
+    # (x^2 + x + 1)^2 and x^3 + x + 1 over GF(2): N = lcm(3 * 2, 7) = 42
+    divisors = ((Poly(F2, [1, 1, 1]), 2), (Poly(F2, [1, 1, 0, 1]), 1))
+    a = companion_diag(divisors)
+    assert matrix_order(a, divisors) == matrix_order(a) == 42
+    for r in (2, 3, 7):
+        # the true order 42 divides no N / r
+        monkeypatch.setattr(groups, "_factored_order", lambda divs, r=r: 42 // r)
+        for call in (lambda: matrix_order(a), lambda: matrix_order(a, divisors)):
+            with pytest.raises(AssertionError, match=re.escape("failed the A^N = I check")):
+                call()
+
+
+def test_divisor_order_check_rejects_a_conjugate():
+    rng = random.Random(3)
+    for field in (F2, F3, GF(2, 2)):
+        divisors = random_unit_divisors(rng, field, 5)
+        a = companion_diag(divisors)
+        while True:
+            l = rand_invertible(rng, field, 5)
+            conjugate = l.inverse() * a * l
+            if conjugate != a:
+                break
+        assert matrix_order(conjugate) == matrix_order(a, divisors)
+        with pytest.raises(AssertionError, match=re.escape("not companion_diag(divisors)")):
+            matrix_order(conjugate, divisors)
 
 
 def test_divisors_order_rejects_x():

@@ -59,6 +59,18 @@ PINNED = [
      "c80e3fca313e70f24e0be410bd0c4e573409438c5862775f06fd809cbbebe535"),
     (["examples"], 0,
      "2d0e9932078655305ac830bde5efe46376c5d94362234394aefe5944203988ed"),
+    # one Singer code report per field: a primitive p and a random U
+    (["code", "--field", "2", "--n", "12", "--divisors", "1,1,0,0,1,0,1,0,0,0,0,0,1",
+      "--subspace", "1,0,0,0,0,1,1,0,1,0,0,1;0,1,0,0,1,0,1,1,1,1,1,1;0,0,1,1,0,1,0,1,1,0,1,0",
+      "--format", "json"], 0,
+     "6c5201da6105c0826e6ec1f91819250c2fc2cf3c2edd4b510e910de115c653a1"),
+    # the scalars F_4* fix every F_4-subspace, so |C| = 4095 / 3 = 1365
+    (["code", "--field", "2^2", "--n", "6", "--divisors", "2,1,1,0,0,0,1",
+      "--subspace", "1,0,1,2,3,1;0,1,1,2,3,0", "--format", "json"], 0,
+     "e79103d113e1ade0926938156ec1b73e92fa429045aeb30d69c01b0149413c3d"),
+    (["code", "--field", "3", "--n", "7", "--divisors", "1,2,1,0,0,0,0,1",
+      "--subspace", "1,0,2,0,1,0,2;0,1,1,2,0,2,0", "--format", "json"], 0,
+     "9cfb56dd9c925d1f99a0e112c403b18a26df9a7210076db9f1fd0ef727ad71e5"),
 ]
 
 

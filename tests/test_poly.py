@@ -220,6 +220,19 @@ def test_sieve_streams_its_cofactors(monkeypatch):
     assert peak < 2 * 10**6
 
 
+def test_sieve_above_the_limit_is_refused_before_marking(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a sieve started")
+
+    for kernel in (_Bits, _Lists):
+        monkeypatch.setattr(kernel, "reducible_marks", staticmethod(forbidden))
+    # no smaller than the GF(2) degree-22 sieve classify's default budget admits
+    assert poly._SIEVE_LIMIT >= 2**22
+    for field, d in ((F2, 23), (GF(2, 2), 12), (GF(3), 14), (GF(1048573), 2)):
+        with pytest.raises(ValueError, match="above the limit of 2\\^22"):
+            irreducibles(field, d)
+
+
 def test_factor_examples():
     assert factor(P2(1, 0, 1)) == ((P2(1, 1), 2),)
     assert factor(P2(1, 1, 0, 1)) == ((P2(1, 1, 0, 1), 1),)
