@@ -7,10 +7,9 @@ right: act(U, A) is the row space of (basis of U) * A, re-canonicalized.
 For a cyclic group G = <A> the orbit code of U enumerates U, UA, UA^2, ...
 up to the period p (the least p >= 1 with U A^p = U), so codebooks list in
 a deterministic order and the stabilizer has order |G| / p.  Every code
-parameter comes from the orbit profile dims[j] = dim(U n U A^j) for
-j = 0 .. p - 1: its length is the cardinality, and it gives the minimum
-distance and the distance distribution.  For A = diag(companion(p_i^e_i))
-the profile has two producers, and the input picks one:
+parameter comes from the orbit profile: p, k and the nonzero overlaps
+dim(U n U A^j), 0 < j < p.  For A = diag(companion(p_i^e_i)) the profile
+has two producers, and the input picks one:
 
 * a single irreducible p other than x with e = 1, for a proper U whose
   label pairs cost no more than the walk would (see _count_is_cheaper): a
@@ -18,12 +17,12 @@ the profile has two producers, and the input picks one:
   nonzero vectors carry labels (cycle, exponent) in the cycles of x that
   meet U, found by baby-step giant-step in each cycle (_coset_exponents)
   rather than by stepping round it, and counting exponent differences
-  gives every dims[j], with no linear algebra and no codebook;
+  gives every overlap, with no linear algebra and no codebook;
 * every other generator and subspace: the orbit walk, on the packed rows
   of rows.py (the kernel groups.closure also uses).  Over GF(2) a row is
   an int whose image under A is the XOR of A's rows at its set bits, over
   larger fields a tuple reduced with the field's tables.  The walk
-  records each codeword's canonical key and dims[j]; orbit_code builds
+  records each codeword's canonical key and overlap; orbit_code builds
   its codebook from it and is always walked.
 
 Each value holds the profile it owns, and the module keeps no cache: an
@@ -59,9 +58,10 @@ reports 4); the verify suites record such separations without failing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
@@ -162,14 +162,9 @@ class OrbitCode:
 # the orbit walk on packed rows
 
 
-class _Orbit(NamedTuple):
-    keys: tuple  # packed reduced bases of U A^j for j = 0 .. period - 1
-    dims: tuple[int, ...]  # dim(U n U A^j) for the same j; dims[0] = k
-
-
-def _walk(u: Subspace, a: Mat) -> _Orbit:
-    """Walk U, UA, UA^2, ... on packed rows until it returns to U; one
-    walk gives both the codebook's keys and the profile."""
+def _walk(u: Subspace, a: Mat) -> tuple[tuple, OrbitProfile]:
+    """Walk U, UA, UA^2, ... on packed rows until it returns to U: the keys
+    (packed reduced bases) of U A^j for j < period, and the profile."""
     _check_operator(u, a)
     kern = _kernel(u.field, u.n)
     echelon, image = kern.echelon, kern.imager(a)
@@ -182,12 +177,13 @@ def _walk(u: Subspace, a: Mat) -> _Orbit:
             raise SingularMatrixError("the walk does not return to U; matrix is singular")
         seen[key] = 2 * u.k - len(echelon(start + key))
         key = echelon([image[r] for r in key])
-    return _Orbit(tuple(seen), tuple(seen.values()))
+    overlaps = tuple((j, d) for j, d in enumerate(seen.values()) if j and d)
+    return tuple(seen), OrbitProfile(len(seen), u.k, overlaps)
 
 
 def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
     """Orbit of U under G, listed U, UA, UA^2, ... up to the period."""
-    keys, dims = _walk(u, g.generator)
+    keys, profile = _walk(u, g.generator)
     if g.order % len(keys):
         raise AssertionError("orbit period does not divide the group order; walk is broken")
     kern = _kernel(u.field, u.n)
@@ -195,7 +191,7 @@ def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
     for key in keys[1:]:
         basis = Mat._trusted(u.field, u.k, u.n, kern.unpack(key))
         codebook.append(Subspace(u.field, u.n, u.k, basis))
-    return OrbitCode(u, g, tuple(codebook), g.order // len(keys), OrbitProfile(dims))
+    return OrbitCode(u, g, tuple(codebook), g.order // len(keys), profile)
 
 
 def stabilizer_order(u: Subspace, g: CyclicGroup) -> int:
@@ -244,31 +240,36 @@ def conjugate_code(code: OrbitCode, l: Mat) -> OrbitCode:
 
 
 class OrbitProfile(NamedTuple):
-    """dims[j] = dim(U n U A^j) for j = 0 .. period - 1, so dims[0] = k.
+    """The period of U under A, k = dim U, and the pairs (j, dim(U n U A^j))
+    for 0 < j < period with a nonzero overlap, by increasing j.  The period
+    is the code's cardinality, and U A^j lies at distance 2k - 2 overlap(j)."""
 
-    Every parameter the code report prints comes from it: the period is the
-    cardinality, and the distance from U to U A^j is 2k - 2 dims[j]."""
+    period: int
+    k: int
+    overlaps: tuple[tuple[int, int], ...]
 
-    dims: tuple[int, ...]
-
-    @property
-    def period(self) -> int:
-        return len(self.dims)
+    def overlap(self, j: int) -> int:
+        """dim(U n U A^j) for any integer j."""
+        j %= self.period
+        i = bisect_left(self.overlaps, (j,))
+        if j and i < len(self.overlaps) and self.overlaps[i][0] == j:
+            return self.overlaps[i][1]
+        return 0 if j else self.k
 
     @property
     def min_distance(self) -> int | None:
         """None for a singleton code."""
-        if len(self.dims) < 2:
+        if self.period < 2:
             return None
-        return 2 * self.dims[0] - 2 * max(self.dims[1:])
+        return 2 * self.k - 2 * max((d for _, d in self.overlaps), default=0)
 
     @property
     def distribution(self) -> tuple[int, ...]:
         """(D_0, ..., D_k): codewords at each distance 2i from U."""
-        k = self.dims[0]
-        counts = [0] * (k + 1)
-        for d in self.dims:
-            counts[k - d] += 1
+        counts = [1] + [0] * self.k
+        counts[self.k] += self.period - 1 - len(self.overlaps)
+        for _, d in self.overlaps:
+            counts[self.k - d] += 1
         if counts[0] != 1:
             raise RuntimeError("distance distribution identities failed")
         return tuple(counts)
@@ -290,9 +291,9 @@ def _divisors(
     return divisors
 
 
-def _difference_profile(u: Subspace, p: Poly) -> tuple[int, ...]:
-    """dims for A = companion(p), p irreducible and not x, by a difference
-    count instead of a walk.
+def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
+    """The profile for A = companion(p), p irreducible and not x, by a
+    difference count instead of a walk.
 
     A acts on F_q^d = F_q[x]/(p) as multiplication by x, which splits the
     nonzero vectors into cosets of <x>, each a cycle of length ord(p).
@@ -300,7 +301,7 @@ def _difference_profile(u: Subspace, p: Poly) -> tuple[int, ...]:
     _coset_exponents, v, w in U satisfy w = v A^i exactly when they share
     a coset and their exponents differ by i mod ord(p).  So
     |U n U A^-i| - 1 counts those label pairs, and dim(U n U A^i), equal
-    to dim(U n U A^-i), is its log_q."""
+    to dim(U n U A^-i), is its log_q; only nonzero counts are read back."""
     kern = _kernel(u.field, u.n)
     step = kern.stepper(companion(p))
     order = poly_order(p)
@@ -312,11 +313,13 @@ def _difference_profile(u: Subspace, p: Poly) -> tuple[int, ...]:
         for a in exponents:
             for b in exponents:
                 counts[a - b] += 1  # a negative index is the residue mod order
-    period = next((i for i in range(1, order) if counts[i] == nonzero), order)
-    logs = {u.field.q**j: j for j in range(u.k + 1)}
-    if any(1 + c not in logs for c in counts[:period]):
+    shifts = list(compress(range(order), counts))[1:]  # counts[0] = nonzero
+    period = next((j for j in shifts if counts[j] == nonzero), order)
+    logs = {u.field.q**d - 1: d for d in range(1, u.k + 1)}
+    overlaps = tuple((j, logs.get(counts[j])) for j in shifts if j < period)
+    if any(d is None for _, d in overlaps):
         raise AssertionError("an intersection size is not a power of q; count is broken")
-    return tuple(logs[1 + c] for c in counts[:period])
+    return OrbitProfile(period, u.k, overlaps)
 
 
 # The cost of one giant step (kern.times by x^-m's packed rows and a dict
@@ -414,8 +417,8 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
         (p, e), = divisors
         # p = x has degree 1, so U = F_q^1 and _count_is_cheaper keeps it out
         if e == 1 and is_irreducible(p) and _count_is_cheaper(u, p):
-            return OrbitProfile(_difference_profile(u, p))
-    return OrbitProfile(_walk(u, companion_diag(divisors)).dims)
+            return _difference_profile(u, p)
+    return _walk(u, companion_diag(divisors))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +529,17 @@ def block_bound(bs: BlockStructure) -> tuple[int, int]:
     """(per-component bound, lcm of component-code sizes).
 
     Each nonempty component contributes its worst self-overlap over its own
-    nonzero residues; a component whose orbit is a fixed point (N_i = 1)
-    contributes its full dimension k_i.
+    nonzero residues, 0 if it has none; a component whose orbit is a fixed
+    point (N_i = 1) contributes its full dimension k_i, its overlap(1).
     """
     profiles = [blk.profile for blk in bs.blocks if blk.k]
-    total = sum(max(f.dims[1:], default=f.dims[0]) for f in profiles)
+    total = sum(max((d for _, d in f.overlaps), default=f.overlap(1)) for f in profiles)
     return 2 * bs.k - 2 * total, math.lcm(*(f.period for f in profiles))
 
 
 def orbit_period(u: Subspace, a: Mat) -> int:
     """Smallest j >= 1 with U A^j = U; equals the orbit-code cardinality."""
-    return len(_walk(u, a).keys)
+    return _walk(u, a)[1].period
 
 
 def block_bound_refined(bs: BlockStructure) -> int:
@@ -550,22 +553,16 @@ def block_bound_refined(bs: BlockStructure) -> int:
     block-diagonal bases the period equals lcm(N_i) and the bound is exact;
     a basis whose period exceeds that lcm admits a power returning every
     component without fixing the whole space, which drags the bound to the
-    trivial 0."""
-    profiles = [(blk.profile.period, blk.profile.dims) for blk in bs.blocks if blk.k]
+    trivial 0.  Only shifts where some component has a nonzero overlap or
+    returns to itself are summed: at every other shift the sum is 0."""
+    profiles = [blk.profile for blk in bs.blocks if blk.k]
     period = bs.profile.period
-    if period % math.lcm(*(n_i for n_i, _ in profiles)):
+    if period % math.lcm(*(f.period for f in profiles)):
         raise AssertionError("component orbit sizes must divide the code period")
-    if period == 1:
-        return 0
-    if len(profiles) == 1:
-        # j runs over the nonzero residues, and past them to 0 (f[0] = k_i)
-        # when the period exceeds the component's own
-        n_1, f = profiles[0]
-        worst = max(f[1:]) if period == n_1 else f[0]
-    else:
-        worst = max(
-            sum(f[j % n_i] for n_i, f in profiles) for j in range(1, period)
-        )
+    shifts = {j for f in profiles for r in (f.period, *dict(f.overlaps))
+              for j in range(r, period, f.period)}
+    sums = (sum(f.overlap(j) for f in profiles) for j in shifts)
+    worst = max(sums, default=bs.k if period == 1 else 0)
     return 2 * bs.k - 2 * worst
 
 

@@ -1,4 +1,4 @@
-"""Cyclic subgroups of GL_n(F_q): orders, conjugacy tests, class enumeration.
+"""Cyclic subgroups of GL_n(F_q): orders, conjugacy tests, cell enumeration.
 
 Two routes decide whether the cyclic groups generated by A and B are
 conjugate:
@@ -11,16 +11,18 @@ conjugate:
   certify; the two can disagree (see verify.suite_groups, which reports a
   known six-dimensional disagreement over GF(2)) and the oracle wins.
 
-Class enumeration works on the orders alone.  The monic irreducibles
-p != x of degree d have exactly the orders o | q^d - 1 with ord_o(q) = d,
-and there are phi(o)/d of each (Lidl and Niederreiter, Finite Fields,
-Thm 3.5), so the signature cells are the multisets of atoms (o, e) with
-sum of ord_o(q) e equal to n.  Each cell's representative takes the
-smallest irreducible of order o for every slot (o, e), found by one scan
-of the degree-d irreducibles in code order that stops once every order
-has turned up, and its group order is lcm(o c(e)), with c(e) the least
-power of the characteristic that is >= e; no member of a cell other
-than its representative is built.
+Class enumeration works on the orders alone and lists signature cells,
+which undercount the conjugacy classes (GF(4) n=2: 7 against 8; GF(2) n=6:
+39 against 40; ROADMAP item 1).  The monic irreducibles p != x of degree d
+have exactly the orders o | q^d - 1 with ord_o(q) = d, and there are
+phi(o)/d of each (Lidl and Niederreiter, Finite Fields, Thm 3.5), so the
+signature cells are the multisets of atoms (o, e) with sum of ord_o(q) e
+equal to n.  Each cell's representative takes the smallest irreducible of
+order o for every slot (o, e), found by one scan of the degree-d
+irreducibles in code order that stops once every order has turned up, and
+its group order is lcm(o c(e)), with c(e) the least power of the
+characteristic that is >= e; no member of a cell other than its
+representative is built.
 
 closure, the one enumeration of group elements, builds a Schreier-Sims
 stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of
@@ -175,8 +177,8 @@ def same_signature(a: Mat, b: Mat) -> bool:
 
 @dataclass(frozen=True)
 class ClassRep:
-    """One conjugacy class of cyclic subgroups: canonical representative,
-    signature, and group order."""
+    """One signature cell of cyclic subgroups, one or more conjugacy
+    classes: canonical representative, signature, and group order."""
 
     rcf: RcfData
     signature: Signature
@@ -213,8 +215,9 @@ def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
 
 
 def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
-    """Conjugacy classes of cyclic subgroups of GL_n(F_q), one canonical
-    representative per signature cell, sorted by representative.
+    """Signature cells of cyclic subgroups of GL_n(F_q), one canonical
+    representative per cell, sorted by representative; a cell can hold
+    several conjugacy classes, so this undercounts them (ROADMAP item 1).
 
     A cell is a multiset of atoms (o, e) with sum of ord_o(q) e equal to n.
     Its representative puts in every slot (o, e) the smallest irreducible

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from orbitcodes import (
     GF,
     CyclicGroup,
     Mat,
+    OrbitProfile,
     Poly,
     SingularMatrixError,
     act,
@@ -35,7 +37,7 @@ from orbitcodes import (
 from orbitcodes import codes, rows, verify
 from orbitcodes.codes import _difference_profile, _walk
 from orbitcodes.poly import order as poly_order
-from orbitcodes.sampling import random_subspace, random_unit_divisors
+from orbitcodes.sampling import random_block_diag_basis, random_subspace, random_unit_divisors
 
 F2 = GF(2)
 F3 = GF(3)
@@ -297,7 +299,7 @@ def test_empty_sub_block_has_no_profile():
     u = subspace(mat2([[1, 0, 0, 0, 0]]))
     blk0, blk1 = block_structure(u, SINGER_DIVISORS).blocks
     assert blk1.k == 0 and blk1.profile is None
-    assert blk0.profile.period == 7 and blk0.profile.dims[0] == 1
+    assert blk0.profile.period == 7 and blk0.profile.k == 1
 
 
 def test_block_structure_does_no_orbit_work(monkeypatch):
@@ -419,6 +421,20 @@ def oracle_orbit(u, a):
     return orbit
 
 
+def profile_of(dims):
+    """The sparse profile of dense dims[j] = dim(U n U A^j), j < period."""
+    return OrbitProfile(len(dims), dims[0], tuple((j, d) for j, d in enumerate(dims) if j and d))
+
+
+def dense_dims(u, a):
+    """dim(U n U A^j) for j = 0 .. period - 1, by Mat multiply and rref."""
+    return [intersection_dim(u, v) for v in oracle_orbit(u, a)]
+
+
+def dense_profile(u, a):
+    return profile_of(dense_dims(u, a))
+
+
 def walk_generator(rng, field, n):
     """A random invertible matrix.  Over GF(257) it is a random conjugate
     of a permutation times a diagonal of powers of 2 (of order 16), so its
@@ -460,6 +476,7 @@ def test_walk_matches_oracle(field, seed):
     assert code.codebook == tuple(orbit)
     assert code.stab_order == stabilizer_order(u, g) == g.order // len(orbit)
     assert orbit_period(u, a) == len(orbit)
+    assert code.profile == profile_of([intersection_dim(u, v) for v in orbit])
     dist = [0] * (k + 1)
     for v in orbit:
         dist[subspace_distance(u, v) // 2] += 1
@@ -479,11 +496,118 @@ def test_component_profile_matches_oracle(field, seed):
         if blk.k == 0:
             continue
         p, e = blk.divisor
-        orbit = oracle_orbit(subspace(blk.matrix), companion(p**e))
-        dims = [intersection_dim(orbit[0], v) for v in orbit[1:]]
-        profile = blk.profile
-        assert profile.period == len(orbit)
-        assert list(profile.dims) == [blk.k] + dims
+        assert blk.profile == dense_profile(subspace(blk.matrix), companion(p**e))
+
+
+# ---------------------------------------------------------------------------
+# the sparse profile's readers against dense expansions
+
+
+def dense_refined(k, period, components):
+    """The refined bound from dense component dims: the max over every
+    1 <= j < period of sum_i dims_i[j mod N_i], residue 0 giving k_i."""
+    if period == 1:
+        return 0
+    return 2 * k - 2 * max(
+        sum(dims[j % len(dims)] for dims in components) for j in range(1, period)
+    )
+
+
+def check_sparse_readers(u, divisors):
+    """Every reader of the structure's profiles against the dense dims of
+    the Mat/rref orbits: overlap at every shift, the distribution, the
+    minimum distance, and both block bounds."""
+    bs = block_structure(u, divisors)
+    whole = dense_dims(u, bs.generator)
+    nonempty = [blk for blk in bs.blocks if blk.k]
+    components = [
+        dense_dims(subspace(blk.matrix), companion(blk.divisor[0] ** blk.divisor[1]))
+        for blk in nonempty
+    ]
+    for profile, dims in [(bs.profile, whole)] + [
+        (blk.profile, c) for blk, c in zip(nonempty, components)
+    ]:
+        period, k = len(dims), dims[0]
+        assert profile == profile_of(dims)
+        shifts = range(-period, 2 * period + 1)
+        assert [profile.overlap(j) for j in shifts] == [dims[j % period] for j in shifts]
+        dist = [0] * (k + 1)
+        for d in dims:
+            dist[k - d] += 1
+        assert profile.distribution == tuple(dist)
+        expected = 2 * k - 2 * max(dims[1:]) if period > 1 else None
+        assert profile.min_distance == expected
+    total = sum(max(dims[1:], default=dims[0]) for dims in components)
+    lcm = math.lcm(*map(len, components))
+    assert block_bound(bs) == (2 * u.k - 2 * total, lcm)
+    assert block_bound_refined(bs) == dense_refined(u.k, len(whole), components)
+    return bs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((F2, F3)), st.booleans(), st.integers(0, 2**32))
+def test_sparse_readers_match_dense_expansion(field, block_diagonal, seed):
+    rng = random.Random(seed)
+    divisors = random_unit_divisors(rng, field, rng.randint(1, MAX_N[field.q]))
+    n = sum(int(p.degree) * e for p, e in divisors)
+    if block_diagonal:
+        u = subspace(random_block_diag_basis(rng, field, divisors)[0])
+    else:
+        u = random_subspace(rng, field, n, rng.randint(1, n))
+    check_sparse_readers(u, divisors)
+
+
+def test_sparse_readers_single_block_singer():
+    p = Poly(F2, [1, 1, 0, 0, 1])  # primitive x^4 + x + 1
+    periods = [
+        check_sparse_readers(subspace(mat2(rows)), [(p, 1)]).profile.period
+        for rows in ([[1, 0, 0, 0]], [[1, 0, 0, 1], [0, 1, 1, 0]], [[1, 0, 1, 0], [0, 0, 0, 1]])
+    ]
+    assert periods == [15, 15, 5]  # x^5 fixes the last: a multiple of F_4 = span(1, x^5)
+    # F_8 = span(1, x^9, x^18) in F_64 under primitive x^6 + x + 1: period 9
+    p = Poly(F2, [1, 1, 0, 0, 0, 0, 1])
+    bs = check_sparse_readers(power_span(p, [0, 9, 18]), [(p, 1)])
+    assert bs.profile.period == 9
+    bs = check_sparse_readers(power_span(p, [0, 1]), [(p, 1)])
+    assert bs.profile.period == 63 and bs.profile.overlaps
+
+
+def test_sparse_readers_period_beyond_component_lcm():
+    # two nonempty components of sizes 1 and 3 in a code of period 6
+    divisors = ((Poly(F2, [1, 1]), 2), (Poly(F2, [1, 1, 1]), 1))
+    u = subspace(mat2([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]))
+    bs = check_sparse_readers(u, divisors)
+    assert bs.profile.period == 6
+    assert [blk.profile.period for blk in bs.blocks] == [1, 3]
+    assert block_bound_refined(bs) == 0
+    divisors = ((Poly(F2, [1, 1, 0, 0, 1]), 1), (Poly(F2, [1, 1]), 2))
+    u = subspace(mat2([[1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]]))
+    assert check_sparse_readers(u, divisors).profile.period == 15
+
+
+@pytest.mark.parametrize(
+    "rows, divisors",
+    [
+        (Mat.identity(F2, 5), SINGER_DIVISORS),
+        (mat2([[1, 1, 1]]), ((Poly(F2, [1, 0, 0, 1]), 1),)),  # x fixes 1 + x + x^2
+        (Mat.from_rows(F3, [[1, 1]]), ((Poly(F3, [2, 1]), 1),) * 2),  # A = I
+    ],
+)
+def test_sparse_readers_period_one(rows, divisors):
+    bs = check_sparse_readers(subspace(rows), divisors)
+    assert bs.profile == OrbitProfile(1, bs.k, ())
+    assert bs.profile.min_distance is None and block_bound_refined(bs) == 0
+
+
+def test_profiles_and_codes_are_hashable():
+    u, g = line(1, 0, 0), CyclicGroup(GEN3)
+    code = orbit_code(u, g)
+    counted = orbit_profile(u, [(Poly(F2, [1, 1, 0, 1]), 1)])
+    assert hash(code) == hash(orbit_code(u, g))
+    # the walk's profile and the difference count's: equal, so one hash
+    assert counted == code.profile and hash(counted) == hash(code.profile)
+    assert counted != code.profile._replace(overlaps=((1, 1),))
+    assert len({code.profile, counted}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +624,10 @@ def test_difference_profile_matches_walk(field, seed):
     d = rng.randint(1, PROFILE_MAX_D[field.q])
     p = rng.choice([f for f in irreducibles(field, d) if f.coeff(0)])
     u = random_subspace(rng, field, d, rng.randint(1, d))
-    dims = _walk(u, companion(p)).dims
-    assert _difference_profile(u, p) == dims
-    assert orbit_profile(u, [(p, 1)]).dims == dims
+    keys, profile = _walk(u, companion(p))
+    assert len(keys) == profile.period
+    assert _difference_profile(u, p) == profile
+    assert orbit_profile(u, [(p, 1)]) == profile
 
 
 def field_vector(p, power):
@@ -542,9 +667,9 @@ def power_span(p, powers):
 )
 def test_difference_profile_known_stabilizers(p, powers, period):
     u = power_span(p, powers)
-    dims = _walk(u, companion(p)).dims
-    assert len(dims) == period
-    assert _difference_profile(u, p) == dims
+    profile = _walk(u, companion(p))[1]
+    assert profile.period == period
+    assert _difference_profile(u, p) == profile
     assert orbit_profile(u, [(p, 1)]).period == period
 
 
@@ -607,11 +732,11 @@ def test_giant_steps_label_several_cosets(monkeypatch, field, d, order, k, m):
     p = of_order(field, d, order)
     u = random_subspace(random.Random(order), field, d, k)
     assert cosets_meeting(u, p) >= 2
-    dims = _walk(u, companion(p)).dims
+    profile = _walk(u, companion(p))[1]
     if m is not None:
         monkeypatch.setattr(codes, "_baby_steps", lambda unlabelled, order: m)
     steps = counted_steps(monkeypatch)
-    assert _difference_profile(u, p) == dims
+    assert _difference_profile(u, p) == profile
     if m is not None or field is F2:
         assert steps["giant"] > 0
 
@@ -619,9 +744,9 @@ def test_giant_steps_label_several_cosets(monkeypatch, field, d, order, k, m):
 def test_giant_steps_label_a_primitive_cycle(monkeypatch):
     p = of_order(F2, 14, 2**14 - 1)
     u = random_subspace(random.Random(14), F2, 14, 3)
-    dims = _walk(u, companion(p)).dims
+    profile = _walk(u, companion(p))[1]
     steps = counted_steps(monkeypatch)
-    assert _difference_profile(u, p) == dims
+    assert _difference_profile(u, p) == profile
     assert steps["giant"] > 0
 
 
@@ -631,9 +756,9 @@ def test_difference_count_does_not_step_the_whole_cycle(monkeypatch):
     p = of_order(F2, 16, 2**16 - 1)
     u = random_subspace(random.Random(16), F2, 16, 3)
     steps = counted_steps(monkeypatch)
-    dims = _difference_profile(u, p)
+    profile = _difference_profile(u, p)
     assert steps["baby"] + steps["giant"] < 2**12
-    assert len(dims) == 2**16 - 1 and dims[0] == 3
+    assert (profile.period, profile.k) == (2**16 - 1, 3)
 
 
 def test_equal_sub_blocks_share_one_profile(monkeypatch):
@@ -704,27 +829,27 @@ def test_bounds_suite_walks_no_pair_twice_within_a_structure(monkeypatch):
 )
 def test_orbit_profile_picks_the_cheaper_producer(monkeypatch, p, k, counted):
     u = random_subspace(random.Random(k), p.field, int(p.degree), k)
-    dims = _walk(u, companion(p)).dims
+    profile = _walk(u, companion(p))[1]
 
     def forbidden(*args):
         raise AssertionError("the other producer ran")
 
     monkeypatch.setattr(codes, "_walk" if counted else "_difference_profile", forbidden)
-    assert orbit_profile(u, [(p, 1)]).dims == dims
+    assert orbit_profile(u, [(p, 1)]) == profile
 
 
 def test_orbit_profile_falls_back_to_walk_for_other_generators():
     p = Poly(F2, [1, 1, 1])
     u = subspace(mat2([[1, 0, 0, 0]]))
-    assert orbit_profile(u, [(p, 2)]).dims == _walk(u, companion(p**2)).dims
+    assert orbit_profile(u, [(p, 2)]) == _walk(u, companion(p**2))[1]
     u = subspace(mat2([[1, 0, 0, 1, 1]]))
     gen = block_diag([companion(f**e) for f, e in SINGER_DIVISORS])
-    assert orbit_profile(u, SINGER_DIVISORS).dims == _walk(u, gen).dims
+    assert orbit_profile(u, SINGER_DIVISORS) == _walk(u, gen)[1]
     assert orbit_profile(u, SINGER_DIVISORS).period == 21
     # x^3 + 1 = (x + 1)(x^2 + x + 1) is reducible: x fixes 1 + x + x^2
     reducible = Poly(F2, [1, 0, 0, 1])
     u = line(1, 1, 1)
-    assert orbit_profile(u, [(reducible, 1)]).dims == _walk(u, companion(reducible)).dims
+    assert orbit_profile(u, [(reducible, 1)]) == _walk(u, companion(reducible))[1]
     assert orbit_profile(u, [(reducible, 1)]).period == 1
 
 
