@@ -83,7 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="semicolon-separated block polynomials, each a power of an irreducible",
     )
-    p_code.add_argument("--subspace", required=True, help="basis matrix of the base point")
+    p_code.add_argument(
+        "--subspace",
+        required=True,
+        help="a matrix whose row space is the base point; its rows may be dependent",
+    )
     p_code.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the property suites")

@@ -18,12 +18,12 @@ has two producers, and the input picks one:
   meet U, found by baby-step giant-step in each cycle (_coset_exponents)
   rather than by stepping round it, and counting exponent differences
   gives every overlap, with no linear algebra and no codebook;
-* every other generator and subspace: the orbit walk, on the packed rows
-  of rows.py (the kernel groups.closure also uses).  Over GF(2) a row is
-  an int whose image under A is the XOR of A's rows at its set bits, over
-  larger fields a tuple reduced with the field's tables.  The walk
-  records each codeword's canonical key and overlap; orbit_code builds
-  its codebook from it and is always walked.
+* every other generator and subspace: the orbit walk (_walk), on the
+  packed rows of rows.py (the kernel groups.closure also uses).  It steps
+  a basis B_j = B_{j-1} A from U's reduced basis and reads each overlap
+  as k minus the rank of B_j modulo U, holding O(k) rows; orbit_code
+  lists its codebook as the reduced echelon forms of the same walk's
+  bases and is always walked.
 
 Each value holds the profile it owns, and the module keeps no cache: an
 OrbitCode carries its walk's profile for min_distance and
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import accumulate, combinations, compress
@@ -162,36 +163,49 @@ class OrbitCode:
 # the orbit walk on packed rows
 
 
-def _walk(u: Subspace, a: Mat) -> tuple[tuple, OrbitProfile]:
-    """Walk U, UA, UA^2, ... on packed rows until it returns to U: the keys
-    (packed reduced bases) of U A^j for j < period, and the profile."""
+def _walk(u: Subspace, a: Mat, bases: list | None = None) -> OrbitProfile:
+    """The profile of U under A by stepping a basis on packed rows.
+
+    B_0 is U's reduced basis and each step forms B_j = B_{j-1} A, one row
+    image per row, with no echelon form.  dim(U n U A^j) is
+    k minus the rank of B_j modulo U's basis, and the walk ends at the
+    first j where it is k, so U A^j = U and j is the period.  An invertible
+    A permutes the Grassmannian, so the walk returns to U; A is checked
+    invertible once, before the first step.  When a list `bases` is given,
+    the packed rows B_j for 0 < j < period are appended to it."""
     _check_operator(u, a)
     kern = _kernel(u.field, u.n)
-    echelon, image = kern.echelon, kern.imager(a)
-    start = echelon([kern.pack(u.basis.row(i)) for i in range(u.k)])
-    seen = {start: u.k}  # key of U A^j -> dim(U n U A^j), in walk order
-    key = echelon([image[r] for r in start])
-    while key != start:
-        # an invertible A permutes the Grassmannian, so only U can recur
-        if len(key) != u.k or key in seen:
-            raise SingularMatrixError("the walk does not return to U; matrix is singular")
-        seen[key] = 2 * u.k - len(echelon(start + key))
-        key = echelon([image[r] for r in key])
-    overlaps = tuple((j, d) for j, d in enumerate(seen.values()) if j and d)
-    return tuple(seen), OrbitProfile(len(seen), u.k, overlaps)
+    rows = kern.key(a)
+    if kern.rank(rows) < u.n:
+        raise SingularMatrixError("the walk needs an invertible matrix; this one is singular")
+    times, rank, k = kern.times, kern.rank, u.k
+    start = tuple([kern.pack(u.basis.row(i)) for i in range(k)])
+    basis, overlaps, j = start, [], 1
+    while True:
+        basis = [times(r, rows) for r in basis]
+        d = k - rank(basis, start)
+        if d == k:
+            return OrbitProfile(j, k, tuple(overlaps))
+        if d:
+            overlaps.append((j, d))
+        if bases is not None:
+            bases.append(basis)
+        j += 1
 
 
 def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
-    """Orbit of U under G, listed U, UA, UA^2, ... up to the period."""
-    keys, profile = _walk(u, g.generator)
-    if g.order % len(keys):
+    """Orbit of U under G, listed U, UA, UA^2, ... up to the period: the
+    reduced echelon forms of the walk's bases."""
+    bases: list = []
+    profile = _walk(u, g.generator, bases)
+    if g.order % profile.period:
         raise AssertionError("orbit period does not divide the group order; walk is broken")
     kern = _kernel(u.field, u.n)
     codebook = [u]
-    for key in keys[1:]:
-        basis = Mat._trusted(u.field, u.k, u.n, kern.unpack(key))
-        codebook.append(Subspace(u.field, u.n, u.k, basis))
-    return OrbitCode(u, g, tuple(codebook), g.order // len(keys), profile)
+    for basis in bases:
+        entries = kern.unpack(kern.echelon(basis))
+        codebook.append(Subspace(u.field, u.n, u.k, Mat._trusted(u.field, u.k, u.n, entries)))
+    return OrbitCode(u, g, tuple(codebook), g.order // profile.period, profile)
 
 
 def stabilizer_order(u: Subspace, g: CyclicGroup) -> int:
@@ -301,19 +315,26 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
     _coset_exponents, v, w in U satisfy w = v A^i exactly when they share
     a coset and their exponents differ by i mod ord(p).  So
     |U n U A^-i| - 1 counts those label pairs, and dim(U n U A^i), equal
-    to dim(U n U A^-i), is its log_q; only nonzero counts are read back."""
+    to dim(U n U A^-i), is its log_q; only nonzero counts are read back.
+    The counts go into a dict when _counts_are_sparse, else a list of
+    ord(p) slots."""
     kern = _kernel(u.field, u.n)
     step = kern.stepper(companion(p))
     order = poly_order(p)
     todo = set(kern.span([kern.pack(u.basis.row(i)) for i in range(u.k)])[1:])
     nonzero = len(todo)
-    counts = [0] * order
+    sparse = _counts_are_sparse(nonzero, order)
+    counts = Counter() if sparse else [0] * order
     while todo:
         exponents = _coset_exponents(kern, step, p, order, todo)
-        for a in exponents:
-            for b in exponents:
-                counts[a - b] += 1  # a negative index is the residue mod order
-    shifts = list(compress(range(order), counts))[1:]  # counts[0] = nonzero
+        if sparse:
+            counts.update((a - b) % order for a in exponents for b in exponents)
+        else:
+            for a in exponents:
+                for b in exponents:
+                    counts[a - b] += 1  # a negative index is the residue mod order
+    # counts[0] = nonzero
+    shifts = sorted(counts)[1:] if sparse else list(compress(range(order), counts))[1:]
     period = next((j for j in shifts if counts[j] == nonzero), order)
     logs = {u.field.q**d - 1: d for d in range(1, u.k + 1)}
     overlaps = tuple((j, logs.get(counts[j])) for j in shifts if j < period)
@@ -322,11 +343,19 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
     return OrbitProfile(period, u.k, overlaps)
 
 
+def _counts_are_sparse(size: int, order: int) -> bool:
+    """Whether _difference_profile counts into a dict: when its at most
+    size * min(size, order) label pairs, for the size nonzero vectors of U,
+    are fewer than the order slots a list would allocate and scan."""
+    return size * min(size, order) < order
+
+
 # The cost of one giant step (kern.times by x^-m's packed rows and a dict
 # lookup) over one baby step (step, a dict store and a set lookup).  Timed
-# under CPython 3.11 on x86-64: 6.4 at GF(2) n = 12, 6.6 at n = 16, 4.2 at
-# GF(4) n = 6 and 6.7 at GF(3) n = 7.
-_GIANT_PER_BABY = 6
+# under CPython 3.11 on x86-64: 4.1 at GF(2) n = 12, 5.3 at n = 16, 3.4 at
+# GF(4) n = 6 and 5.0 at GF(3) n = 7; whole counts with k = 2, 3 over GF(2)
+# n = 16-24, GF(4) n = 8 and GF(3) n = 9, 10 ran fastest at 3 or 4.
+_GIANT_PER_BABY = 4
 
 
 def _baby_steps(unlabelled: int, order: int) -> int:
@@ -385,10 +414,10 @@ def _coset_exponents(kern, step, p: Poly, order: int, todo: set) -> list[int]:
 
 
 # Label-pair increments that cost as much as one row of one walk step (its
-# image and its share of the echelon).  Timed under CPython 3.11 on x86-64,
-# the crossover lay at 33-43 over GF(2) n = 11, 12, 52 over GF(4) n = 6 and
-# 73 over GF(3) n = 7; the lowest decides.
-_PAIRS_PER_WALK_ROW = 32
+# image and its share of the rank modulo U).  Timed under CPython 3.11 on
+# x86-64, the crossover lay at 21-27 over GF(2) n = 10-12, 11-13 over GF(4)
+# n = 5-7 and 36-39 over GF(3) n = 7, 8; the lowest decides.
+_PAIRS_PER_WALK_ROW = 12
 
 
 def _count_is_cheaper(u: Subspace, p: Poly) -> bool:
@@ -418,7 +447,7 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
         # p = x has degree 1, so U = F_q^1 and _count_is_cheaper keeps it out
         if e == 1 and is_irreducible(p) and _count_is_cheaper(u, p):
             return _difference_profile(u, p)
-    return _walk(u, companion_diag(divisors))[1]
+    return _walk(u, companion_diag(divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +568,7 @@ def block_bound(bs: BlockStructure) -> tuple[int, int]:
 
 def orbit_period(u: Subspace, a: Mat) -> int:
     """Smallest j >= 1 with U A^j = U; equals the orbit-code cardinality."""
-    return _walk(u, a)[1].period
+    return _walk(u, a).period
 
 
 def block_bound_refined(bs: BlockStructure) -> int:

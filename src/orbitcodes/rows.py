@@ -1,31 +1,44 @@
 """Packed rows: the kernel under the orbit walk and the group closure.
 
-A row vector of F_q^n is packed so that it hashes cheaply and its image
-under a matrix is quick to form.  Over GF(2) it is an int with column j
-at bit n-1-j; over larger fields it is a tuple of element codes.  A
-matrix M is keyed by the tuple of its packed rows, row i being e_i M, and
-times(v, key) forms v M: over GF(2) the XOR of M's rows at v's set bits,
-above it a sum reduced with the field's lookups.  imager(A) hands out a
-memo of times indexed as image[v] = v A, filled on first use, so each
-distinct row is mapped once and no q^n table is built: one path serves
-every field size.  For a companion matrix A = companion(p), stepper(A)
-maps v to v A without a memo: a shift by one column plus the last entry
-of v times A's last row (over GF(2) a shift and an XOR).  The same step
-builds the key of multiplication by any residue r of F_q[x]/(p)
-(multiplier), row i being r x^i, so v times a power of x costs one times.
+A row vector of F_q^n is packed into one int, so that it hashes cheaply
+and its image under a matrix is quick to form.  Over GF(2) (_Bits)
+column j is bit n-1-j.  Over GF(q), q = p^m > 2 (_Lanes), column j's
+element takes m base-p digit lanes, column 0 the most significant and
+each element's top digit its highest lane; the lanes are one bit wide
+for p = 2, where addition is XOR, and w = (2p-2).bit_length() bits for
+odd p, where addition is one int add and one lane correction (rows of
+small-field elements packed into machine words: Boothby and Bradshaw
+2009, "Bitslicing and the Method of Four Russians over larger finite
+fields").  Either way int order is the order of the rows' element-code
+tuples, so a reduced echelon basis lists its rows in decreasing order and
+unpacks to the RREF rows of Mat and rref.
 
-codes._walk reduces packed rows to canonical echelon keys to walk the
-orbit of a subspace; codes._difference_profile labels the nonzero vectors
-of a subspace (span) in the cycles of multiplication by x, with baby
-steps by stepper and giant steps by times on the multiplier key of
-x^-m; groups.closure multiplies matrix keys (product) and moves rows by
-times to build a stabilizer chain.
+A matrix M is keyed by the tuple of its packed rows, row i being e_i M,
+and times(v, key) forms v M: the sum of M's rows scaled by v's entries.
+Over GF(2) that is the XOR of the rows at v's set bits; over larger
+fields the scalar multiples of a row come from one routine (scale) and
+are cached per (row, scalar) for the rows that stay fixed, the rows of a
+matrix key or of a subspace's reduced basis.  rank is a rank-only
+elimination, with no back substitution and no sort, modulo the span of a
+reduced echelon basis.  For a companion matrix A = companion(p),
+stepper(A) maps v to v A by a shift by one column plus the last entry of
+v times A's last row.  The same step builds the key of multiplication by
+any residue r of F_q[x]/(p) (multiplier), row i being r x^i, so v times
+a power of x costs one times.
+
+codes._walk steps a basis B_j = B_{j-1} A with times and reads
+dim(U n U A^j) from rank modulo U; codes._difference_profile labels the
+nonzero vectors of a subspace (span) in the cycles of multiplication by
+x, with baby steps by stepper and giant steps by times on the multiplier
+key of x^-m; groups.closure multiplies matrix keys (product) and moves
+rows by times to build a stabilizer chain.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import chain
+from operator import xor
 from typing import Sequence
 
 from .field import GF, _Memo
@@ -33,8 +46,8 @@ from .matrix import Mat
 
 
 class _Keys:
-    """What both kernels build on their pack and times: matrix keys, their
-    products and memoized row images."""
+    """What both kernels build on their pack and times: matrix keys and
+    their products."""
 
     def key(self, a: Mat) -> tuple:
         """A's packed rows: row i is e_i A."""
@@ -44,10 +57,6 @@ class _Keys:
         """The key of A B from the keys of A and B: row i is (e_i A) B."""
         times = self.times
         return tuple([times(r, b) for r in a])
-
-    def imager(self, a: Mat) -> _Memo:
-        """image[v] = v A."""
-        return _Memo(partial(self.times, rows=self.key(a)))
 
     def multiplier(self, step, r) -> tuple:
         """For step(v) = v A, A = companion(p): the key of the matrix of
@@ -118,73 +127,170 @@ class _Bits(_Keys):
         basis.sort(reverse=True)
         return tuple(basis)
 
+    @staticmethod
+    def rank(rows, modulo: tuple[int, ...] = ()) -> int:
+        """The rank of the rows modulo the span of a reduced echelon basis."""
+        pivots: dict[int, int] = {}  # pivot bit length -> row
+        for r in rows:
+            for b in modulo:
+                if r ^ b < r:
+                    r ^= b
+            while r:
+                top = r.bit_length()
+                if top not in pivots:
+                    pivots[top] = r
+                    break
+                r ^= pivots[top]
+        return len(pivots)
 
-class _Tuples(_Keys):
-    """Rows over GF(q), q > 2, as tuples of element codes reduced with the
-    field's lookups.  A reduced echelon basis also lists its rows in
-    decreasing order, since an earlier pivot is a larger leading entry."""
+
+class _Lanes(_Keys):
+    """Rows over GF(q), q = p^m > 2, packed into ints of base-p digit lanes
+    (see the module docstring).  Scalars are lane-packed elements too: the
+    value of an element's slot in a row, so an entry is read by a shift
+    and a mask, and a row's pivot entry is the row shifted right to its
+    top slot."""
 
     def __init__(self, field: GF, n: int):
+        p, m = field.p, field.m
         self.n, self.q = n, field.q
-        self.zero = (0,) * n
-        self.add, self.mul, self.neg, self.inv = field.lookups
+        lane = 1 if p == 2 else (2 * p - 2).bit_length()
+        self.width = width = m * lane  # bits per element
+        self.mask = (1 << width) - 1
+        digit = (1 << lane) - 1
+        _, mul, neg, inv = field.lookups
+        # element codes to lane-packed elements and back; the identity
+        # unless p is odd and m > 1
+        self._lanes = lanes = _Memo(
+            lambda c: sum(d << (i * lane) for i, d in enumerate(field.digits(c)))
+        )
+        codes = _Memo(
+            lambda x: field.code([(x >> (i * lane)) & digit for i in range(m)])
+        )
+        self.neg = _Memo(lambda x: lanes[neg[codes[x]]])
+        self.inv = _Memo(lambda x: lanes[inv[codes[x]]])
+        self._mul = _Memo(lambda x: _Memo(lambda y: lanes[mul[codes[x]][codes[y]]]))
+        shifts, mask = range((n - 1) * width, -1, -width), self.mask
+        self._row_codes = _Memo(lambda r: tuple([codes[(r >> s) & mask] for s in shifts]))
+        # multiples[r][x] = x r, for rows that stay fixed
+        self.multiples = _Memo(lambda r: _Memo(partial(self.scale, r)))
+        if p == 2:
+            self.add = xor
+        else:
+            ones = ((1 << (n * m * lane)) - 1) // digit  # the low bit of every lane
+            top = lane - 1
+            bias = ((1 << top) - p) * ones
 
-    pack = staticmethod(tuple)
+            def lane_add(a: int, b: int) -> int:
+                # every lane of s is at most 2p - 2; its top bit after the
+                # bias is set exactly where the lane is >= p
+                s = a + b
+                return s - p * (((s + bias) >> top) & ones)
 
-    @staticmethod
-    def unpack(key: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(key))
+            self.add = lane_add
 
-    def axpy(self, r: tuple[int, ...], x: int, b: tuple[int, ...]) -> tuple[int, ...]:
-        """The row r + x b."""
-        add, m = self.add, self.mul[x]
-        return tuple([add[s][m[t]] for s, t in zip(r, b)])
+    def pack(self, row: Sequence[int]) -> int:
+        v, width, lanes = 0, self.width, self._lanes
+        for c in row:
+            v = v << width | lanes[c]
+        return v
 
-    def times(self, v: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        """v M for the matrix M with rows `rows`: the sum of v_i times row i."""
-        axpy, w = self.axpy, self.zero
-        for x, g in zip(v, rows):
+    def unpack(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(map(self._row_codes.__getitem__, key)))
+
+    def scale(self, r: int, x: int) -> int:
+        """The row x r, for a lane-packed scalar x."""
+        m, mask, width = self._mul[x], self.mask, self.width
+        out = shift = 0
+        while r:
+            y = r & mask
+            if y:
+                out |= m[y] << shift
+            r >>= width
+            shift += width
+        return out
+
+    def _lead(self, r: int) -> int:
+        """The shift of the nonzero row r's pivot slot."""
+        return (r.bit_length() - 1) // self.width * self.width
+
+    def times(self, v: int, rows: tuple[int, ...]) -> int:
+        """v M for the matrix M with packed rows `rows`: the sum of v_i
+        times row i, from the rows' cached multiples."""
+        add, mask, width, multiples = self.add, self.mask, self.width, self.multiples
+        w, i = 0, self.n
+        while v:
+            i -= 1
+            x = v & mask
             if x:
-                w = axpy(w, x, g)
+                w = add(w, multiples[rows[i]][x])
+            v >>= width
         return w
 
     def stepper(self, a: Mat):
         """step(v) = v A for a companion matrix A: v shifted one column
         right, plus v's last entry times A's last row."""
-        axpy, feedback = self.axpy, a.row(self.n - 1)
+        add, mask, width = self.add, self.mask, self.width
+        feedback = self.multiples[self.pack(a.row(self.n - 1))]
 
-        def step(v: tuple[int, ...]) -> tuple[int, ...]:
-            w = (0,) + v[:-1]
-            return axpy(w, v[-1], feedback) if v[-1] else w
+        def step(v: int) -> int:
+            x = v & mask
+            v >>= width
+            return add(v, feedback[x]) if x else v
 
         return step
 
-    def span(self, rows) -> list[tuple[int, ...]]:
+    def span(self, rows) -> list[int]:
         """Every vector of the span of independent rows, zero first."""
-        axpy = self.axpy
-        vecs = [self.zero]
+        add, scalars = self.add, [self._lanes[c] for c in range(1, self.q)]
+        vecs = [0]
         for r in rows:
-            vecs += [axpy(v, x, r) for x in range(1, self.q) for v in vecs]
+            vecs += [add(v, w) for w in [self.scale(r, x) for x in scalars] for v in vecs]
         return vecs
 
-    def echelon(self, rows) -> tuple[tuple[int, ...], ...]:
+    def echelon(self, rows) -> tuple[int, ...]:
         """Reduced echelon basis of the span of the rows."""
-        axpy, mul, neg, inv = self.axpy, self.mul, self.neg, self.inv
-        basis: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
+        add, scale, neg, mask = self.add, self.scale, self.neg, self.mask
+        basis: dict[int, int] = {}  # pivot shift -> row with a 1 there
         for r in rows:
-            for c, b in basis:
-                if r[c]:
-                    r = axpy(r, neg[r[c]], b)
-            c = next((j for j, x in enumerate(r) if x), None)
-            if c is None:
+            for s, b in basis.items():
+                x = (r >> s) & mask
+                if x:
+                    r = add(r, scale(b, neg[x]))
+            if not r:
                 continue
-            if r[c] != 1:
-                m = mul[inv[r[c]]]
-                r = tuple([m[t] for t in r])
-            basis = [(cb, axpy(b, neg[b[c]], r) if b[c] else b) for cb, b in basis]
-            basis.append((c, r))
-        return tuple(sorted((b for _, b in basis), reverse=True))
+            s = self._lead(r)
+            if r >> s != 1:
+                r = scale(r, self.inv[r >> s])
+            for t, b in basis.items():
+                x = (b >> s) & mask
+                if x:
+                    basis[t] = add(b, scale(r, neg[x]))
+            basis[s] = r
+        return tuple(sorted(basis.values(), reverse=True))
+
+    def rank(self, rows, modulo: tuple[int, ...] = ()) -> int:
+        """The rank of the rows modulo the span of a reduced echelon basis,
+        whose rows' multiples are cached."""
+        add, scale, neg, inv, mul = self.add, self.scale, self.neg, self.inv, self._mul
+        mask, width = self.mask, self.width
+        fixed = [(self._lead(b), self.multiples[b]) for b in modulo]
+        pivots: dict[int, tuple[int, int]] = {}  # pivot shift -> (row, 1 / pivot)
+        for r in rows:
+            for s, multiples in fixed:
+                x = (r >> s) & mask
+                if x:
+                    r = add(r, multiples[neg[x]])
+            while r:
+                s = (r.bit_length() - 1) // width * width
+                pivot = pivots.get(s)
+                if pivot is None:
+                    pivots[s] = r, inv[r >> s]
+                    break
+                b, b_inv = pivot
+                r = add(r, scale(b, mul[neg[r >> s]][b_inv]))
+        return len(pivots)
 
 
 def _kernel(field: GF, n: int):
-    return _Bits(n) if field.q == 2 else _Tuples(field, n)
+    return _Bits(n) if field.q == 2 else _Lanes(field, n)

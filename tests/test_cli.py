@@ -283,6 +283,19 @@ def test_code_rejects_a_subspace_of_another_dimension(capsys):
     assert err == "parse error: subspace lives in dimension 2, but --n is 3 (at position 0)\n"
 
 
+def test_code_takes_the_row_space_of_a_rank_deficient_basis(capsys):
+    # the rows need not be independent: the base point is their row space
+    argv = ["code", "--field", "2", "--n", "3", "--divisors", "1,1,0,1"]
+    code, out, err = run(capsys, *argv, "--subspace", "1,0,0;1,0,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["k"] == 1
+    assert run(capsys, *argv, "--subspace", "1,0,0") == (0, out, "")
+    # no nonzero row: no point of the Grassmannian
+    code, out, err = run(capsys, *argv, "--subspace", "0,0,0;0,0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: the zero subspace is not a Grassmannian point here\n"
+
+
 def test_code_reports_parse_position(capsys):
     code, _, err = run(
         capsys,
@@ -494,9 +507,9 @@ def test_two_block_code_report_walks_once(capsys, monkeypatch):
     walks = Counter()
     walked = codes._walk
 
-    def counted(u, a):
+    def counted(u, a, bases=None):
         walks[u, a] += 1
-        return walked(u, a)
+        return walked(u, a, bases)
 
     monkeypatch.setattr(codes, "_walk", counted)
     code, _, _ = run(

@@ -407,8 +407,10 @@ def test_orbit_period_rejects_singular_action():
 # ---------------------------------------------------------------------------
 # the packed-row orbit walk against a Mat multiply and rref oracle
 
-WALK_FIELDS = (F2, F3, F4, F257)
-MAX_N = {2: 6, 3: 4, 4: 4, 257: 3}
+F8 = GF(2, 3)
+F9 = GF(3, 2)
+WALK_FIELDS = (F2, F3, F4, F8, F9, F257)  # every lane layout of rows._Lanes
+MAX_N = {2: 6, 3: 4, 4: 4, 8: 3, 9: 3, 257: 3}
 
 
 def oracle_orbit(u, a):
@@ -439,7 +441,7 @@ def walk_generator(rng, field, n):
     """A random invertible matrix.  Over GF(257) it is a random conjugate
     of a permutation times a diagonal of powers of 2 (of order 16), so its
     order stays below 100 and the oracle's walks stay short."""
-    if field.q <= 4:
+    if field.q < 257:
         return rand_invertible(rng, field, n)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -454,7 +456,7 @@ def walk_generator(rng, field, n):
 def walk_divisors(rng, field):
     """Random unit divisors; over GF(257), (x - 2^i)^e with e <= 2, whose
     companion blocks stay small enough for the oracle."""
-    if field.q <= 4:
+    if field.q < 257:
         return random_unit_divisors(rng, field, rng.randint(1, MAX_N[field.q]))
     return tuple(
         (Poly(field, [257 - pow(2, rng.randrange(16), 257), 1]), rng.randint(1, 2))
@@ -497,6 +499,32 @@ def test_component_profile_matches_oracle(field, seed):
             continue
         p, e = blk.divisor
         assert blk.profile == dense_profile(subspace(blk.matrix), companion(p**e))
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS[:5])
+def test_profile_walk_steps_rows_and_takes_no_echelon(monkeypatch, field):
+    """A profile-only walk makes k row images per step and no echelon form:
+    its overlaps come from ranks modulo U."""
+    rng = random.Random(field.q)
+    n = min(MAX_N[field.q], 3)
+    a = rand_invertible(rng, field, n)
+    u = random_subspace(rng, field, n, 2)
+    images = []
+    kern = type(rows._kernel(field, n))
+    times = kern.times
+
+    def counted(self, v, key):
+        images.append(v)
+        return times(self, v, key)
+
+    def forbidden(*args):
+        raise AssertionError("the walk took an echelon form")
+
+    monkeypatch.setattr(kern, "times", counted)
+    monkeypatch.setattr(kern, "echelon", forbidden)
+    profile = _walk(u, a)
+    assert profile == dense_profile(u, a)
+    assert len(images) == u.k * profile.period
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +652,9 @@ def test_difference_profile_matches_walk(field, seed):
     d = rng.randint(1, PROFILE_MAX_D[field.q])
     p = rng.choice([f for f in irreducibles(field, d) if f.coeff(0)])
     u = random_subspace(rng, field, d, rng.randint(1, d))
-    keys, profile = _walk(u, companion(p))
-    assert len(keys) == profile.period
+    bases = []
+    profile = _walk(u, companion(p), bases)
+    assert len(bases) == profile.period - 1
     assert _difference_profile(u, p) == profile
     assert orbit_profile(u, [(p, 1)]) == profile
 
@@ -667,7 +696,7 @@ def power_span(p, powers):
 )
 def test_difference_profile_known_stabilizers(p, powers, period):
     u = power_span(p, powers)
-    profile = _walk(u, companion(p))[1]
+    profile = _walk(u, companion(p))
     assert profile.period == period
     assert _difference_profile(u, p) == profile
     assert orbit_profile(u, [(p, 1)]).period == period
@@ -698,7 +727,7 @@ def cosets_meeting(u, p):
 def counted_steps(monkeypatch):
     """Count the difference count's baby steps and giant steps."""
     steps = {"baby": 0, "giant": 0}
-    for kernel in (rows._Bits, rows._Tuples):
+    for kernel in (rows._Bits, rows._Lanes):
         stepper, times = kernel.stepper, kernel.times
 
         def counting_stepper(self, a, stepper=stepper):
@@ -732,7 +761,7 @@ def test_giant_steps_label_several_cosets(monkeypatch, field, d, order, k, m):
     p = of_order(field, d, order)
     u = random_subspace(random.Random(order), field, d, k)
     assert cosets_meeting(u, p) >= 2
-    profile = _walk(u, companion(p))[1]
+    profile = _walk(u, companion(p))
     if m is not None:
         monkeypatch.setattr(codes, "_baby_steps", lambda unlabelled, order: m)
     steps = counted_steps(monkeypatch)
@@ -744,7 +773,7 @@ def test_giant_steps_label_several_cosets(monkeypatch, field, d, order, k, m):
 def test_giant_steps_label_a_primitive_cycle(monkeypatch):
     p = of_order(F2, 14, 2**14 - 1)
     u = random_subspace(random.Random(14), F2, 14, 3)
-    profile = _walk(u, companion(p))[1]
+    profile = _walk(u, companion(p))
     steps = counted_steps(monkeypatch)
     assert _difference_profile(u, p) == profile
     assert steps["giant"] > 0
@@ -761,13 +790,40 @@ def test_difference_count_does_not_step_the_whole_cycle(monkeypatch):
     assert (profile.period, profile.k) == (2**16 - 1, 3)
 
 
+def test_difference_count_at_gf2_n32():
+    # x^32 + x^22 + x^2 + x + 1 is primitive: a list of its 2^32 - 1 pair
+    # counts would not fit in memory, while U's 7 * 7 label pairs fit a dict
+    p = Poly(F2, [1, 1, 1] + [0] * 19 + [1] + [0] * 9 + [1])
+    assert poly_order(p) == 2**32 - 1
+    u = random_subspace(random.Random(32), F2, 32, 3)
+    profile = orbit_profile(u, [(p, 1)])
+    assert (profile.period, profile.k) == (2**32 - 1, 3)
+    # one cycle of <x> meets each ordered pair of distinct nonzero vectors
+    # of U once, and |U n U A^j| - 1 of those pairs differ by j
+    assert sum(2**d - 1 for _, d in profile.overlaps) == 7 * 6
+
+
+def test_sparse_and_dense_counts_agree(monkeypatch):
+    rng = random.Random(20)
+    for _ in range(40):
+        field = rng.choice((F2, F3, F4, F5))
+        d = rng.randint(1, PROFILE_MAX_D[field.q])
+        p = rng.choice([f for f in irreducibles(field, d) if f.coeff(0)])
+        u = random_subspace(rng, field, d, rng.randint(1, d))
+        profiles = []
+        for sparse in (True, False):
+            monkeypatch.setattr(codes, "_counts_are_sparse", lambda size, order: sparse)
+            profiles.append(_difference_profile(u, p))
+        assert profiles[0] == profiles[1] == _walk(u, companion(p))
+
+
 def test_equal_sub_blocks_share_one_profile(monkeypatch):
     walks = []
     walked = codes._walk
 
-    def counted(u, a):
+    def counted(u, a, bases=None):
         walks.append((u, a))
-        return walked(u, a)
+        return walked(u, a, bases)
 
     monkeypatch.setattr(codes, "_walk", counted)
     p = Poly(F2, [1, 1, 1])
@@ -789,11 +845,11 @@ def test_bounds_suite_walks_no_pair_twice_within_a_structure(monkeypatch):
     seen, repeats = set(), []
     walked = codes._walk
 
-    def counted(u, a):
+    def counted(u, a, bases=None):
         if (u, a) in seen:
             repeats.append((u, a))
         seen.add((u, a))
-        return walked(u, a)
+        return walked(u, a, bases)
 
     def resetting(fn):
         def wrapped(*args, **kwargs):
@@ -829,7 +885,7 @@ def test_bounds_suite_walks_no_pair_twice_within_a_structure(monkeypatch):
 )
 def test_orbit_profile_picks_the_cheaper_producer(monkeypatch, p, k, counted):
     u = random_subspace(random.Random(k), p.field, int(p.degree), k)
-    profile = _walk(u, companion(p))[1]
+    profile = _walk(u, companion(p))
 
     def forbidden(*args):
         raise AssertionError("the other producer ran")
@@ -841,15 +897,15 @@ def test_orbit_profile_picks_the_cheaper_producer(monkeypatch, p, k, counted):
 def test_orbit_profile_falls_back_to_walk_for_other_generators():
     p = Poly(F2, [1, 1, 1])
     u = subspace(mat2([[1, 0, 0, 0]]))
-    assert orbit_profile(u, [(p, 2)]) == _walk(u, companion(p**2))[1]
+    assert orbit_profile(u, [(p, 2)]) == _walk(u, companion(p**2))
     u = subspace(mat2([[1, 0, 0, 1, 1]]))
     gen = block_diag([companion(f**e) for f, e in SINGER_DIVISORS])
-    assert orbit_profile(u, SINGER_DIVISORS) == _walk(u, gen)[1]
+    assert orbit_profile(u, SINGER_DIVISORS) == _walk(u, gen)
     assert orbit_profile(u, SINGER_DIVISORS).period == 21
     # x^3 + 1 = (x + 1)(x^2 + x + 1) is reducible: x fixes 1 + x + x^2
     reducible = Poly(F2, [1, 0, 0, 1])
     u = line(1, 1, 1)
-    assert orbit_profile(u, [(reducible, 1)]) == _walk(u, companion(reducible))[1]
+    assert orbit_profile(u, [(reducible, 1)]) == _walk(u, companion(reducible))
     assert orbit_profile(u, [(reducible, 1)]).period == 1
 
 
@@ -973,9 +1029,9 @@ def test_blockdiag_check_walks_the_whole_code_once(monkeypatch):
     walks = []
     walked = codes._walk
 
-    def counted(u, a):
+    def counted(u, a, bases=None):
         walks.append((u, a))
-        return walked(u, a)
+        return walked(u, a, bases)
 
     monkeypatch.setattr(codes, "_walk", counted)
     report = blockdiag_coprime_check([mat2([[1, 0, 0]]), mat2([[1, 0]])], SINGER_DIVISORS)
