@@ -176,14 +176,14 @@ def _walk(u: Subspace, a: Mat, bases: list | None = None) -> OrbitProfile:
     _check_operator(u, a)
     kern = _kernel(u.field, u.n)
     rows = kern.key(a)
-    if kern.rank(rows) < u.n:
+    if len(kern.pivots(rows)) < u.n:
         raise SingularMatrixError("the walk needs an invertible matrix; this one is singular")
-    times, rank, k = kern.times, kern.rank, u.k
+    times, pivots, k = kern.times, kern.pivots, u.k
     start = tuple([kern.pack(u.basis.row(i)) for i in range(k)])
     basis, overlaps, j = start, [], 1
     while True:
         basis = [times(r, rows) for r in basis]
-        d = k - rank(basis, start)
+        d = k - len(pivots(basis, start))
         if d == k:
             return OrbitProfile(j, k, tuple(overlaps))
         if d:
@@ -316,17 +316,20 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
     a coset and their exponents differ by i mod ord(p).  So
     |U n U A^-i| - 1 counts those label pairs, and dim(U n U A^i), equal
     to dim(U n U A^-i), is its log_q; only nonzero counts are read back.
-    The counts go into a dict when _counts_are_sparse, else a list of
-    ord(p) slots."""
+    Every coset is labelled first, and the counts go into a dict when
+    _counts_are_sparse for their label pairs, else a list of ord(p)
+    slots."""
     kern = _kernel(u.field, u.n)
     step = kern.stepper(companion(p))
     order = poly_order(p)
     todo = set(kern.span([kern.pack(u.basis.row(i)) for i in range(u.k)])[1:])
     nonzero = len(todo)
-    sparse = _counts_are_sparse(nonzero, order)
-    counts = Counter() if sparse else [0] * order
+    cosets = []
     while todo:
-        exponents = _coset_exponents(kern, step, p, order, todo)
+        cosets.append(_coset_exponents(kern, step, p, order, todo))
+    sparse = _counts_are_sparse(sum(len(e) ** 2 for e in cosets), order)
+    counts = Counter() if sparse else [0] * order
+    for exponents in cosets:
         if sparse:
             counts.update((a - b) % order for a in exponents for b in exponents)
         else:
@@ -343,11 +346,18 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
     return OrbitProfile(period, u.k, overlaps)
 
 
-def _counts_are_sparse(size: int, order: int) -> bool:
-    """Whether _difference_profile counts into a dict: when its at most
-    size * min(size, order) label pairs, for the size nonzero vectors of U,
-    are fewer than the order slots a list would allocate and scan."""
-    return size * min(size, order) < order
+# List slots (allocated, then scanned by compress) that cost as much as one
+# label pair counted into the dict.  Timed under CPython 3.11 on x86-64 with
+# each branch forced: the dict was faster at pairs / ord(p) of 0.06 over
+# GF(2) and GF(4) and 0.103-0.111 over GF(3), the list at 0.123-0.124 over
+# GF(2) and at 0.22 or more over GF(2), GF(3) and GF(4).
+_SLOTS_PER_PAIR = 9
+
+
+def _counts_are_sparse(pairs: int, order: int) -> bool:
+    """Whether _difference_profile counts its label pairs into a dict
+    rather than a list of order slots."""
+    return pairs * _SLOTS_PER_PAIR < order
 
 
 # The cost of one giant step (kern.times by x^-m's packed rows and a dict

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .numtheory import factorize
+from .numtheory import factorize, power
 
 _PRIME_LIMIT = 1 << 20  # larger characteristics are out of scope
 _TABLE_LIMIT = 256
@@ -214,14 +214,7 @@ class GF:
         if e < 0:
             a = self.inv(a)
             e = -e
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return power(a, e, self.mul, 1)
 
     # -- identity
 

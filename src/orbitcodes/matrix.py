@@ -2,9 +2,11 @@
 
 Entries are element codes stored row-major in a flat tuple.  Mat values are
 immutable and hashable; every operation returns a fresh matrix, and its
-arithmetic indexes the field's lookups as Poly does.  rref and
-Mat.inverse run one Gauss-Jordan elimination, _reduce; the inverse reduces
-[A | I] over A's columns and reads the right half.  Block diagonals of
+arithmetic indexes the field's lookups as Poly does.  Mat.__pow__ is
+numtheory.power on Mat products, after one inverse for a negative
+exponent.  rref and Mat.inverse run one Gauss-Jordan elimination,
+_reduce; the inverse reduces [A | I] over A's columns and reads the
+right half.  Block diagonals of
 any shape come from one assembler, block_diag_basis (block_diag is its
 square-block case), and generators in rational canonical form,
 diag(companion(p_i^e_i)), from one builder, companion_diag, which builds
@@ -12,7 +14,7 @@ each block companion(p^e) once and keeps it.  The orbit
 walk (codes) and the group closure (groups) run on the int-packed rows
 of rows.py, over every field, and build Mats only for their results
 and, in the closure, for one inverse per strong generator: the walk
-reads its overlaps from a rank-only elimination of packed rows, not from
+reads its overlaps from the forward elimination of packed rows, not from
 rref.  Mat multiply and rref are the slow oracle they are checked
 against.  Mat arithmetic is still on
 other hot paths: rcf.elementary_divisors reads the ranks of p(A)^j, and
@@ -29,6 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError
 from .field import GF
+from .numtheory import power
 from .poly import Poly
 
 
@@ -154,15 +157,7 @@ class Mat:
         if not isinstance(e, int):
             raise TypeError("matrix exponent must be an integer")
         base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = Mat.identity(self.field, self.rows)
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return power(base, abs(e), Mat.__mul__, Mat.identity(self.field, self.rows))
 
     def transpose(self) -> "Mat":
         r, c, e = self.rows, self.cols, self.entries

@@ -1,4 +1,5 @@
-"""Small integer helpers, all at trial-division scale."""
+"""Small integer helpers, all at trial-division scale, and power, the
+library's one square-and-multiply loop."""
 
 from __future__ import annotations
 
@@ -36,3 +37,18 @@ def multiplicative_order(a: int, n: int) -> int:
         x = x * a % n
         e += 1
     return e
+
+
+def power(x, e: int, mul, one):
+    """x^e for an integer e >= 0 by right-to-left square-and-multiply with
+    the product mul.  e = 0 gives one; otherwise the square at e's lowest
+    set bit starts the result, nothing is multiplied by one, and x^e costs
+    e.bit_length() - 1 squarings and popcount(e) - 1 other products."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return one if out is None else out
+        x = mul(x, x)

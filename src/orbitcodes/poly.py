@@ -7,8 +7,9 @@ sentinel NEG_INF.  Values are immutable and all functions are pure.
 The public constructor checks every coefficient; results the library
 computes itself (sums, products, quotients, remainders, enumerated
 candidates) go through the unchecked Poly._trusted.  Multiplication and
-division index the field's lookups (field.GF.lookups) directly, with one
-loop for every field size.
+division run polykernel's _product and _divide on the field's lookups
+(field.GF.lookups), one loop for every field size, and powers run
+numtheory.power on those products.
 
 Candidate polynomials are ordered by their base-q coefficient code
 (constant term least significant), which fixes a single deterministic
@@ -37,7 +38,8 @@ import math
 from functools import lru_cache
 
 from .field import GF
-from .polykernel import _divide, _gcd, _kernel
+from .numtheory import power
+from .polykernel import _divide, _gcd, _kernel, _product
 
 NEG_INF = float("-inf")
 
@@ -163,15 +165,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(F)
-        add, mul, _, _ = F.lookups
-        terms = [(j, c) for j, c in enumerate(b) if c]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                row = mul[ai]
-                for j, c in terms:
-                    out[i + j] = add[out[i + j]][row[c]]
-        return Poly._trusted(F, out)
+        return Poly._trusted(F, _product(a, b, F.lookups))
 
     def scale(self, c: int) -> "Poly":
         row = self.field.lookups[1][c]
@@ -197,19 +191,10 @@ class Poly:
     def __pow__(self, e: int, mod: "Poly | None" = None) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
-        out = Poly.one(self.field)
-        base = self if mod is None else self % mod
-        while e:
-            if e & 1:
-                out = out * base
-                if mod is not None:
-                    out %= mod
-            e >>= 1
-            if e:
-                base = base * base
-                if mod is not None:
-                    base %= mod
-        return out
+        one = Poly.one(self.field)
+        if mod is None:
+            return power(self, e, Poly.__mul__, one)
+        return power(self % mod, e, lambda a, b: a * b % mod, one)
 
     def monic(self) -> "Poly":
         if self.is_zero or self.lc == 1:

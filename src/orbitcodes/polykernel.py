@@ -2,14 +2,16 @@
 coefficient sequences and ints, with no Poly built.
 
 _divide is the one long division (Poly's division operators and gcd use
-it) and _gcd the monic Euclid on its remainders, both on coefficient lists
-over a field's lookups (field.GF.lookups).
+it), _gcd the monic Euclid on its remainders and _product the one
+schoolbook product (Poly's and _Lists' product mod f), all on coefficient
+lists over a field's lookups (field.GF.lookups).
 
 Residues mod a monic f come in two forms, picked per field by _kernel:
 _Bits over GF(2), where a residue is an int with bit i the coefficient of
 x^i (the bit order of Poly.code), and _Lists, coefficient lists on the
 field's lookups, for every other field.  Each gives x-powers, Frobenius
-steps and the gcd test of Ben-Or's irreducibility test, and the product
+steps (for _Lists, numtheory.power with the product mod f) and the gcd
+test of Ben-Or's irreducibility test, and the product
 marks of poly.irreducibles' sieve; Ben-Or's test and the order of x are
 written once, over either form, in _Residues.  _Lists runs on GF(2) input
 too, as the tests' oracle for _Bits.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .numtheory import factorize
+from .numtheory import factorize, power
 
 if TYPE_CHECKING:
     from .field import GF
@@ -48,6 +50,20 @@ def _divide(a, b, lookups) -> tuple[list[int], list[int]]:
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem
+
+
+def _product(a, b, lookups) -> list[int]:
+    """The coefficient list of a b, for nonempty coefficient sequences over
+    a field with these lookups: the schoolbook product over the nonzero
+    terms, a square (a is b) listing its terms once."""
+    add, mul, _, _ = lookups
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    for i, c in terms if a is b else [(i, c) for i, c in enumerate(a) if c]:
+        row = mul[c]
+        for j, cb in terms:
+            out[i + j] = add[out[i + j]][row[cb]]
+    return out
 
 
 def _gcd(a, b, lookups) -> list[int]:
@@ -108,16 +124,10 @@ class _Lists(_Residues):
         self.one = [1] + [0] * (self.d - 1)
 
     def mul_mod(self, a: list[int], b: list[int]) -> list[int]:
-        """a b mod f: the schoolbook product, then each term of degree
-        >= d folded back through x^d = tail, top down."""
+        """a b mod f: _product, then each term of degree >= d folded back
+        through x^d = tail, top down."""
         add, mul, tail, d = self.add, self.mul, self.tail, self.d
-        out = [0] * (2 * d - 1)
-        terms = [(j, c) for j, c in enumerate(b) if c]
-        # a square reuses b's term list
-        for i, c in terms if a is b else [(i, c) for i, c in enumerate(a) if c]:
-            row = mul[c]
-            for j, cb in terms:
-                out[i + j] = add[out[i + j]][row[cb]]
+        out = _product(a, b, self.lookups)
         for top in range(2 * d - 2, d - 1, -1):
             lead = out[top]
             if lead:
@@ -128,13 +138,8 @@ class _Lists(_Residues):
         return out
 
     def frobenius(self, r: list[int]) -> list[int]:
-        """r^q mod f, left-to-right square-and-multiply with mul_mod."""
-        out = r
-        for bit in bin(self.q)[3:]:
-            out = self.mul_mod(out, out)
-            if bit == "1":
-                out = self.mul_mod(out, r)
-        return out
+        """r^q mod f, by numtheory.power with mul_mod."""
+        return power(r, self.q, self.mul_mod, self.one)
 
     def x_power(self, e: int) -> list[int]:
         """x^e mod f: one left-to-right square-and-shift pass over the bits

@@ -18,20 +18,22 @@ and times(v, key) forms v M: the sum of M's rows scaled by v's entries.
 Over GF(2) that is the XOR of the rows at v's set bits; over larger
 fields the scalar multiples of a row come from one routine (scale) and
 are cached per (row, scalar) for the rows that stay fixed, the rows of a
-matrix key or of a subspace's reduced basis.  rank is a rank-only
-elimination, with no back substitution and no sort, modulo the span of a
-reduced echelon basis.  For a companion matrix A = companion(p),
+matrix key or of a subspace's reduced basis.  pivots, the one
+elimination, runs forward only modulo the span of a reduced echelon
+basis and returns a row per pivot, so their count is a rank; echelon
+back-substitutes over them.  For a companion matrix A = companion(p),
 stepper(A) maps v to v A by a shift by one column plus the last entry of
 v times A's last row.  The same step builds the key of multiplication by
 any residue r of F_q[x]/(p) (multiplier), row i being r x^i, so v times
 a power of x costs one times.
 
 codes._walk steps a basis B_j = B_{j-1} A with times and reads
-dim(U n U A^j) from rank modulo U; codes._difference_profile labels the
-nonzero vectors of a subspace (span) in the cycles of multiplication by
-x, with baby steps by stepper and giant steps by times on the multiplier
-key of x^-m; groups.closure multiplies matrix keys (product) and moves
-rows by times to build a stabilizer chain.
+dim(U n U A^j) from its pivots modulo U (orbit_code lists the echelon of
+each B_j); codes._difference_profile labels the nonzero vectors of a
+subspace (span) in the cycles of multiplication by x, with baby steps by
+stepper and giant steps by times on the multiplier key of x^-m;
+groups.closure multiplies matrix keys (product) and moves rows by times
+to build a stabilizer chain.
 """
 
 from __future__ import annotations
@@ -113,27 +115,14 @@ class _Bits(_Keys):
         return vecs
 
     @staticmethod
-    def echelon(rows) -> tuple[int, ...]:
-        """Reduced echelon basis of the span of the rows."""
-        basis: list[int] = []
-        for r in rows:
-            for b in basis:
-                if r ^ b < r:  # b's pivot bit is set in r
-                    r ^= b
-            if r:
-                top = 1 << (r.bit_length() - 1)
-                basis = [b ^ r if b & top else b for b in basis]
-                basis.append(r)
-        basis.sort(reverse=True)
-        return tuple(basis)
-
-    @staticmethod
-    def rank(rows, modulo: tuple[int, ...] = ()) -> int:
-        """The rank of the rows modulo the span of a reduced echelon basis."""
-        pivots: dict[int, int] = {}  # pivot bit length -> row
+    def pivots(rows, modulo: tuple[int, ...] = ()) -> dict[int, int]:
+        """Forward elimination of the rows modulo the span of a reduced
+        echelon basis: a row per pivot, keyed by the pivot's bit length, so
+        there are as many as the rank of the rows modulo that span."""
+        pivots: dict[int, int] = {}
         for r in rows:
             for b in modulo:
-                if r ^ b < r:
+                if r ^ b < r:  # b's pivot bit is set in r
                     r ^= b
             while r:
                 top = r.bit_length()
@@ -141,7 +130,19 @@ class _Bits(_Keys):
                     pivots[top] = r
                     break
                 r ^= pivots[top]
-        return len(pivots)
+        return pivots
+
+    @classmethod
+    def echelon(cls, rows) -> tuple[int, ...]:
+        """Reduced echelon basis of the span of the rows: the pivot rows
+        back-substituted from the last pivot column up."""
+        basis: list[int] = []
+        for r in sorted(cls.pivots(rows).values()):
+            for b in basis:
+                if r ^ b < r:
+                    r ^= b
+            basis.append(r)
+        return tuple(reversed(basis))
 
 
 class _Lanes(_Keys):
@@ -210,10 +211,6 @@ class _Lanes(_Keys):
             shift += width
         return out
 
-    def _lead(self, r: int) -> int:
-        """The shift of the nonzero row r's pivot slot."""
-        return (r.bit_length() - 1) // self.width * self.width
-
     def times(self, v: int, rows: tuple[int, ...]) -> int:
         """v M for the matrix M with packed rows `rows`: the sum of v_i
         times row i, from the rows' cached multiples."""
@@ -248,34 +245,17 @@ class _Lanes(_Keys):
             vecs += [add(v, w) for w in [self.scale(r, x) for x in scalars] for v in vecs]
         return vecs
 
-    def echelon(self, rows) -> tuple[int, ...]:
-        """Reduced echelon basis of the span of the rows."""
-        add, scale, neg, mask = self.add, self.scale, self.neg, self.mask
-        basis: dict[int, int] = {}  # pivot shift -> row with a 1 there
-        for r in rows:
-            for s, b in basis.items():
-                x = (r >> s) & mask
-                if x:
-                    r = add(r, scale(b, neg[x]))
-            if not r:
-                continue
-            s = self._lead(r)
-            if r >> s != 1:
-                r = scale(r, self.inv[r >> s])
-            for t, b in basis.items():
-                x = (b >> s) & mask
-                if x:
-                    basis[t] = add(b, scale(r, neg[x]))
-            basis[s] = r
-        return tuple(sorted(basis.values(), reverse=True))
-
-    def rank(self, rows, modulo: tuple[int, ...] = ()) -> int:
-        """The rank of the rows modulo the span of a reduced echelon basis,
-        whose rows' multiples are cached."""
-        add, scale, neg, inv, mul = self.add, self.scale, self.neg, self.inv, self._mul
-        mask, width = self.mask, self.width
-        fixed = [(self._lead(b), self.multiples[b]) for b in modulo]
-        pivots: dict[int, tuple[int, int]] = {}  # pivot shift -> (row, 1 / pivot)
+    def pivots(self, rows, modulo: tuple[int, ...] = ()) -> dict[int, int]:
+        """Forward elimination of the rows modulo the span of a reduced
+        echelon basis, whose rows' multiples are cached: a row per pivot,
+        keyed by the pivot's shift, so there are as many as the rank of
+        the rows modulo that span."""
+        add, neg, inv, mask, width = self.add, self.neg, self.inv, self.mask, self.width
+        # echelon passes no basis, and then builds no list
+        fixed = modulo and [
+            ((b.bit_length() - 1) // width * width, self.multiples[b]) for b in modulo
+        ]
+        pivots: dict[int, int] = {}
         for r in rows:
             for s, multiples in fixed:
                 x = (r >> s) & mask
@@ -283,13 +263,28 @@ class _Lanes(_Keys):
                     r = add(r, multiples[neg[x]])
             while r:
                 s = (r.bit_length() - 1) // width * width
-                pivot = pivots.get(s)
-                if pivot is None:
-                    pivots[s] = r, inv[r >> s]
+                b = pivots.get(s)
+                if b is None:
+                    pivots[s] = r
                     break
-                b, b_inv = pivot
-                r = add(r, scale(b, mul[neg[r >> s]][b_inv]))
-        return len(pivots)
+                r = add(r, self.scale(b, self._mul[neg[r >> s]][inv[b >> s]]))
+        return pivots
+
+    def echelon(self, rows) -> tuple[int, ...]:
+        """Reduced echelon basis of the span of the rows: the pivot rows
+        scaled to a leading 1 and back-substituted from the last pivot
+        column up."""
+        add, scale, neg, inv, mask = self.add, self.scale, self.neg, self.inv, self.mask
+        basis: list[tuple[int, int]] = []  # (pivot shift, row with a 1 there)
+        for s, r in sorted(self.pivots(rows).items()):
+            if r >> s != 1:
+                r = scale(r, inv[r >> s])
+            for t, b in basis:
+                x = (r >> t) & mask
+                if x:
+                    r = add(r, scale(b, neg[x]))
+            basis.append((s, r))
+        return tuple([b for _, b in reversed(basis)])
 
 
 def _kernel(field: GF, n: int):

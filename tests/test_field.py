@@ -148,6 +148,19 @@ def test_pow():
         assert f.pow(a, -1) == f.inv(a)
 
 
+@pytest.mark.parametrize("f", [GF(5), GF(2, 3), GF(3, 2), GF(2, 9)])
+def test_pow_matches_repeated_multiplication(f):
+    """GF.pow against |e| products one at a time, of a or, for a negative
+    e, of its inverse; GF(2^9) has no tables and multiplies by digits."""
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+    for a in range(1, f.q, max(1, f.q // 16)):
+        for e in range(-7, 8):
+            want, x = 1, a if e > 0 else f.inv(a)
+            for _ in range(abs(e)):
+                want = f.mul(want, x)
+            assert f.pow(a, e) == want
+
+
 # Fields whose multiplication tables come from log/antilog tables, including
 # moduli whose root x is not primitive (x^2 + 1 over F_3, x^4 + ... + 1
 # over F_2), and two untabled fields that multiply by digits.

@@ -72,6 +72,28 @@ def test_negative_power_uses_inverse():
     assert a**3 == a * a * a
 
 
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 6, 7, 8, 13, 100, -1, -6])
+def test_power_makes_no_product_with_the_identity(monkeypatch, e):
+    """a ** e squares e.bit_length() - 1 times and makes popcount(e) - 1
+    other products, none of them with I; a ** 0 makes none.  A negative e
+    inverts once and then counts as |e|."""
+    a = companion(Poly(F3, [2, 1, 0, 1]))
+    step = a if e >= 0 else a.inverse()
+    want = Mat.identity(F3, 3)
+    for _ in range(abs(e)):
+        want = want * step
+    mul, products = Mat.__mul__, []
+
+    def counted(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    assert a**e == want
+    e = abs(e)
+    assert len(products) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+
+
 def test_rref_identity():
     r = rref(Mat.identity(F2, 3))
     assert r.matrix == Mat.identity(F2, 3)

@@ -407,6 +407,31 @@ def test_pow_with_modulus():
     assert pow(Poly.x(F2), 6, f) != Poly.one(F2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((F2, F3, F4, GF(257))),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+def test_pow_and_frobenius_match_repeated_multiplication(field, e, rng):
+    """Poly.__pow__ with and without a modulus against e products one at a
+    time, and _Lists.frobenius (r -> r^q mod f) against q of them."""
+    f = Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(0, 5))])
+    mod = Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(1, 5))] + [1])
+    want = Poly.one(field)
+    for _ in range(e):
+        want = want * f
+    assert f**e == want
+    assert pow(f, e, mod) == want % mod
+    lists = _Lists(mod)
+    r = list((f % mod).coeffs)
+    r += [0] * (lists.d - len(r))
+    want = lists.one
+    for _ in range(field.q):
+        want = lists.mul_mod(want, r)
+    assert lists.frobenius(r) == want
+
+
 def test_evaluate():
     f = Poly(F3, [1, 2, 1])  # 1 + 2x + x^2
     assert f.evaluate(0) == 1
