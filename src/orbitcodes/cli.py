@@ -45,7 +45,15 @@ from .groups import (
     matrix_order,
 )
 from .poly import factor
-from .textio import format_mat, format_poly, parse_designator, parse_field, parse_mat, parse_poly
+from .textio import (
+    format_companion_diag,
+    format_mat,
+    format_poly,
+    parse_designator,
+    parse_field,
+    parse_mat,
+    parse_poly,
+)
 from .verify import SUITES, run_suites
 
 _DEFAULT_MAX_BITS = 22
@@ -138,6 +146,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
         return 2
     field = parse_field(args.field, args.modulus)
+    block_rows = {}  # each companion block's rows, formatted once per call
     classes = [
         {
             "class": i,
@@ -146,7 +155,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "divisors": [
                 {"p": format_poly(p), "e": e} for p, e in rep.rcf.divisors
             ],
-            "generator": format_mat(rep.rcf.matrix),
+            "generator": format_companion_diag(rep.rcf.divisors, block_rows),
         }
         for i, rep in enumerate(class_representatives(field, args.n))
     ]

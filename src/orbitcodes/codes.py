@@ -336,6 +336,8 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
             for a in exponents:
                 for b in exponents:
                     counts[a - b] += 1  # a negative index is the residue mod order
+    if sparse:
+        counts = dict(counts)  # CPython 3.11 specialises a dict's subscripts, not a Counter's
     # counts[0] = nonzero
     shifts = sorted(counts)[1:] if sparse else list(compress(range(order), counts))[1:]
     period = next((j for j in shifts if counts[j] == nonzero), order)

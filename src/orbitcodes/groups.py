@@ -18,11 +18,15 @@ have exactly the orders o | q^d - 1 with ord_o(q) = d, and there are
 phi(o)/d of each (Lidl and Niederreiter, Finite Fields, Thm 3.5), so the
 signature cells are the multisets of atoms (o, e) with sum of ord_o(q) e
 equal to n.  Each cell's representative takes the smallest irreducible of
-order o for every slot (o, e), found by one scan of the degree-d
-irreducibles in code order that stops once every order has turned up, and
-its group order is lcm(o c(e)), with c(e) the least power of the
-characteristic that is >= e; no member of a cell other than its
-representative is built.
+order o for every slot (o, e), and its group order is lcm(o c(e)), with
+c(e) the least power of the characteristic that is >= e; no member of a
+cell other than its representative is built.  The smallest irreducibles
+come from one scan of the degree-d irreducibles in code order that stops
+once every common order has turned up.  An order with few irreducibles
+is built instead: they are the minimal polynomials of alpha^((q^d-1)/o a),
+alpha a root of the first primitive irreducible the scan met and a a unit
+mod o (Thm 3.5), each the characteristic polynomial of multiplication by
+that power of x modulo the primitive one.
 
 closure, the one enumeration of group elements, builds a Schreier-Sims
 stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of
@@ -42,11 +46,12 @@ from typing import Sequence
 from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
 from .matrix import Mat, companion_diag, is_invertible
-from .numtheory import factorize, multiplicative_order
+from .numtheory import factorize, multiplicative_order, totient
 from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
 from .rcf import (
     RcfData,
+    char_poly,
     check_invertible,
     divisor_key,
     elementary_divisors,
@@ -197,12 +202,82 @@ def _orders_of_degree(q: int, d: int) -> list[int]:
     return sorted(o for o in divisors if all(m % o for m in lower))
 
 
+def _minimal_polynomial(primitive: Poly, k: int) -> Poly:
+    """The minimal polynomial of alpha^k over F_q, alpha a root of the
+    irreducible `primitive` of degree d, for alpha^k of degree d: the
+    rcf.char_poly of multiplication by x^k on F_q[x]/(primitive), whose
+    row i is x^k x^i mod primitive, the row above shifted once."""
+    F = primitive.field
+    add, mul, neg, _ = F.lookups
+    tail = [neg[c] for c in primitive.coeffs[:-1]]  # x^d mod primitive
+    row = list(x_power(primitive, k))
+    entries = []
+    for _ in tail:
+        entries += row
+        lead = row.pop()
+        row.insert(0, 0)
+        if lead:
+            scale = mul[lead]
+            row = [add[r][scale[t]] for r, t in zip(row, tail)]
+    return char_poly(Mat._trusted(F, len(tail), len(tail), tuple(entries)))
+
+
+def _coset_representatives(q: int, o: int) -> list[int]:
+    """The least member of each coset of <q> in (Z/o)^*; [0] for o = 1."""
+    seen = set()
+    reps = []
+    for a in range(o):
+        if a not in seen and math.gcd(a, o) == 1:
+            reps.append(a)
+            while a not in seen:
+                seen.add(a)
+                a = a * q % o
+    return reps
+
+
+# The cost of one minimal polynomial built by _minimal_polynomial over one
+# irreducible's order in the scan.  An order o with c = phi(o)/d of the N
+# irreducibles of degree d (Thm 3.5) first turns up near N/(c+1) in code
+# order, so it is built when c (c+1) _SCANS_PER_BUILD <= N.  Per call the
+# ratio is 5-6 over GF(2), whose scan runs on packed ints, and 0.3-1.2 over
+# GF(3), GF(4), GF(5), GF(8), GF(257) and GF(1021).  _smallest_of_each_order
+# over the degrees below, in ms (CPython 3.11, x86-64, min of 7), with this
+# ratio and, for comparison, with a fixed count (built when c <= 2 or 5):
+#                  ratio 2     4     6     8    12   count 2     5
+#   GF(2) d<=12       11.1   6.2   4.7   3.6   3.8       3.2   4.3
+#   GF(3) d<=6         2.4   2.4   3.8   3.9   4.7       4.1   2.8
+#   GF(4) d<=5         3.1   2.6   2.2   2.1   6.6       6.5   2.4
+#   GF(2) d=13..16    25.6  14.6  14.4  14.5  16.0      26.6  22.6
+#   GF(3) d=7..8      16.9  18.1  17.6  16.5  15.7      29.1  15.1
+#   GF(8) d<=4        21.9  22.2  22.1  32.9  33.1      59.2  38.3
+#   GF(257) d=2       71.2  73.5  64.2   168   169       364   365
+#   GF(65537) d=1     30.1  27.0  27.2  27.3  27.4       127   124
+_SCANS_PER_BUILD = 6
+
+
 def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
-    """{o: the first irreducible of degree d and order o in code order},
-    for every order o of degree d; the scan stops once each is found."""
-    wanted = set(_orders_of_degree(field.q, d))
+    """{o: the irreducible of degree d and order o with the least code}, for
+    every order o of degree d, by ascending o.
+
+    The common orders, and always the primitive order q^d - 1, are found
+    by one scan of irreducibles(field, d) in code order that stops once
+    each has turned up.  An order o with too few irreducibles for the scan
+    to meet one soon (see _SCANS_PER_BUILD) is built instead: its
+    irreducibles are the minimal polynomials of alpha^(s a), with alpha a
+    root of the first primitive irreducible, s = (q^d - 1)/o and a one
+    representative of each coset of <q> in (Z/o)^* (Lidl and Niederreiter,
+    Finite Fields, Thm 3.5), and the least code is kept."""
+    full = field.q**d - 1
+    orders = _orders_of_degree(field.q, d)
+    candidates = irreducibles(field, d)
+    rare = []
+    for o in orders:
+        c = totient(o) // d
+        if o != full and c * (c + 1) * _SCANS_PER_BUILD <= len(candidates):
+            rare.append(o)
+    wanted = set(orders).difference(rare)
     found = {}
-    for p in irreducibles(field, d):
+    for p in candidates:
         if not p.coeff(0):
             continue  # x, a singular block
         o = _irreducible_order(p)  # p is irreducible by construction
@@ -210,8 +285,16 @@ def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
             wanted.discard(o)
             found[o] = p
             if not wanted:
-                return found
-    raise AssertionError(f"no irreducible of degree {d} has order {min(wanted)}")
+                break
+    else:
+        raise AssertionError(f"no irreducible of degree {d} has order {min(wanted)}")
+    for o in rare:
+        built = (
+            _minimal_polynomial(found[full], full // o * a)
+            for a in _coset_representatives(field.q, o)
+        )
+        found[o] = min(built, key=Poly.code)
+    return {o: found[o] for o in orders}
 
 
 def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:

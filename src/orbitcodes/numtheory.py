@@ -22,6 +22,11 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def totient(n: int) -> int:
+    """Euler's phi(n), the number of units modulo n >= 1."""
+    return math.prod((r - 1) * r ** (k - 1) for r, k in factorize(n).items())
+
+
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in the unit group mod n; the order mod 1 is 1."""
     if n < 1:

@@ -9,7 +9,10 @@ and verify's Cayley-Hamilton and minimal-polynomial checks all call it.
 
 Divisor sequences are kept in one canonical total order -- ascending by
 (deg p, coefficient code of p, exponent descending) -- so two matrices are
-conjugate exactly when their divisor tuples compare equal.
+conjugate exactly when their divisor tuples compare equal.  An RcfData is
+its divisors; the block diagonal diag(companion(p_i^e_i)) is built on the
+first read of its matrix, so a caller that needs only the divisors, or
+formats the blocks itself as classify does, builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -112,11 +115,14 @@ def divisor_key(pe: tuple[Poly, int]) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class RcfData:
-    """A rational canonical form: canonical (irreducible, exponent) pairs and
-    the block diagonal of their companion matrices."""
+    """A rational canonical form: canonical (irreducible, exponent) pairs and,
+    built on its first read, the block diagonal of their companion matrices."""
 
     divisors: tuple[tuple[Poly, int], ...]
-    matrix: Mat
+
+    @functools.cached_property
+    def matrix(self) -> Mat:
+        return companion_diag(self.divisors)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -151,11 +157,12 @@ def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
 
 
 def rcf_from_divisors(field: GF, divisors) -> RcfData:
-    """Assemble the canonical form for given (irreducible, exponent) pairs."""
+    """The canonical form for given (irreducible, exponent) pairs; its
+    matrix is built only when read."""
     pairs = sorted(divisors, key=divisor_key)
     if not pairs:
         raise ValueError("at least one elementary divisor is required")
-    return RcfData(tuple(pairs), companion_diag(pairs))
+    return RcfData(tuple(pairs))
 
 
 def check_invertible(divisors) -> None:

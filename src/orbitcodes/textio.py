@@ -3,7 +3,8 @@
 Polynomial: comma-separated ascending coefficient codes ("1,1,0,1" is
 x^3 + x + 1 over GF(2)).  Matrix: rows joined by ";", entries by ","
 ("0,1,0;0,0,1;1,1,0").  Field designator: "p" or "p^m", optionally with a
-separate modulus coefficient string over F_p.
+separate modulus coefficient string over F_p.  format_companion_diag writes
+diag(companion(p_i^e_i)) in the matrix format from its blocks' rows.
 
 Parse errors carry the character position of the offending token.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .field import GF
-from .matrix import Mat
+from .matrix import Mat, companion
 from .poly import Poly
 
 
@@ -24,6 +25,29 @@ def format_poly(f: Poly) -> str:
 
 def format_mat(m: Mat) -> str:
     return ";".join([",".join(map(str, m.row(i))) for i in range(m.rows)])
+
+
+def format_companion_diag(divisors, block_rows: dict) -> str:
+    """format_mat(companion_diag(divisors)), written from the blocks' rows
+    without building the n x n matrix: a row of block companion(p^e), with
+    `left` columns before the block and `right` after it, is
+    "0,"*left + its text + ",0"*right.  block_rows maps each (p, e) to its
+    rows' text; a pair missing from it is formatted once and added, so a
+    caller formatting many generators passes one dict to them all."""
+    blocks = []
+    for p, e in divisors:
+        rows = block_rows.get((p, e))
+        if rows is None:
+            rows = block_rows[p, e] = format_mat(companion(p**e)).split(";")
+        blocks.append(rows)
+    left, right = 0, sum(map(len, blocks))
+    out = []
+    for rows in blocks:
+        right -= len(rows)
+        before, after = "0," * left, ",0" * right
+        out.extend([before + row + after for row in rows])
+        left += len(rows)
+    return ";".join(out)
 
 
 def _parse_codes(field: GF, text: str, offset: int) -> list[int]:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -84,6 +85,18 @@ def test_classify_deterministic(capsys):
     _, first, _ = run(capsys, "classify", "--field", "3", "--n", "2", "--format", "json")
     _, second, _ = run(capsys, "classify", "--field", "3", "--n", "2", "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_classify_builds_no_generator_matrix(capsys, monkeypatch, fmt):
+    # each generator is written from its companion blocks' rows
+    def forbidden(blocks):
+        raise AssertionError("built a block-diagonal generator")
+
+    monkeypatch.setattr(importlib.import_module("orbitcodes.matrix"), "block_diag_basis", forbidden)
+    code, out, err = run(capsys, "classify", "--field", "2^2", "--n", "4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1" in out  # the identity's class
 
 
 def test_classify_resource_guard(capsys):

@@ -27,7 +27,7 @@ from orbitcodes import (
 )
 from orbitcodes import groups, poly
 from orbitcodes.matrix import companion_diag
-from orbitcodes.rcf import divisor_key, rcf_from_divisors
+from orbitcodes.rcf import char_poly, divisor_key
 from orbitcodes.sampling import random_unit_divisors
 from orbitcodes.verify import (
     brute_force_cyclic_classes,
@@ -157,6 +157,93 @@ def test_order_scan_skips_the_irreducibility_retest(monkeypatch):
     assert sorted(found) == [9, 21, 63]
     for o, p in found.items():
         assert brute_force_poly_order(p) == o
+
+
+def full_scan_smallest(field, d):
+    """{o: the first irreducible of degree d and order o in code order}, by
+    reading every irreducible: the scan the direct route shortens."""
+    found = {}
+    for p in irreducibles(field, d):
+        if p.coeff(0):
+            found.setdefault(poly._irreducible_order(p), p)
+    return found
+
+
+@pytest.mark.parametrize(
+    "field, top",
+    [
+        (F2, 16),
+        (F3, 8),
+        (GF(2, 2), 6),
+        (GF(5), 4),
+        (GF(2, 3), 4),
+        (GF(7), 3),
+        (GF(3, 2, modulus=(2, 2, 1)), 3),
+    ],
+)
+def test_smallest_of_each_order_matches_the_full_scan(field, top):
+    for d in range(1, top + 1):
+        got = groups._smallest_of_each_order(field, d)
+        assert got == full_scan_smallest(field, d)
+        assert list(got) == groups._orders_of_degree(field.q, d)
+
+
+def test_minimal_polynomial_is_the_char_poly_of_a_companion_power():
+    rng = random.Random(23)
+    for field, d in ((F2, 6), (F3, 4), (GF(2, 2), 3), (GF(5), 2), (GF(7), 1)):
+        primitive = next(
+            p for p in irreducibles(field, d)
+            if p.coeff(0) and poly._irreducible_order(p) == field.q**d - 1
+        )
+        c = companion(primitive)
+        for k in [0, 1, field.q**d - 2] + [rng.randrange(field.q**d) for _ in range(6)]:
+            assert groups._minimal_polynomial(primitive, k) == char_poly(c**k)
+
+
+def test_directly_built_orders_have_their_order(monkeypatch):
+    built = []
+    minimal_polynomial = groups._minimal_polynomial
+
+    def recording(primitive, k):
+        f = minimal_polynomial(primitive, k)
+        built.append((primitive, k, f))
+        return f
+
+    monkeypatch.setattr(groups, "_minimal_polynomial", recording)
+    for field, top in ((F2, 12), (F3, 6), (GF(2, 2), 5), (GF(5), 3), (GF(7), 2)):
+        for d in range(1, top + 1):
+            start = len(built)
+            found = groups._smallest_of_each_order(field, d)
+            full = field.q**d - 1
+            for primitive, k, f in built[start:]:
+                assert primitive == found[full]
+                o = full // math.gcd(k, full)
+                assert int(f.degree) == d and brute_force_poly_order(f) == o
+                assert found[o].code() <= f.code()
+    # among them GF(2) d=10 builds orders 11 and 33, and d=12 eight orders
+    assert len(built) > 20
+
+
+def test_order_scan_stops_before_the_last_irreducible(monkeypatch):
+    # order 13 has one irreducible of degree 12 over GF(2), the last in code
+    # order, so a scan that waits for every order reads all 335; the built
+    # orders, like the scanned ones, are never tested for irreducibility
+    calls = []
+    counted = groups._irreducible_order
+
+    def counting(p):
+        calls.append(p)
+        return counted(p)
+
+    def forbidden(f):
+        raise AssertionError(f"re-tested the irreducibility of {f!r}")
+
+    monkeypatch.setattr(groups, "_irreducible_order", counting)
+    monkeypatch.setattr(poly, "is_irreducible", forbidden)
+    assert len(irreducibles(F2, 12)) == 335
+    found = groups._smallest_of_each_order(F2, 12)
+    assert found[13] == Poly(F2, [1] * 13)
+    assert 0 < len(calls) < 335
 
 
 def test_cyclic_group_elements():
@@ -322,7 +409,7 @@ def test_class_representatives_match_multiset_oracle(field, top):
             assert rep.rcf.divisors == divisors
             assert rep.signature.entries == sig.entries
             assert rep.order == order
-            assert rep.rcf.matrix == rcf_from_divisors(field, divisors).matrix
+            assert rep.rcf.matrix == companion_diag(divisors)
 
 
 def test_smallest_slot_never_raises_the_sorted_key():

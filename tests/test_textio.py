@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitcodes import (
     GF,
@@ -7,12 +8,16 @@ from orbitcodes import (
     Poly,
     format_mat,
     format_poly,
+    irreducibles,
     parse_field,
     parse_mat,
     parse_poly,
 )
+from orbitcodes.matrix import companion_diag
+from orbitcodes.textio import format_companion_diag
 
 F2 = GF(2)
+F3 = GF(3)
 F4 = GF(2, 2)
 
 
@@ -93,3 +98,24 @@ def test_parse_field_reducible_modulus():
 def test_parse_field_non_prime():
     with pytest.raises(ParseError):
         parse_field("4")
+
+
+def test_companion_diag_text_with_unit_blocks_and_powers():
+    # 1 x 1 blocks first and last, and a squared block between them
+    divisors = [(Poly(F2, [1, 1]), 1), (Poly(F2, [1, 1, 1]), 2), (Poly(F2, [1, 1]), 1)]
+    text = "1,0,0,0,0,0;0,0,1,0,0,0;0,0,0,1,0,0;0,0,0,0,1,0;0,1,0,1,0,0;0,0,0,0,0,1"
+    assert format_companion_diag(divisors, {}) == text == format_mat(companion_diag(divisors))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_companion_diag_text_matches_the_formatted_matrix(data):
+    field = data.draw(st.sampled_from((F2, F3, F4)))
+    pool = [p for d in (1, 2, 3) for p in irreducibles(field, d)]
+    pair = st.tuples(st.sampled_from(pool), st.integers(1, 3))
+    divisors = data.draw(st.lists(pair, min_size=1, max_size=4))
+    block_rows = {}
+    text = format_companion_diag(divisors, block_rows)
+    assert text == format_mat(companion_diag(divisors))
+    assert set(block_rows) == set(divisors)
+    assert format_companion_diag(divisors, block_rows) == text  # the rows, reused
