@@ -46,7 +46,7 @@ from typing import Sequence
 from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
 from .matrix import Mat, companion_diag, is_invertible
-from .numtheory import factorize, multiplicative_order, totient
+from .numtheory import factorize, multiplicative_order, power, totient
 from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
 from .rcf import (
@@ -73,14 +73,17 @@ def matrix_order(a: Mat, divisors=None) -> int:
     that A^N = I.
 
     Without `divisors` the elementary divisors come from
-    rcf.elementary_divisors and the check is Mat.__pow__.  A caller that
+    rcf.elementary_divisors and the check is numtheory.power on the packed
+    rows of rows.py, with the kernel's product.  A caller that
     built A = diag(companion(p_i^e_i)) passes the pairs (p_i, e_i) as
     `divisors`; then A must equal companion_diag(divisors), and since
     companion(f) is multiplication by x on F_q[x]/(f), with e_j the residue
     x^j, A^N = I is checked as x^N = 1 mod every p_i^e_i by poly.x_power."""
     if divisors is None:
         n = divisors_order(elementary_divisors(a))
-        holds = (a**n).is_identity()
+        kern = _kernel(a.field, a.rows)
+        one = kern.key(Mat.identity(a.field, a.rows))
+        holds = power(kern.key(a), n, kern.product, one) == one
     else:
         n = divisors_order(divisors)
         if a != companion_diag(divisors):

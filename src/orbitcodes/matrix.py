@@ -11,16 +11,13 @@ any shape come from one assembler, block_diag_basis (block_diag is its
 square-block case), and generators in rational canonical form,
 diag(companion(p_i^e_i)), from one builder, companion_diag, which builds
 each block companion(p^e) once and keeps it.  The orbit
-walk (codes) and the group closure (groups) run on the int-packed rows
-of rows.py, over every field, and build Mats only for their results
-and, in the closure, for one inverse per strong generator: the walk
-reads its overlaps from the forward elimination of packed rows, not from
-rref.  Mat multiply and rref are the slow oracle they are checked
-against.  Mat arithmetic is still on
-other hot paths: rcf.elementary_divisors reads the ranks of p(A)^j, and
-groups.matrix_order checks A^N = I with Mat.__pow__ for a matrix not
-built from divisors it is given, so a verify run makes tens of thousands
-of Mat products and rref calls.
+walk (codes), the group closure and matrix orders (groups), the
+elementary divisors (rcf) and sampling's full-rank draws run on the
+int-packed rows of rows.py, over every field, and build Mats only for
+their inputs and results and, in the closure, for one inverse per strong
+generator: ranks come from the forward elimination of packed rows, not
+from rref.  Mat multiply, Mat.__pow__ and rref are the slow oracle they
+are checked against, with rcf.evaluate_poly_at_matrix as verify's p(A).
 """
 
 from __future__ import annotations

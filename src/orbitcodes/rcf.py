@@ -4,8 +4,12 @@ char_poly reduces A to Hessenberg form by similarity and expands det(xI - H)
 over its leading minors (Cohen, A Course in Computational Algebraic Number
 Theory, 2.2).  For each irreducible p of it, the number of elementary
 divisors p^e with e >= j is (rank p(A)^(j-1) - rank p(A)^j) / deg p.
-evaluate_poly_at_matrix is the library's one evaluation of p(A): these ranks
-and verify's Cayley-Hamilton and minimal-polynomial checks all call it.
+elementary_divisors forms p(A) and its powers on the packed rows of
+rows.py (Horner, with each coefficient added into the diagonal slots) and
+reads each rank from the count of the kernel's pivots; no Mat product or
+rref runs.  evaluate_poly_at_matrix, p(A) by Mat products, is verify's
+oracle evaluator: its Cayley-Hamilton, minimal-polynomial and kernel-rank
+checks call it.
 
 Divisor sequences are kept in one canonical total order -- ascending by
 (deg p, coefficient code of p, exponent descending) -- so two matrices are
@@ -24,8 +28,9 @@ from dataclasses import dataclass
 
 from .errors import SingularMatrixError
 from .field import GF
-from .matrix import Mat, companion_diag, rank
+from .matrix import Mat, companion_diag
 from .poly import Poly, factor
+from .rows import _kernel
 
 
 def char_poly(a: Mat) -> Poly:
@@ -125,6 +130,20 @@ class RcfData:
         return companion_diag(self.divisors)
 
 
+def _packed_poly_at(kern, p: Poly, key: tuple) -> tuple:
+    """The key of p(A) for a monic p of degree >= 1, from the key of A on
+    a rows kernel: Horner from A, each coefficient added into the diagonal
+    slots, deg p - 1 products."""
+    *low, _ = p.coeffs
+    out = key
+    for k in range(len(low) - 1, -1, -1):
+        if low[k]:
+            out = kern.plus_scalar(out, low[k])
+        if k:
+            out = kern.product(out, key)
+    return out
+
+
 @functools.lru_cache(maxsize=8192)
 def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
     """Canonically ordered (irreducible, exponent) pairs of a square matrix.
@@ -136,16 +155,18 @@ def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
     n = a.rows
     if not n:
         return ()
+    kern = _kernel(a.field, n)
+    key = kern.key(a)
     pairs = []
     for p, _ in factor(chi):
         d = int(p.degree)
-        base = power = evaluate_poly_at_matrix(p, a)
-        ranks = [n, rank(base)]
+        base = power = _packed_poly_at(kern, p, key)
+        ranks = [n, len(kern.pivots(base))]
         # until the ranks stop falling, not up to p's multiplicity in chi, so
         # that the degree sum below checks the ranks against chi
         while ranks[-1] < ranks[-2]:
-            power = power * base
-            ranks.append(rank(power))
+            power = kern.product(power, base)
+            ranks.append(len(kern.pivots(power)))
         # at_least[j - 1]: how many divisors p^e have e >= j; the last is 0
         at_least = [(hi - lo) // d for hi, lo in zip(ranks, ranks[1:])]
         for j in range(1, len(at_least)):

@@ -1,4 +1,5 @@
-"""Packed rows: the kernel under the orbit walk and the group closure.
+"""Packed rows: the kernel under the orbit walk, the group closure,
+elementary divisors and matrix orders.
 
 A row vector of F_q^n is packed into one int, so that it hashes cheaply
 and its image under a matrix is quick to form.  Over GF(2) (_Bits)
@@ -16,9 +17,14 @@ unpacks to the RREF rows of Mat and rref.
 A matrix M is keyed by the tuple of its packed rows, row i being e_i M,
 and times(v, key) forms v M: the sum of M's rows scaled by v's entries.
 Over GF(2) that is the XOR of the rows at v's set bits; over larger
-fields the scalar multiples of a row come from one routine (scale) and
-are cached per (row, scalar) for the rows that stay fixed, the rows of a
-matrix key or of a subspace's reduced basis.  pivots, the one
+fields the scalar multiples of a row come from one routine (scale),
+lane-parallel over GF(2^m) and GF(p) (see _LaneTables), and are cached
+per (row, scalar) for the rows that stay fixed, the rows of a matrix key
+or of a subspace's reduced basis.  Those row memos belong to one kernel,
+which a caller builds for one job and drops; the field's tables under it
+are built once per (field, n) and shared (_lane_tables, a bounded
+cache).  product forms the key of A B, and plus_scalar that of M + cI,
+so rcf's p(A) and groups' A^N = I check run on keys.  pivots, the one
 elimination, runs forward only modulo the span of a reduced echelon
 basis and returns a row per pivot, so their count is a rank; echelon
 back-substitutes over them.  For a companion matrix A = companion(p),
@@ -33,18 +39,20 @@ each B_j); codes._difference_profile labels the nonzero vectors of a
 subspace (span) in the cycles of multiplication by x, with baby steps by
 stepper and giant steps by times on the multiplier key of x^-m;
 groups.closure multiplies matrix keys (product) and moves rows by times
-to build a stabilizer chain.
+to build a stabilizer chain; rcf.elementary_divisors reads the ranks of
+p(A)^j from pivots, and sampling.random_full_rank the rank of each draw.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from operator import xor
 from typing import Sequence
 
 from .field import GF, _Memo
 from .matrix import Mat
+from .numtheory import power
 
 
 class _Keys:
@@ -53,7 +61,13 @@ class _Keys:
 
     def key(self, a: Mat) -> tuple:
         """A's packed rows: row i is e_i A."""
-        return tuple([self.pack(a.row(i)) for i in range(self.n)])
+        return tuple([self.pack(a.row(i)) for i in range(a.rows)])
+
+    def plus_scalar(self, key: tuple, c: int) -> tuple:
+        """The key of M + cI from the key of a square M, for an element
+        code c: c added into each row's diagonal slot."""
+        x, add, width, n = self.pack((c,)), self.add, self.width, self.n
+        return tuple([add(r, x << (n - 1 - i) * width) for i, r in enumerate(key)])
 
     def product(self, a: tuple, b: tuple) -> tuple:
         """The key of A B from the keys of A and B: row i is (e_i A) B."""
@@ -74,6 +88,9 @@ class _Bits(_Keys):
     """GF(2) rows packed into ints, column j at bit n-1-j: a row reads as a
     binary numeral, its pivot is its highest set bit, and a reduced echelon
     basis lists its rows in decreasing order."""
+
+    width = 1  # bits per element
+    add = staticmethod(xor)
 
     def __init__(self, n: int):
         self.n = n
@@ -145,36 +162,42 @@ class _Bits(_Keys):
         return tuple(reversed(basis))
 
 
-class _Lanes(_Keys):
-    """Rows over GF(q), q = p^m > 2, packed into ints of base-p digit lanes
-    (see the module docstring).  Scalars are lane-packed elements too: the
-    value of an element's slot in a row, so an entry is read by a shift
-    and a mask, and a row's pivot entry is the row shifted right to its
-    top slot."""
+class _LaneTables:
+    """The GF(q) arithmetic of _Lanes on rows of n, q = p^m > 2: lane-packed
+    scalars with their products, negatives and inverses, lane-wise add and
+    scale.  None of it depends on the rows a kernel meets, so _lane_tables
+    keeps one per (field, n) for every kernel built on it.
+
+    scale(r, x) is the row x r.  Over GF(2^m) it is lane-parallel: x y is
+    the sum of y_j x t^j over the digits y_j of y (t the generator of the
+    field over GF(2)), so x r is the XOR over the m bit-planes j of
+    ((r >> j) & low) * code(x t^j), low the lowest bit of every slot.  Over
+    GF(p) it is double-and-add with the lane-wise add: numtheory.power with
+    add as its product, at most 2 log2(p) whole-row adds.  Either is taken
+    when its count of whole-row steps (m planes, or the bit length of p) is
+    below n, the slots a slot-by-slot loop visits; otherwise, and always
+    for odd p with m > 1, scale goes slot by slot."""
 
     def __init__(self, field: GF, n: int):
         p, m = field.p, field.m
-        self.n, self.q = n, field.q
         lane = 1 if p == 2 else (2 * p - 2).bit_length()
         self.width = width = m * lane  # bits per element
-        self.mask = (1 << width) - 1
+        self.mask = mask = (1 << width) - 1
         digit = (1 << lane) - 1
         _, mul, neg, inv = field.lookups
         # element codes to lane-packed elements and back; the identity
         # unless p is odd and m > 1
-        self._lanes = lanes = _Memo(
+        self.lanes = lanes = _Memo(
             lambda c: sum(d << (i * lane) for i, d in enumerate(field.digits(c)))
         )
-        codes = _Memo(
+        self.codes = codes = _Memo(
             lambda x: field.code([(x >> (i * lane)) & digit for i in range(m)])
         )
         self.neg = _Memo(lambda x: lanes[neg[codes[x]]])
         self.inv = _Memo(lambda x: lanes[inv[codes[x]]])
-        self._mul = _Memo(lambda x: _Memo(lambda y: lanes[mul[codes[x]][codes[y]]]))
-        shifts, mask = range((n - 1) * width, -1, -width), self.mask
-        self._row_codes = _Memo(lambda r: tuple([codes[(r >> s) & mask] for s in shifts]))
-        # multiples[r][x] = x r, for rows that stay fixed
-        self.multiples = _Memo(lambda r: _Memo(partial(self.scale, r)))
+        self.mul = products = _Memo(
+            lambda x: _Memo(lambda y: lanes[mul[codes[x]][codes[y]]])
+        )
         if p == 2:
             self.add = xor
         else:
@@ -189,6 +212,61 @@ class _Lanes(_Keys):
                 return s - p * (((s + bias) >> top) & ones)
 
             self.add = lane_add
+        # whole-row steps where they are fewer than the n slots
+        if p == 2 and m < n:
+            low = ((1 << (n * width)) - 1) // mask
+            planes = _Memo(lambda x: [mul[x][1 << j] for j in range(m)])
+
+            def bit_planes(r: int, x: int) -> int:
+                out = 0
+                for j, c in enumerate(planes[x]):
+                    out ^= ((r >> j) & low) * c
+                return out
+
+            self.scale = bit_planes
+        elif m == 1 and p.bit_length() < n:
+
+            def double_and_add(r: int, x: int) -> int:
+                return power(r, x, lane_add, 0)
+
+            self.scale = double_and_add
+        else:
+
+            def slot_by_slot(r: int, x: int) -> int:
+                row, out, shift = products[x], 0, 0
+                while r:
+                    y = r & mask
+                    if y:
+                        out |= row[y] << shift
+                    r >>= width
+                    shift += width
+                return out
+
+            self.scale = slot_by_slot
+
+
+@lru_cache(maxsize=16)
+def _lane_tables(field: GF, n: int) -> _LaneTables:
+    return _LaneTables(field, n)
+
+
+class _Lanes(_Keys):
+    """Rows over GF(q), q = p^m > 2, packed into ints of base-p digit lanes
+    (see the module docstring).  Scalars are lane-packed elements too: the
+    value of an element's slot in a row, so an entry is read by a shift
+    and a mask, and a row's pivot entry is the row shifted right to its
+    top slot.  The field's arithmetic comes from _lane_tables; the memos
+    keyed by rows are this kernel's own."""
+
+    def __init__(self, field: GF, n: int):
+        t = _lane_tables(field, n)
+        self.n, self.q, self.width, self.mask = n, field.q, t.width, t.mask
+        self.add, self.scale, self.neg, self.inv = t.add, t.scale, t.neg, t.inv
+        self._lanes, self._mul, codes = t.lanes, t.mul, t.codes
+        shifts, mask = range((n - 1) * t.width, -1, -t.width), t.mask
+        self._row_codes = _Memo(lambda r: tuple([codes[(r >> s) & mask] for s in shifts]))
+        # multiples[r][x] = x r, for rows that stay fixed
+        self.multiples = _Memo(lambda r: _Memo(partial(t.scale, r)))
 
     def pack(self, row: Sequence[int]) -> int:
         v, width, lanes = 0, self.width, self._lanes
@@ -198,18 +276,6 @@ class _Lanes(_Keys):
 
     def unpack(self, key: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(chain.from_iterable(map(self._row_codes.__getitem__, key)))
-
-    def scale(self, r: int, x: int) -> int:
-        """The row x r, for a lane-packed scalar x."""
-        m, mask, width = self._mul[x], self.mask, self.width
-        out = shift = 0
-        while r:
-            y = r & mask
-            if y:
-                out |= m[y] << shift
-            r >>= width
-            shift += width
-        return out
 
     def times(self, v: int, rows: tuple[int, ...]) -> int:
         """v M for the matrix M with packed rows `rows`: the sum of v_i
@@ -223,6 +289,25 @@ class _Lanes(_Keys):
                 w = add(w, multiples[rows[i]][x])
             v >>= width
         return w
+
+    def product(self, a: tuple, b: tuple) -> tuple:
+        """The key of A B from the keys of A and B, column k of A at a time:
+        row i gains A_ik times row k of B.  Each multiple of a row of B is
+        scaled at most once and kept for this product only: the B of a
+        Horner step or a square-and-multiply rarely comes back."""
+        add, scale, mask, width = self.add, self.scale, self.mask, self.width
+        out = [0] * len(a)
+        for k, row in enumerate(b):
+            s = (self.n - 1 - k) * width
+            multiples = {1: row}  # the lane-packed 1 is 1
+            for i, r in enumerate(a):
+                x = (r >> s) & mask
+                if x:
+                    y = multiples.get(x)
+                    if y is None:
+                        y = multiples[x] = scale(row, x)
+                    out[i] = add(out[i], y)
+        return tuple(out)
 
     def stepper(self, a: Mat):
         """step(v) = v A for a companion matrix A: v shifted one column

@@ -11,8 +11,9 @@ from typing import Sequence
 
 from .codes import Subspace, block_diag_basis, subspace
 from .field import GF
-from .matrix import Mat, rref
+from .matrix import Mat
 from .poly import Poly, irreducibles
+from .rows import _kernel
 
 
 def random_matrix(rng: random.Random, field: GF, rows: int, cols: int) -> Mat:
@@ -27,9 +28,12 @@ def random_invertible(rng: random.Random, field: GF, n: int) -> Mat:
 
 
 def random_full_rank(rng: random.Random, field: GF, rows: int, cols: int) -> Mat:
+    """Random matrices drawn until one has rank `rows`, each rank the
+    number of pivots of its packed rows (rows.py)."""
+    kern = _kernel(field, cols)
     while True:
         m = random_matrix(rng, field, rows, cols)
-        if rref(m).rank == rows:
+        if len(kern.pivots(kern.key(m))) == rows:
             return m
 
 

@@ -598,3 +598,14 @@ def test_python_dash_m_matches_main(capsys, argv):
     )
     code, out, _ = run(capsys, *argv)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_an_order_one_too_large_exits_1_with_one_line(capsys, monkeypatch):
+    # verify's order checks call matrix_order on random matrices, whose
+    # A^N = I check runs on packed rows
+    true_order = groups.divisors_order
+    monkeypatch.setattr(groups, "divisors_order", lambda divs: true_order(divs) + 1)
+    code, out, err = run(capsys, "verify", "--suite", "groups", "--seed", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: computed order failed the A^N = I check\n"

@@ -1,7 +1,9 @@
+import gc
 import importlib
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -25,9 +27,9 @@ from orbitcodes import (
     signature,
     signature_of_divisors,
 )
-from orbitcodes import groups, poly
+from orbitcodes import groups, matrix, numtheory, polykernel, poly, rows
 from orbitcodes.matrix import companion_diag
-from orbitcodes.rcf import char_poly, divisor_key
+from orbitcodes.rcf import char_poly, divisor_key, elementary_divisors
 from orbitcodes.sampling import random_unit_divisors
 from orbitcodes.verify import (
     brute_force_cyclic_classes,
@@ -613,3 +615,97 @@ def test_order_lcm_random_agrees_with_brute_force():
         field = rng.choice((F2, F3))
         a = rand_invertible(rng, field, rng.randint(1, 4))
         assert matrix_order(a) == brute_force_order(a)
+
+
+@pytest.mark.parametrize(
+    "field, top", [(F2, 7), (F3, 5), (GF(2, 2), 4), (GF(5), 3), (GF(3, 2), 3)], ids=repr
+)
+def test_packed_matrix_order_matches_repeated_multiplication(field, top):
+    rng = random.Random(field.q)
+    for _ in range(12):
+        a = rand_invertible(rng, field, rng.randint(1, top))
+        assert matrix_order(a) == brute_force_order(a), a
+
+
+def test_an_order_one_too_large_fails_the_packed_check(monkeypatch):
+    rng = random.Random(4)
+    for field in (F2, F3, GF(2, 2), GF(3, 2)):
+        a = rand_invertible(rng, field, 4)
+        while a.is_identity():
+            a = rand_invertible(rng, field, 4)
+        true_order = matrix_order(a)
+        with monkeypatch.context() as m:
+            m.setattr(groups, "divisors_order", lambda divs, n=true_order: n + 1)
+            with pytest.raises(AssertionError, match=re.escape("failed the A^N = I check")):
+                matrix_order(a)
+
+
+def live_kernels_and_row_memo_entries():
+    gc.collect()
+    kernels = [o for o in gc.get_objects() if isinstance(o, (rows._Bits, rows._Lanes))]
+    memos = [k._bits if isinstance(k, rows._Bits) else k.multiples for k in kernels]
+    memos += [k._row_codes for k in kernels if isinstance(k, rows._Lanes)]
+    return len(kernels), sum(map(len, memos))
+
+
+def test_divisors_and_orders_need_no_mat_arithmetic(monkeypatch):
+    # 2000 distinct matrices, singular ones among them
+    rng = random.Random(12)
+    fields = (F2, F3, GF(2, 2))
+    seen = set()
+    while len(seen) < 2000:
+        field = fields[len(seen) % 3]
+        n = rng.randint(1, 6)
+        seen.add(Mat(field, n, n, [rng.randrange(field.q) for _ in range(n * n)]))
+    mats = sorted(seen, key=lambda a: (a.field.q, a.rows, a.entries))
+    rng.shuffle(mats)
+    invertible = {a: is_invertible(a) for a in mats}
+    checked = {
+        a: (elementary_divisors(a), brute_force_order(a) if invertible[a] else None)
+        for a in mats[:60]
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Mat arithmetic or rref ran")
+
+    monkeypatch.setattr(Mat, "__mul__", forbidden)
+    monkeypatch.setattr(Mat, "__pow__", forbidden)
+    modules = [m for name, m in sys.modules.items() if name.startswith("orbitcodes")]
+    for module in [m for m in modules if getattr(m, "rref", None) is matrix.rref]:
+        monkeypatch.setattr(module, "rref", forbidden)
+    elementary_divisors.cache_clear()
+    before = live_kernels_and_row_memo_entries()
+    for a in mats:
+        divisors = elementary_divisors(a)
+        order = matrix_order(a) if invertible[a] else None
+        if a in checked:
+            assert (divisors, order) == checked[a], a
+    # the memos keyed by rows went with their kernels; the shared field
+    # tables are keyed by scalars, at most q entries each
+    after = live_kernels_and_row_memo_entries()
+    assert after[0] <= before[0] and after[1] <= before[1]
+    info = rows._lane_tables.cache_info()
+    assert info.currsize <= info.maxsize
+    for field in fields[1:]:
+        for n in range(1, 7):
+            t = rows._lane_tables(field, n)
+            memos = [t.lanes, t.codes, t.neg, t.inv, t.mul, *t.mul.values()]
+            assert max(map(len, memos)) <= field.q
+
+
+def test_order_scan_factorizes_each_unit_group_once(monkeypatch):
+    field = GF(5)
+    irreducibles(field, 3)
+    expected = groups._smallest_of_each_order(field, 3)
+    polykernel._unit_primes.cache_clear()
+    factorized, orders = [], []
+    monkeypatch.setattr(
+        polykernel, "factorize", lambda n: factorized.append(n) or numtheory.factorize(n)
+    )
+    order_of_x = polykernel._Residues.order_of_x
+    monkeypatch.setattr(
+        polykernel._Residues, "order_of_x", lambda self: orders.append(1) or order_of_x(self)
+    )
+    assert groups._smallest_of_each_order(field, 3) == expected
+    assert len(orders) > 1  # a scan of several irreducibles, factorized once
+    assert factorized == [5**3 - 1]

@@ -15,16 +15,20 @@ from orbitcodes import (
     elementary_divisors,
     factor,
     invariant_factors,
+    irreducibles,
     is_invertible,
     min_poly,
     rcf,
     rcf_from_divisors,
 )
-from orbitcodes.rcf import evaluate_poly_at_matrix
+from orbitcodes.matrix import companion_diag, rank
+from orbitcodes.rcf import divisor_key, evaluate_poly_at_matrix
 
 F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2)
+F5 = GF(5)
+F9 = GF(3, 2)
 
 
 def rand_invertible(rng, field, n):
@@ -313,3 +317,56 @@ def test_empty_and_non_square_inputs():
     for fn in (char_poly, elementary_divisors, invariant_factors, min_poly):
         with pytest.raises(ValueError):
             fn(wide)
+
+
+def mat_elementary_divisors(a):
+    """The elementary divisors from rref ranks of p(A)^j, p(A) and its
+    powers by Mat products: the oracle for the packed-row ranks."""
+    n = a.rows
+    pairs = []
+    for p, _ in factor(char_poly(a)):
+        d = int(p.degree)
+        base = power = evaluate_poly_at_matrix(p, a)
+        ranks = [n, rank(base)]
+        while ranks[-1] < ranks[-2]:
+            power = power * base
+            ranks.append(rank(power))
+        at_least = [(hi - lo) // d for hi, lo in zip(ranks, ranks[1:])]
+        for j in range(1, len(at_least)):
+            pairs.extend([(p, j)] * (at_least[j - 1] - at_least[j]))
+    assert sum(int(p.degree) * e for p, e in pairs) == n
+    return tuple(sorted(pairs, key=divisor_key))
+
+
+def split_divisors(field):
+    """Pairs of divisor lists with one char poly and one largest exponent,
+    such as p^3, p, p against p^2, p^2, p, of size at most 7; two pairs
+    hold a power of x, so their matrices are singular."""
+    x, lin = Poly.x(field), Poly(field, [1, 1])
+    quad = irreducibles(field, 2)[0]
+    return [
+        ([(lin, 3), (lin, 1), (lin, 1)], [(lin, 2), (lin, 2), (lin, 1)]),
+        ([(lin, 3), (lin, 1), (x, 2)], [(lin, 2), (lin, 2), (x, 1), (x, 1)]),
+        ([(quad, 2), (lin, 1)], [(quad, 1), (quad, 1), (lin, 1)]),
+        ([(x, 3), (x, 1), (lin, 2)], [(x, 2), (x, 2), (lin, 1), (lin, 1)]),
+    ]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F9], ids=repr)
+def test_packed_divisors_match_the_mat_rank_oracle(field):
+    rng = random.Random(field.q)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        # sparse entries make singular matrices and repeated factors
+        density = rng.choice((0.3, 1.0))
+        a = Mat(field, n, n, [
+            rng.randrange(field.q) if rng.random() < density else 0 for _ in range(n * n)
+        ])
+        assert elementary_divisors(a) == mat_elementary_divisors(a), a
+    for split in split_divisors(field):
+        n = sum(int(p.degree) * e for p, e in split[0])
+        for divisors in split:
+            l = rand_invertible(rng, field, n)
+            a = l.inverse() * companion_diag(divisors) * l
+            assert elementary_divisors(a) == mat_elementary_divisors(a)
+            assert elementary_divisors(a) == tuple(sorted(divisors, key=divisor_key))

@@ -1,11 +1,12 @@
 import random
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, Mat, companion, irreducibles, is_invertible, rref
 from orbitcodes.poly import x_power
-from orbitcodes.rows import _Bits, _Keys, _kernel, _Lanes
+from orbitcodes.rows import _Bits, _Keys, _kernel, _Lanes, _LaneTables
 
 F2 = GF(2)
 F3 = GF(3)
@@ -203,3 +204,57 @@ def test_lanes_stepper_and_multiplier_match_tuples(field, seed):
     key = lanes.multiplier(step, lanes.pack(r))
     assert lanes.unpack(key) == tuples.unpack(tuples.multiplier(oracle, tuple(r)))
     assert lanes.unpack(key) == (a**e).entries
+
+
+def slot_scale(tables, field, r, x):
+    """x r slot by slot, by the field's own product on element codes: the
+    oracle for every scale routine."""
+    mask, width, codes, lanes = tables.mask, tables.width, tables.codes, tables.lanes
+    out = shift = 0
+    while r:
+        out |= lanes[field.mul(codes[x], codes[r & mask])] << shift
+        r >>= width
+        shift += width
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS + (GF(2, 4), GF(7)), ids=repr)
+def test_scale_matches_the_slot_loop_for_every_scalar(field):
+    rng = random.Random(field.q)
+    for n in (1, 2, 3, 4, 12):
+        tables = _LaneTables(field, n)
+        rows = [0] + [
+            sum(tables.lanes[rng.randrange(field.q)] << (i * tables.width) for i in range(n))
+            for _ in range(4)
+        ]
+        for c in range(field.q):
+            x = tables.lanes[c]
+            for r in rows:
+                assert tables.scale(r, x) == slot_scale(tables, field, r, x), (n, c, r)
+    # at n = 12 the lane-parallel routine was the one checked
+    if field.m > 1 and field.p > 2:
+        assert tables.scale.__name__ == "slot_by_slot"
+    else:
+        assert tables.scale.__name__ == ("bit_planes" if field.p == 2 else "double_and_add")
+    # at n = 1 no routine beats one slot
+    assert _LaneTables(field, 1).scale.__name__ == "slot_by_slot"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 2**32))
+def test_plus_scalar_adds_into_the_diagonal(field, seed):
+    rng, n, kern, _ = kernels(field, seed)
+    a = Mat(field, n, n, [rng.randrange(field.q) for _ in range(n * n)])
+    c = rng.randrange(field.q)
+    scalar = Mat(field, n, n, [c if i == j else 0 for i in range(n) for j in range(n)])
+    assert kern.unpack(kern.plus_scalar(kern.key(a), c)) == (a + scalar).entries
+
+
+def test_kernels_share_field_tables_and_keep_their_own_row_memos():
+    # the tables are built once per (field, n); the memos keyed by rows are
+    # each kernel's own and go with it
+    one, two = _Lanes(F4, 3), _Lanes(F4, 3)
+    assert one.scale is two.scale and one._mul is two._mul
+    assert one.multiples is not two.multiples
+    assert one._row_codes is not two._row_codes
+    assert _Lanes(F4, 4).scale is not one.scale
