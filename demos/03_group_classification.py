@@ -27,7 +27,7 @@ a = companion(Poly(f2, [1, 1, 0, 1]))
 b = companion(Poly(f2, [1, 0, 1, 1]))
 print("A = companion(x^3+x+1), B = companion(x^3+x^2+1), both of order",
       matrix_order(a))
-print("signature of A:", signature(a))
+print("signature of A, (order, exponent, degree) per divisor:", signature(a))
 print("signature test says conjugate subgroups?", same_signature(a, b))
 print("witness power: A ~ B^i for i =", conjugacy_witness(a, b))
 

@@ -39,7 +39,6 @@ from .groups import (
     ClassRep,
     CyclicGroup,
     GeneratedGroup,
-    Signature,
     class_representatives,
     closure,
     conjugacy_witness,

@@ -12,6 +12,8 @@ Subcommands:
 
 classify and code only build their records, and one formatter, _render,
 writes them as JSON, CSV or text; the code CSV columns lead its JSON report.
+Neither builds an n x n generator: orders come from the divisors and each
+generator is written from its blocks' rows (textio.format_companion_diag).
 
 Exit codes: 0 success, 1 hard-assertion failure (a failed verify check or
 an internal invariant, reported in one line on stderr), 2 usage or parse
@@ -42,9 +44,9 @@ from .groups import (
     class_representatives,
     closure,
     conjugacy_witness,
-    matrix_order,
+    divisors_order,
 )
-from .poly import factor
+from .poly import Poly, factor
 from .textio import (
     format_companion_diag,
     format_mat,
@@ -52,7 +54,7 @@ from .textio import (
     parse_designator,
     parse_field,
     parse_mat,
-    parse_poly,
+    parse_rows,
 )
 from .verify import SUITES, run_suites
 
@@ -151,7 +153,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         {
             "class": i,
             "group_order": rep.order,
-            "signature": rep.signature.entries,
+            "signature": rep.signature,
             "divisors": [
                 {"p": format_poly(p), "e": e} for p, e in rep.rcf.divisors
             ],
@@ -189,13 +191,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_code(args: argparse.Namespace) -> int:
     field = parse_field(args.field, args.modulus)
     divisors = []
-    for chunk in args.divisors.split(";"):
-        poly = parse_poly(field, chunk).monic()
-        parts = factor(poly)
+    for codes, offset in parse_rows(field, args.divisors, "polynomial"):
+        parts = factor(Poly(field, codes).monic())
         if len(parts) != 1:
-            raise ParseError(
-                f"divisor {chunk!r} is not a power of a single irreducible", 0
-            )
+            text = ",".join(map(str, codes))
+            raise ParseError(f"divisor {text!r} is not a power of a single irreducible", offset)
         divisors.append(parts[0])
     degrees = sum(int(p.degree) * e for p, e in divisors)
     if degrees != args.n:
@@ -208,8 +208,8 @@ def cmd_code(args: argparse.Namespace) -> int:
             f"subspace lives in dimension {base.n}, but --n is {args.n}", 0
         )
     bs = block_structure(base, divisors)
-    # the generator is built from its divisors, so they are not recomputed
-    group_order = matrix_order(bs.generator, bs.divisors)
+    # a cyclic group is its divisors: no generator matrix is built here
+    group_order = divisors_order(bs.divisors)
     profile = bs.profile
     if group_order % profile.period:
         raise AssertionError("orbit period does not divide the group order")
@@ -250,7 +250,7 @@ def cmd_code(args: argparse.Namespace) -> int:
         **summary,
         "components": components,
         "base_subspace": format_mat(base.basis),
-        "generator": format_mat(bs.generator),
+        "generator": format_companion_diag(bs.divisors, {}),
     }
 
     def text_lines():

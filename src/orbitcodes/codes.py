@@ -505,12 +505,16 @@ class SubBlock:
 class BlockStructure:
     subspace: Subspace
     divisors: tuple[tuple[Poly, int], ...]
-    generator: Mat
     blocks: tuple[SubBlock, ...]
 
     @property
     def k(self) -> int:
         return self.subspace.k
+
+    @cached_property
+    def generator(self) -> Mat:
+        """diag(companion(p_i^e_i)), built on first read."""
+        return companion_diag(self.divisors)
 
     @cached_property
     def profile(self) -> OrbitProfile:
@@ -553,7 +557,7 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
         row_idx = tuple(r for r, c in enumerate(pivots) if lo <= c < hi)
         matrix = _columns(u.basis, row_idx, lo, hi)
         blocks.append(SubBlock(i, (p, e), matrix, profiles))
-    return BlockStructure(u, divisors, companion_diag(divisors), tuple(blocks))
+    return BlockStructure(u, divisors, tuple(blocks))
 
 
 def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:

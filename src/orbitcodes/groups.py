@@ -1,13 +1,17 @@
 """Cyclic subgroups of GL_n(F_q): orders, conjugacy tests, cell enumeration.
 
+A cyclic group is its generator's elementary divisors p_i^e_i: its order
+(divisors_order; matrix_order finds a matrix's divisors first) and its
+signature are read from them.
+
 Two routes decide whether the cyclic groups generated by A and B are
 conjugate:
 
 * conjugacy_witness scans coprime powers B^i for one conjugate to A
   (matrix conjugacy = equal canonical divisor sequences) and returns the
   smallest witness power.  This is the ground-truth oracle.
-* same_signature compares the multisets of (order of p, exponent) over the
-  elementary divisors p^e.  It is the cheap test the oracle is meant to
+* same_signature compares the sorted (order of p, exponent, degree) tuples
+  over the elementary divisors p^e.  It is the cheap test the oracle is meant to
   certify; the two can disagree (see verify.suite_groups, which reports a
   known six-dimensional disagreement over GF(2)) and the oracle wins.
 
@@ -45,7 +49,7 @@ from typing import Sequence
 
 from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
-from .matrix import Mat, companion_diag, is_invertible
+from .matrix import Mat, is_invertible
 from .numtheory import factorize, multiplicative_order, power, totient
 from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
@@ -61,36 +65,29 @@ from .rows import _kernel
 
 
 def divisors_order(divisors) -> int:
-    """Order of every matrix with these elementary divisors, such as
-    diag(companion(p_i^e_i)), by poly._factored_order.  A power of x, the
-    mark of a singular matrix, raises SingularMatrixError."""
+    """Order N of every matrix with these elementary divisors p_i^e_i, by
+    poly._factored_order.  companion(f) is multiplication by x on
+    F_q[x]/(f), so A^N = I is checked as x^N = 1 mod every p_i^e_i.  A
+    power of x, the mark of a singular matrix, raises SingularMatrixError."""
     check_invertible(divisors)
-    return _factored_order(divisors)
+    n = _factored_order(divisors)
+    one = [(1,) + (0,) * (int(p.degree) * e - 1) for p, e in divisors]
+    if [x_power(p**e, n) for p, e in divisors] != one:
+        raise AssertionError("computed order failed the A^N = I check")
+    return n
 
 
-def matrix_order(a: Mat, divisors=None) -> int:
-    """Multiplicative order N of an invertible matrix, verified by one check
-    that A^N = I.
-
-    Without `divisors` the elementary divisors come from
-    rcf.elementary_divisors and the check is numtheory.power on the packed
-    rows of rows.py, with the kernel's product.  A caller that
-    built A = diag(companion(p_i^e_i)) passes the pairs (p_i, e_i) as
-    `divisors`; then A must equal companion_diag(divisors), and since
-    companion(f) is multiplication by x on F_q[x]/(f), with e_j the residue
-    x^j, A^N = I is checked as x^N = 1 mod every p_i^e_i by poly.x_power."""
-    if divisors is None:
-        n = divisors_order(elementary_divisors(a))
-        kern = _kernel(a.field, a.rows)
-        one = kern.key(Mat.identity(a.field, a.rows))
-        holds = power(kern.key(a), n, kern.product, one) == one
-    else:
-        n = divisors_order(divisors)
-        if a != companion_diag(divisors):
-            raise AssertionError("the matrix is not companion_diag(divisors)")
-        one = [(1,) + (0,) * (int(p.degree) * e - 1) for p, e in divisors]
-        holds = [x_power(p**e, n) for p, e in divisors] == one
-    if not holds:
+def matrix_order(a: Mat) -> int:
+    """Multiplicative order N of an invertible matrix, from the elementary
+    divisors of rcf.elementary_divisors by poly._factored_order, verified
+    by one check that A^N = I: numtheory.power on the packed rows of
+    rows.py, with the kernel's product."""
+    divisors = elementary_divisors(a)
+    check_invertible(divisors)
+    n = _factored_order(divisors)
+    kern = _kernel(a.field, a.rows)
+    one = kern.key(Mat.identity(a.field, a.rows))
+    if power(kern.key(a), n, kern.product, one) != one:
         raise AssertionError("computed order failed the A^N = I check")
     return n
 
@@ -113,45 +110,21 @@ class CyclicGroup:
         return f"CyclicGroup(order={self.order}, n={self.n}, field={self.field!r})"
 
 
-class Signature:
-    """Multiset of (order of p, exponent e, deg p) over elementary divisors.
-
-    Equality and hashing ignore the redundant degree component, but a
-    degree inconsistent with the order is rejected at construction.
-    """
-
-    __slots__ = ("entries", "_key")
-
-    def __init__(self, entries: Sequence[tuple[int, int, int]], q: int):
-        entries = tuple(sorted(tuple(e) for e in entries))
-        for o, e, deg in entries:
-            expect = multiplicative_order(q % o if o > 1 else 0, o)
-            if deg != expect:
-                raise AssertionError(
-                    f"degree {deg} does not match the order of {q} modulo {o}"
-                )
-        self.entries = entries
-        self._key = tuple((o, e) for o, e, _ in entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"(ord={o}, e={e}, deg={d})" for o, e, d in self.entries)
-        return f"Signature[{inner}]"
+def _signature(entries, q: int) -> tuple[tuple[int, int, int], ...]:
+    """The sorted (order o of p, exponent e, deg p) triples over the
+    elementary divisors p^e; a degree other than ord_o(q) is rejected."""
+    entries = tuple(sorted(entries))
+    for o, e, deg in entries:
+        if deg != multiplicative_order(q % o if o > 1 else 0, o):
+            raise AssertionError(f"degree {deg} does not match the order of {q} modulo {o}")
+    return entries
 
 
-def signature_of_divisors(field: GF, divisors) -> Signature:
-    entries = [(poly_order(p), e, int(p.degree)) for p, e in divisors]
-    return Signature(entries, field.q)
+def signature_of_divisors(field: GF, divisors) -> tuple[tuple[int, int, int], ...]:
+    return _signature([(poly_order(p), e, int(p.degree)) for p, e in divisors], field.q)
 
 
-def signature(a: Mat) -> Signature:
+def signature(a: Mat) -> tuple[tuple[int, int, int], ...]:
     """Signature of the cyclic group generated by an invertible matrix."""
     divisors = elementary_divisors(a)
     check_invertible(divisors)
@@ -189,7 +162,7 @@ class ClassRep:
     classes: canonical representative, signature, and group order."""
 
     rcf: RcfData
-    signature: Signature
+    signature: tuple[tuple[int, int, int], ...]
     order: int
 
 
@@ -345,7 +318,7 @@ def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
     for cell in extend(0, n, []):
         divisors = [(smallest[o], e) for o, e, _ in cell]
         order = math.lcm(*(o * _char_power(field, e) for o, e, _ in cell))
-        reps.append(ClassRep(rcf_from_divisors(field, divisors), Signature(cell, field.q), order))
+        reps.append(ClassRep(rcf_from_divisors(divisors), _signature(cell, field.q), order))
     reps.sort(key=lambda r: tuple(divisor_key(d) for d in r.rcf.divisors))
     return tuple(reps)
 

@@ -23,7 +23,7 @@ order() of an irreducible f strips prime factors from q^deg(f) - 1 with
 x-power tests; a reducible f reads lcm ord(p) c(e) over its factors p^e.
 It is memoized per polynomial, since matrix orders ask for the same few
 irreducibles many times.  x_power() gives the coefficients of x^e mod f,
-for the order check of groups.matrix_order and the giant steps of
+for the order check of groups.divisors_order and the giant steps of
 codes._difference_profile.
 
 Ben-Or's Frobenius steps, the x-power tests and the sieve's products run

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularMatrixError
-from .field import GF
 from .matrix import Mat, companion_diag
 from .poly import Poly, factor
 from .rows import _kernel
@@ -177,7 +176,7 @@ def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
     return tuple(pairs)
 
 
-def rcf_from_divisors(field: GF, divisors) -> RcfData:
+def rcf_from_divisors(divisors) -> RcfData:
     """The canonical form for given (irreducible, exponent) pairs; its
     matrix is built only when read."""
     pairs = sorted(divisors, key=divisor_key)
@@ -204,7 +203,7 @@ def rcf(a: Mat) -> RcfData:
     """
     divisors = elementary_divisors(a)
     check_invertible(divisors)
-    return rcf_from_divisors(a.field, divisors)
+    return rcf_from_divisors(divisors)
 
 
 def are_conjugate(a: Mat, b: Mat) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .field import GF
-from .matrix import Mat, companion
+from .matrix import Mat, _companion_power
 from .poly import Poly
 
 
@@ -38,7 +38,7 @@ def format_companion_diag(divisors, block_rows: dict) -> str:
     for p, e in divisors:
         rows = block_rows.get((p, e))
         if rows is None:
-            rows = block_rows[p, e] = format_mat(companion(p**e)).split(";")
+            rows = block_rows[p, e] = format_mat(_companion_power(p, e)).split(";")
         blocks.append(rows)
     left, right = 0, sum(map(len, blocks))
     out = []
@@ -73,22 +73,23 @@ def parse_poly(field: GF, text: str) -> Poly:
     return Poly(field, _parse_codes(field, text, 0))
 
 
-def parse_mat(field: GF, text: str) -> Mat:
+def parse_rows(field: GF, text: str, what: str):
+    """Yield each ";"-separated row's element codes and starting position:
+    the one splitter of matrices and of divisor lists."""
     if not text.strip():
-        raise ParseError("empty matrix", 0)
-    rows = []
-    width = None
+        raise ParseError(f"empty {what}", 0)
     offset = 0
     for chunk in text.split(";"):
-        row = _parse_codes(field, chunk, offset)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"row has {len(row)} entries, expected {width}", offset
-            )
-        rows.append(row)
+        yield _parse_codes(field, chunk, offset), offset
         offset += len(chunk) + 1
+
+
+def parse_mat(field: GF, text: str) -> Mat:
+    rows = []
+    for row, offset in parse_rows(field, text, "matrix"):
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"row has {len(row)} entries, expected {len(rows[0])}", offset)
+        rows.append(row)
     return Mat.from_rows(field, rows)
 
 
@@ -126,7 +127,8 @@ def parse_designator(
 
 def parse_field(designator: str, modulus: str | None = None) -> GF:
     """Build a field from "p" or "p^m" plus an optional modulus string."""
+    p, m, mod = parse_designator(designator, modulus)  # its errors keep their positions
     try:
-        return GF(*parse_designator(designator, modulus))
+        return GF(p, m, mod)
     except ValueError as exc:
         raise ParseError(str(exc), 0) from exc

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -10,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbitcodes
 from orbitcodes import (
@@ -18,6 +21,8 @@ from orbitcodes import (
     block_diag,
     companion,
     distance_distribution,
+    format_poly,
+    irreducibles,
     min_distance,
     orbit_code,
     parse_field,
@@ -443,14 +448,14 @@ def test_examples_all_pass(capsys):
     "name, exc",
     [
         ("orbit_profile", RuntimeError("identities failed\non two lines")),
-        ("matrix_order", AssertionError()),
+        ("divisors_order", AssertionError()),
     ],
 )
 def test_code_internal_failure_is_one_line(capsys, monkeypatch, name, exc):
     def broken(*args, **kwargs):
         raise exc
 
-    # the report reaches orbit_profile through codes, matrix_order directly
+    # the report reaches orbit_profile through codes, divisors_order directly
     owner = "codes" if name == "orbit_profile" else "cli"
     monkeypatch.setattr(f"orbitcodes.{owner}.{name}", broken)
     code, out, err = run(
@@ -603,9 +608,163 @@ def test_python_dash_m_matches_main(capsys, argv):
 def test_an_order_one_too_large_exits_1_with_one_line(capsys, monkeypatch):
     # verify's order checks call matrix_order on random matrices, whose
     # A^N = I check runs on packed rows
-    true_order = groups.divisors_order
-    monkeypatch.setattr(groups, "divisors_order", lambda divs: true_order(divs) + 1)
+    true_order = groups._factored_order
+    monkeypatch.setattr(groups, "_factored_order", lambda divs: true_order(divs) + 1)
     code, out, err = run(capsys, "verify", "--suite", "groups", "--seed", "0")
     assert code == 1
     assert out == ""
     assert err == "internal error: computed order failed the A^N = I check\n"
+
+
+SINGER = ["code", "--field", "2", "--n", "3", "--divisors", "1,1,0,1", "--subspace", "1,0,0"]
+
+
+def test_singer_code_report_builds_no_generator_matrix(capsys, monkeypatch):
+    # the order comes from the divisors and the generator is written from
+    # its blocks' rows, so neither matrix_order nor a block diagonal runs
+    expected = {fmt: run(capsys, *SINGER, "--format", fmt) for fmt in ("json", "csv", "text")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a generator matrix")
+
+    monkeypatch.setattr(importlib.import_module("orbitcodes.matrix"), "block_diag_basis", forbidden)
+    monkeypatch.setattr(codes, "block_diag_basis", forbidden)
+    monkeypatch.setattr(groups, "matrix_order", forbidden)
+    for fmt, want in expected.items():
+        assert run(capsys, *SINGER, "--format", fmt) == want
+    # the README report's pinned digest (tests/test_outputs.py)
+    digest = hashlib.sha256(expected["json"][1].encode()).hexdigest()
+    assert digest == "7e653046b1a1a9dabd7be155008b924b4cc37aac27717f9b08c91fd116a3ce13"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["code", "--field", "2^x", "--n", "2", "--divisors", "1,1;1,1", "--subspace", "1,0"],
+         "expected an extension degree, got 'x' (at position 2)"),
+        (["code", "--field", "2^2", "--modulus", "1,y,1", "--n", "2",
+          "--divisors", "1,1;1,1", "--subspace", "1,0"],
+         "expected a coefficient, got 'y' (at position 2)"),
+        (["code", "--n", "2", "--divisors", "1,1;1,x", "--subspace", "1,0"],
+         "expected an element code, got 'x' (at position 6)"),
+        (["code", "--n", "3", "--divisors", "1,1;0,1,1", "--subspace", "1,0,0"],
+         "divisor '0,1,1' is not a power of a single irreducible (at position 4)"),
+        (["classify", "--field", "2^x", "--n", "2"],
+         "expected an extension degree, got 'x' (at position 2)"),
+        (["classify", "--field", "2^2", "--modulus", "1,y,1", "--n", "2"],
+         "expected a coefficient, got 'y' (at position 2)"),
+    ],
+    ids=["code-field", "code-modulus", "code-divisor-code", "code-divisor-factor",
+         "classify-field", "classify-modulus"],
+)
+def test_parse_errors_report_their_own_position(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")
+
+
+# the CLI contract over drawn argv: exit 0, 1 or 2, at most one stderr line
+# and never a traceback, nothing on stdout with exit 2, and a JSON report
+# that parses.  Sizes stay at q^n <= 2^12 (classify: n log2 q <= 12 bits)
+# so each run is quick; no value starts with "-", so argparse's own
+# multi-line usage errors stay out.
+FIELDS = {"2": GF(2), "3": GF(3), "5": GF(5), "7": GF(7), "2^2": GF(2, 2)}
+MALFORMED_FIELDS = ["4", "1", "2^0", "2^x", ""]
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def top_dimension(q):
+    return max(n for n in range(1, 13) if q**n <= 2**12)
+
+
+def codes_text(codes):
+    return ",".join(map(str, codes))
+
+
+@st.composite
+def field_and_dimension(draw):
+    designator = draw(st.sampled_from([*FIELDS] * 3 + MALFORMED_FIELDS))
+    field = FIELDS.get(designator)
+    n = draw(st.integers(0, top_dimension(field.q) if field else 4))
+    return designator, field, n
+
+
+@st.composite
+def divisor_lists(draw, field, n):
+    """Powers of irreducibles whose degrees sum to n, with at times one
+    block swapped for a constant, x, out-of-range codes or a block of the
+    wrong degree."""
+    q = field.q if field else 2
+    blocks = []
+    remaining = n
+    while field and remaining:
+        d = draw(st.integers(1, remaining))
+        p = draw(st.sampled_from(irreducibles(field, d)))
+        e = draw(st.integers(1, remaining // d))
+        blocks.append(format_poly(p**e))
+        remaining -= d * e
+    bad = draw(st.sampled_from([None] * 4 + ["constant", "x", "codes", "drop"]))
+    if bad == "constant":
+        blocks.append(str(draw(st.integers(0, q - 1))))
+    elif bad == "x":
+        blocks.append("0,1")
+    elif bad == "codes":
+        length = draw(st.integers(1, max(n, 1) + 1))
+        blocks.append(codes_text(draw(st.lists(st.integers(0, q + 2), min_size=length, max_size=length))))
+    elif bad == "drop" and blocks:
+        blocks.pop(draw(st.integers(0, len(blocks) - 1)))
+    if not blocks:
+        blocks.append("1,1")
+    return ";".join(draw(st.permutations(blocks)))
+
+
+@st.composite
+def subspace_texts(draw, field, n):
+    """Rows of width n, at times ragged, of another width, all zero or
+    holding an out-of-range code."""
+    q = field.q if field else 2
+    width = max(1, n + draw(st.sampled_from([0] * 8 + [-1, 1])))
+    k = draw(st.integers(1, width))
+    entries = st.integers(0, q - 1)
+    rows = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(k)]
+    kind = draw(st.sampled_from([None] * 5 + ["ragged", "zero", "range"]))
+    if kind == "ragged":
+        rows[-1] = rows[-1][:-1] if width > 1 else rows[-1] + [0]
+    elif kind == "zero":
+        rows = [[0] * width for _ in rows]
+    elif kind == "range":
+        rows[0][draw(st.integers(0, width - 1))] = q + draw(st.integers(0, 2))
+    return ";".join(map(codes_text, rows))
+
+
+@st.composite
+def cli_argv(draw):
+    designator, field, n = draw(field_and_dimension())
+    argv = ["--field", designator, "--n", str(n)]
+    if draw(st.booleans()):
+        argv = ["classify", *argv]
+    else:
+        argv = ["code", *argv,
+                "--divisors", draw(divisor_lists(field, n)),
+                "--subspace", draw(subspace_texts(field, n))]
+    fmt = draw(st.sampled_from([None, "json", "csv", "text"]))
+    return argv + ([] if fmt is None else ["--format", fmt])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_code_and_classify_keep_the_exit_contract(argv):
+    code, out, err = call_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and err.count("\n") <= 1
+    if code == 2:
+        assert out == ""
+    json_report = argv[-2:] == ["--format", "json"] or argv[0] == "code" and "--format" not in argv
+    if code == 0 and json_report:
+        report = json.loads(out)
+        if argv[0] == "code":
+            assert report["group_order"] % report["cardinality"] == 0

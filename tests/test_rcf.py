@@ -213,7 +213,7 @@ def test_canonical_divisor_order():
     # same irreducible: exponents descend; distinct: degree then coefficient code
     p = Poly(F2, [1, 1])
     q = Poly(F2, [1, 1, 1])
-    data = rcf_from_divisors(F2, [(q, 1), (p, 1), (p, 2)])
+    data = rcf_from_divisors([(q, 1), (p, 1), (p, 2)])
     assert data.divisors == ((p, 2), (p, 1), (q, 1))
     assert data.matrix.rows == 5
     assert data.matrix == block_diag(
@@ -252,7 +252,7 @@ def test_divisors_separate_brute_force_conjugacy_orbits(field, n):
         (d,) = divs
         assert d not in tuples
         tuples.add(d)
-        assert rcf_from_divisors(field, d).matrix in orbit
+        assert rcf_from_divisors(d).matrix in orbit
 
 
 def _det_x_minus(a):
