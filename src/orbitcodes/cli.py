@@ -139,8 +139,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     p, m, _ = parse_designator(args.field, args.modulus)
     if args.n < 1:
         raise ParseError("--n must be a positive integer", 0)
-    # exact for q = 2^m; q = 0 (p = 0) is left for GF to reject
-    bits = math.ceil(args.n * math.log2(max(p**m, 1)))
+    # q is never built; exact for q = 2^m; p = 0 is left for GF to reject
+    bits = math.ceil(args.n * m * math.log2(max(p, 1)))
     if bits > args.max_bits:  # before GF is built: finding its modulus is work too
         sys.stderr.write(
             f"refusing: n*log2(q) = {bits} exceeds the budget {args.max_bits}; "

@@ -23,14 +23,15 @@ phi(o)/d of each (Lidl and Niederreiter, Finite Fields, Thm 3.5), so the
 signature cells are the multisets of atoms (o, e) with sum of ord_o(q) e
 equal to n.  Each cell's representative takes the smallest irreducible of
 order o for every slot (o, e), and its group order is lcm(o c(e)), with
-c(e) the least power of the characteristic that is >= e; no member of a
-cell other than its representative is built.  The smallest irreducibles
-come from one scan of the degree-d irreducibles in code order that stops
-once every common order has turned up.  An order with few irreducibles
-is built instead: they are the minimal polynomials of alpha^((q^d-1)/o a),
-alpha a root of the first primitive irreducible the scan met and a a unit
-mod o (Thm 3.5), each the characteristic polynomial of multiplication by
-that power of x modulo the primitive one.
+c(e) the least power of the characteristic that is >= e; no other member of
+a cell is built, and a walk over the atoms in divisor_key order yields the
+cells in output order, with nothing sorted afterwards.  The smallest
+irreducibles come from one scan of the degree-d irreducibles in code order
+that stops once every common order has turned up.  An order with few
+irreducibles is built instead: they are the minimal polynomials of
+alpha^((q^d-1)/o a), alpha a root of the first primitive irreducible the
+scan met and a a unit mod o (Thm 3.5), each the characteristic polynomial
+of multiplication by that power of x modulo the primitive one.
 
 closure, the one enumeration of group elements, builds a Schreier-Sims
 stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of
@@ -59,7 +60,6 @@ from .rcf import (
     check_invertible,
     divisor_key,
     elementary_divisors,
-    rcf_from_divisors,
 )
 from .rows import _kernel
 
@@ -233,7 +233,7 @@ _SCANS_PER_BUILD = 6
 
 def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
     """{o: the irreducible of degree d and order o with the least code}, for
-    every order o of degree d, by ascending o.
+    every order o of degree d.
 
     The common orders, and always the primitive order q^d - 1, are found
     by one scan of irreducibles(field, d) in code order that stops once
@@ -270,13 +270,13 @@ def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
             for a in _coset_representatives(field.q, o)
         )
         found[o] = min(built, key=Poly.code)
-    return {o: found[o] for o in orders}
+    return found
 
 
 def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
     """Signature cells of cyclic subgroups of GL_n(F_q), one canonical
-    representative per cell, sorted by representative; a cell can hold
-    several conjugacy classes, so this undercounts them (ROADMAP item 1).
+    representative per cell, in divisor_key order; a cell can hold several
+    conjugacy classes, so this undercounts them (ROADMAP item 1).
 
     A cell is a multiset of atoms (o, e) with sum of ord_o(q) e equal to n.
     Its representative puts in every slot (o, e) the smallest irreducible
@@ -291,36 +291,37 @@ def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
     representative without raising it.  The order is lcm(o c(e)), with
     c(e) the least power of the characteristic that is >= e (Thm 3.8);
     o is known for each slot, so no candidate's order is recomputed.
+
+    Nothing is sorted after the walk.  The atoms (p_o, e) are sorted once
+    by divisor_key, degree first, so an atom too large for what is left
+    ends a scan; picking them by non-decreasing index yields each cell as
+    its key tuple, and the cells in tuple order, as none prefixes another.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    smallest = {}
-    atoms = []  # (o, e, deg), by ascending degree so a scan can stop early
+    atoms = []  # ((p_o, e), (o, e, deg p_o))
     for d in range(1, n + 1):
-        of_degree = _smallest_of_each_order(field, d)
-        smallest.update(of_degree)
-        atoms.extend((o, e, d) for o in of_degree for e in range(1, n // d + 1))
+        for o, p in _smallest_of_each_order(field, d).items():
+            atoms.extend(((p, e), (o, e, d)) for e in range(1, n // d + 1))
+    _signature([entry for _, entry in atoms], field.q)  # deg = ord_o(q), once per atom
+    atoms.sort(key=lambda atom: divisor_key(atom[0]))
 
-    def extend(start: int, remaining: int, chosen: list):
+    def cells(start: int, remaining: int, chosen: list):
         if remaining == 0:
-            yield tuple(chosen)
+            divisors, entries = zip(*chosen)
+            order = math.lcm(*(o * _char_power(field, e) for o, e, _ in entries))
+            yield ClassRep(RcfData(divisors), tuple(sorted(entries)), order)
             return
         for idx in range(start, len(atoms)):
-            _, e, d = atoms[idx]
+            (_, e), (_, _, d) = atoms[idx]
             if d > remaining:
                 break
             if d * e <= remaining:
                 chosen.append(atoms[idx])
-                yield from extend(idx, remaining - d * e, chosen)
+                yield from cells(idx, remaining - d * e, chosen)
                 chosen.pop()
 
-    reps = []
-    for cell in extend(0, n, []):
-        divisors = [(smallest[o], e) for o, e, _ in cell]
-        order = math.lcm(*(o * _char_power(field, e) for o, e, _ in cell))
-        reps.append(ClassRep(rcf_from_divisors(divisors), _signature(cell, field.q), order))
-    reps.sort(key=lambda r: tuple(divisor_key(d) for d in r.rcf.divisors))
-    return tuple(reps)
+    return tuple(cells(0, n, []))
 
 
 @dataclass(frozen=True)

@@ -279,8 +279,10 @@ def is_irreducible(f: Poly) -> bool:
 def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     """Complete factorization of a monic f into (irreducible, exponent) pairs.
 
-    Pairs come out sorted by (degree, coefficient code) of the irreducible;
-    their product reconstructs f exactly.
+    Trial division emits the pairs by (degree, code) of the irreducible:
+    degrees ascend, irreducibles() lists each degree by code, and a leftover
+    of degree < 2d with no factor of degree < d is irreducible and of higher
+    degree than every factor found.  Their product reconstructs f exactly.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError(f"cannot factor constant {f!r}")
@@ -306,7 +308,6 @@ def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
             if rem.degree < 1:
                 break
         d += 1
-    out.sort(key=lambda pe: (pe[0].degree, pe[0].code()))
     return tuple(out)
 
 

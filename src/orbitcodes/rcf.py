@@ -13,7 +13,9 @@ checks call it.
 
 Divisor sequences are kept in one canonical total order -- ascending by
 (deg p, coefficient code of p, exponent descending) -- so two matrices are
-conjugate exactly when their divisor tuples compare equal.  An RcfData is
+conjugate exactly when their divisor tuples compare equal.
+elementary_divisors and classify's cell walk build their tuples in it;
+rcf_from_divisors is the one place a divisor list is sorted.  An RcfData is
 its divisors; the block diagonal diag(companion(p_i^e_i)) is built on the
 first read of its matrix, so a caller that needs only the divisors, or
 formats the blocks itself as classify does, builds no n x n matrix.
@@ -145,7 +147,9 @@ def _packed_poly_at(kern, p: Poly, key: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=8192)
 def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
-    """Canonically ordered (irreducible, exponent) pairs of a square matrix.
+    """Canonically ordered (irreducible, exponent) pairs of a square matrix:
+    each p in factor's (degree, code) order, its exponents from the largest
+    down, which is divisor_key order with nothing sorted.
 
     Unlike rcf(), this does not reject singular matrices; divisors with
     irreducible part x mark exactly the singular case.
@@ -168,17 +172,16 @@ def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
             ranks.append(len(kern.pivots(power)))
         # at_least[j - 1]: how many divisors p^e have e >= j; the last is 0
         at_least = [(hi - lo) // d for hi, lo in zip(ranks, ranks[1:])]
-        for j in range(1, len(at_least)):
+        for j in range(len(at_least) - 1, 0, -1):
             pairs.extend([(p, j)] * (at_least[j - 1] - at_least[j]))
     if sum(int(p.degree) * e for p, e in pairs) != n:
         raise AssertionError("elementary divisor degrees do not sum to the matrix size")
-    pairs.sort(key=divisor_key)
     return tuple(pairs)
 
 
 def rcf_from_divisors(divisors) -> RcfData:
-    """The canonical form for given (irreducible, exponent) pairs; its
-    matrix is built only when read."""
+    """The canonical form for (irreducible, exponent) pairs in any order,
+    sorted by divisor_key; its matrix is built only when read."""
     pairs = sorted(divisors, key=divisor_key)
     if not pairs:
         raise ValueError("at least one elementary divisor is required")

@@ -50,20 +50,24 @@ def format_companion_diag(divisors, block_rows: dict) -> str:
     return ";".join(out)
 
 
-def _parse_codes(field: GF, text: str, offset: int) -> list[int]:
-    out = []
-    pos = 0
+def _numbers(text: str, offset: int, what: str):
+    """Yield each ","-separated token of text as (value, position): the one
+    tokenizer of element codes and of modulus coefficients."""
+    pos = offset
     for token in text.split(","):
         stripped = token.strip()
         if not stripped.isdigit():
-            raise ParseError(f"expected an element code, got {stripped!r}", offset + pos)
-        value = int(stripped)
-        if value >= field.q:
-            raise ParseError(
-                f"code {value} out of range for {field!r}", offset + pos
-            )
-        out.append(value)
+            raise ParseError(f"expected {what}, got {stripped!r}", pos)
+        yield int(stripped), pos
         pos += len(token) + 1
+
+
+def _parse_codes(field: GF, text: str, offset: int) -> list[int]:
+    out = []
+    for value, pos in _numbers(text, offset, "an element code"):
+        if value >= field.q:
+            raise ParseError(f"code {value} out of range for {field!r}", pos)
+        out.append(value)
     return out
 
 
@@ -112,16 +116,7 @@ def parse_designator(
         )
     p = int(p_text)
     m = int(m_text)
-    mod = None
-    if modulus is not None:
-        mod = []
-        pos = 0
-        for token in modulus.split(","):
-            stripped = token.strip()
-            if not stripped.isdigit():
-                raise ParseError(f"expected a coefficient, got {stripped!r}", pos)
-            mod.append(int(stripped))
-            pos += len(token) + 1
+    mod = None if modulus is None else [c for c, _ in _numbers(modulus, 0, "a coefficient")]
     return p, m, mod
 
 

@@ -161,11 +161,18 @@ def test_forced_classify_refuses_an_oversized_sieve(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, n, bits", [("2^4096", 1, 4096), ("4", 30, 60), ("1000000000000000003", 1, 60)]
+    "field, n, bits",
+    [
+        ("2^4096", 1, 4096),
+        ("4", 30, 60),
+        ("1000000000000000003", 1, 60),
+        ("3^100000000", 1, 158496251),
+    ],
 )
 def test_classify_budget_refuses_before_building_the_field(capsys, monkeypatch, field, n, bits):
     # a default modulus of degree 4096 takes seconds to find; a field that
-    # would not build is refused on budget all the same
+    # would not build is refused on budget all the same; the budget is read
+    # from p and m, so q = 3^100000000 is never computed
     def forbidden(*args):
         raise AssertionError("the field was built")
 

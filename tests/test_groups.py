@@ -122,7 +122,6 @@ def test_order_and_signature_build_no_canonical_matrix(monkeypatch):
         raise AssertionError("built the block-diagonal canonical form")
 
     monkeypatch.setattr(importlib.import_module("orbitcodes.rcf"), "rcf_from_divisors", forbidden)
-    monkeypatch.setattr(groups, "rcf_from_divisors", forbidden)
     a = block_diag([GEN3, companion(Poly(F2, [1, 1, 1, 1, 1]))])
     assert matrix_order(a) == 35
     assert signature(a) == ((5, 1, 4), (7, 1, 3))
@@ -170,7 +169,7 @@ def test_smallest_of_each_order_matches_the_full_scan(field, top):
     for d in range(1, top + 1):
         got = groups._smallest_of_each_order(field, d)
         assert got == full_scan_smallest(field, d)
-        assert list(got) == groups._orders_of_degree(field.q, d)
+        assert sorted(got) == groups._orders_of_degree(field.q, d)
 
 
 def test_minimal_polynomial_is_the_char_poly_of_a_companion_power():
@@ -386,7 +385,10 @@ def multiset_class_representatives(field, n):
 
 @pytest.mark.parametrize(
     "field, top",
-    [(F2, 8), (F3, 5), (GF(2, 2), 4), (GF(5), 3), (GF(3, 2, modulus=(2, 2, 1)), 3)],
+    [
+        (F2, 8), (F3, 5), (GF(2, 2), 4), (GF(5), 3), (GF(3, 2, modulus=(2, 2, 1)), 3),
+        (GF(7), 3), (GF(2, 3), 3), (GF(11), 2),
+    ],
 )
 def test_class_representatives_match_multiset_oracle(field, top):
     for n in range(1, top + 1):

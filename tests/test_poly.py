@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +241,30 @@ def test_factor_examples():
     x_plus_1 = Poly(F3, [1, 1])
     x_plus_2 = Poly(F3, [2, 1])
     assert factor(Poly(F3, [2, 0, 1])) == ((x_plus_1, 1), (x_plus_2, 1))
+
+
+# per field, the largest degree of the repeated small factors and of the big
+# factor: every factor of degree at most `small` is divided out before d
+# exceeds half the big one's degree, so trial division leaves it over
+FACTOR_DEGREES = {F2: (3, 6), F3: (2, 4), F4: (2, 3), GF(5): (1, 3)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(FACTOR_DEGREES)), st.data())
+def test_factor_lists_pairs_by_degree_then_code(field, data):
+    small, big = FACTOR_DEGREES[field]
+    want = Counter()
+    for _ in range(data.draw(st.integers(0, 4), label="small factors")):
+        d = data.draw(st.integers(1, small), label="degree")
+        want[data.draw(st.sampled_from(irreducibles(field, d)))] += data.draw(st.integers(1, 3))
+    if data.draw(st.booleans(), label="leftover"):
+        d = data.draw(st.integers(small + 1, big), label="leftover degree")
+        want[data.draw(st.sampled_from(irreducibles(field, d)))] += 1
+    if not want:
+        want[Poly.x(field)] = 1
+    f = math.prod((p**e for p, e in want.items()), start=Poly.one(field))
+    by_degree_then_code = sorted(want.items(), key=lambda pe: (int(pe[0].degree), pe[0].code()))
+    assert factor(f) == tuple(by_degree_then_code)
 
 
 def test_factor_requires_monic_nonconstant():
