@@ -16,13 +16,12 @@ from orbitcodes import (
     block_bound,
     block_bound_refined,
     block_structure,
-    blockdiag_coprime_check,
     component_codes,
-    fullrank_coprime_check,
     min_distance,
     orbit_code,
     subspace,
 )
+from orbitcodes.verify import blockdiag_coprime_check, fullrank_coprime_check
 
 f2 = GF(2)
 divisors = ((Poly(f2, [1, 1, 0, 1]), 1), (Poly(f2, [1, 1, 1]), 1))

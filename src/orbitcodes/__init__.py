@@ -10,7 +10,6 @@ and block bounds (codes), seeded property suites (verify), and a CLI (cli).
 
 from .codes import (
     BlockStructure,
-    CheckReport,
     OrbitCode,
     OrbitProfile,
     SubBlock,
@@ -19,11 +18,9 @@ from .codes import (
     block_bound,
     block_bound_refined,
     block_structure,
-    blockdiag_coprime_check,
     component_codes,
     conjugate_code,
     distance_distribution,
-    fullrank_coprime_check,
     intersection_dim,
     min_distance,
     orbit_code,

@@ -149,13 +149,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return 2
     field = parse_field(args.field, args.modulus)
     block_rows = {}  # each companion block's rows, formatted once per call
+    poly_text = functools.cache(format_poly)  # and each divisor's p
     classes = [
         {
             "class": i,
             "group_order": rep.order,
             "signature": rep.signature,
             "divisors": [
-                {"p": format_poly(p), "e": e} for p, e in rep.rcf.divisors
+                {"p": poly_text(p), "e": e} for p, e in rep.rcf.divisors
             ],
             "generator": format_companion_diag(rep.rcf.divisors, block_rows),
         }

@@ -1,4 +1,6 @@
-"""Orbit codes in the Grassmannian: construction, parameters, block bounds.
+"""Orbit codes in the Grassmannian: the orbit profile, code parameters and
+block bounds.  This is library code only; the checks of claims about
+component codes, and their reports, are verify's.
 
 A Subspace is a point of the Grassmannian held as its canonical full-rank
 RREF basis, so equality is plain entry-wise comparison.  GL_n acts on the
@@ -17,7 +19,8 @@ has two producers, and the input picks one:
   nonzero vectors carry labels (cycle, exponent) in the cycles of x that
   meet U, found by baby-step giant-step in each cycle (_coset_exponents)
   rather than by stepping round it, and counting exponent differences
-  gives every overlap, with no linear algebra and no codebook;
+  into one dict gives every overlap, with no linear algebra and no
+  codebook;
 * every other generator and subspace: the orbit walk (_walk), on the
   packed rows of rows.py (the kernel groups.closure also uses).  It steps
   a basis B_j = B_{j-1} A from U's reduced basis and reads each overlap
@@ -41,8 +44,9 @@ that takes divisors checks them once, in _divisors.
 
 The block machinery splits an RREF basis along the column blocks of a
 block-diagonal generator diag(M_1, ..., M_t): sub-block i keeps the rows
-whose pivot falls inside block i, restricted to block i's columns.  Two
-lower bounds on the minimum distance are computed from the sub-blocks:
+whose pivot falls inside block i, restricted to block i's columns, which
+is already the canonical basis of its row space, so no rref runs on it.
+Two lower bounds on the minimum distance are computed from the sub-blocks:
 
 * block_bound: per-component worst-case overlap, maximizing each component
   independently over its own nonzero residues;
@@ -62,16 +66,15 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate, combinations, compress
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 from .field import GF, _Memo
 from .groups import CyclicGroup
-from .matrix import Mat, block_diag_basis, companion, companion_diag, is_invertible, rref
+from .matrix import Mat, companion, companion_diag, is_invertible, rref
 from .poly import Poly, is_irreducible, order as poly_order, x_power
 from .rows import _kernel
-from .textio import format_mat, format_poly
 
 
 @dataclass(frozen=True)
@@ -316,50 +319,25 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
     a coset and their exponents differ by i mod ord(p).  So
     |U n U A^-i| - 1 counts those label pairs, and dim(U n U A^i), equal
     to dim(U n U A^-i), is its log_q; only nonzero counts are read back.
-    Every coset is labelled first, and the counts go into a dict when
-    _counts_are_sparse for their label pairs, else a list of ord(p)
-    slots."""
+    Each coset's exponent differences are counted into one dict as it is
+    labelled, so the count holds only the shifts that occur."""
     kern = _kernel(u.field, u.n)
     step = kern.stepper(companion(p))
     order = poly_order(p)
     todo = set(kern.span([kern.pack(u.basis.row(i)) for i in range(u.k)])[1:])
     nonzero = len(todo)
-    cosets = []
+    counts = Counter()
     while todo:
-        cosets.append(_coset_exponents(kern, step, p, order, todo))
-    sparse = _counts_are_sparse(sum(len(e) ** 2 for e in cosets), order)
-    counts = Counter() if sparse else [0] * order
-    for exponents in cosets:
-        if sparse:
-            counts.update((a - b) % order for a in exponents for b in exponents)
-        else:
-            for a in exponents:
-                for b in exponents:
-                    counts[a - b] += 1  # a negative index is the residue mod order
-    if sparse:
-        counts = dict(counts)  # CPython 3.11 specialises a dict's subscripts, not a Counter's
-    # counts[0] = nonzero
-    shifts = sorted(counts)[1:] if sparse else list(compress(range(order), counts))[1:]
+        exponents = _coset_exponents(kern, step, p, order, todo)
+        counts.update((a - b) % order for a in exponents for b in exponents)
+    counts = dict(counts)  # CPython 3.11 specialises a dict's subscripts, not a Counter's
+    shifts = sorted(counts)[1:]  # counts[0] = nonzero
     period = next((j for j in shifts if counts[j] == nonzero), order)
     logs = {u.field.q**d - 1: d for d in range(1, u.k + 1)}
     overlaps = tuple((j, logs.get(counts[j])) for j in shifts if j < period)
     if any(d is None for _, d in overlaps):
         raise AssertionError("an intersection size is not a power of q; count is broken")
     return OrbitProfile(period, u.k, overlaps)
-
-
-# List slots (allocated, then scanned by compress) that cost as much as one
-# label pair counted into the dict.  Timed under CPython 3.11 on x86-64 with
-# each branch forced: the dict was faster at pairs / ord(p) of 0.06 over
-# GF(2) and GF(4) and 0.103-0.111 over GF(3), the list at 0.123-0.124 over
-# GF(2) and at 0.22 or more over GF(2), GF(3) and GF(4).
-_SLOTS_PER_PAIR = 9
-
-
-def _counts_are_sparse(pairs: int, order: int) -> bool:
-    """Whether _difference_profile counts its label pairs into a dict
-    rather than a list of order slots."""
-    return pairs * _SLOTS_PER_PAIR < order
 
 
 # The cost of one giant step (kern.times by x^-m's packed rows and a dict
@@ -468,9 +446,10 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
 
 def _block_profile(key: tuple[tuple[Poly, int], Mat]) -> OrbitProfile:
     """The profile of a sub-block's row space under companion(p^e), for
-    the key ((p, e), the sub-block's matrix)."""
+    the key ((p, e), the sub-block's matrix).  The matrix is already the
+    row space's canonical basis (see block_structure), so no rref runs."""
     divisor, matrix = key
-    return orbit_profile(subspace(matrix), (divisor,))
+    return orbit_profile(Subspace(matrix.field, matrix.cols, matrix.rows, matrix), (divisor,))
 
 
 @dataclass(frozen=True)
@@ -541,9 +520,11 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
     """Split an RREF basis along the blocks of diag(companion(p_i^e_i)).
 
     Sub-block i holds the rows whose pivot column lies in block i's column
-    range, restricted to those columns; full row rank is automatic because
-    each such row keeps its pivot column.  No orbit work happens here: the
-    structure and each sub-block compute their profiles on first use.
+    range, restricted to those columns.  Each such row keeps its pivot, the
+    entries before it are zero, and every other row is zero in its column,
+    so the sub-block is in RREF with full row rank: the canonical basis of
+    its row space.  No orbit work happens here: the structure and each
+    sub-block compute their profiles on first use.
     """
     divisors = _divisors(u, divisors)
     degrees = [int(p.degree) * e for p, e in divisors]
@@ -609,146 +590,3 @@ def block_bound_refined(bs: BlockStructure) -> int:
     sums = (sum(f.overlap(j) for f in profiles) for j in shifts)
     worst = max(sums, default=bs.k if period == 1 else 0)
     return 2 * bs.k - 2 * worst
-
-
-# ---------------------------------------------------------------------------
-# equality checks under coprime component cardinalities
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    check: str
-    status: str  # "ok" | "mismatch" | "skipped"
-    reason: str | None
-    values: dict
-    instance: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def skipped(self) -> bool:
-        return self.status == "skipped"
-
-
-def _field_text(f: GF) -> dict:
-    d = {"p": f.p, "m": f.m}
-    if f.m > 1:
-        d["modulus"] = ",".join(str(c) for c in f.modulus)
-    return d
-
-
-def _instance_dict(field: GF, divisors, basis: Mat) -> dict:
-    return {
-        "field": _field_text(field),
-        "divisors": [{"p": format_poly(p), "e": e} for p, e in divisors],
-        "basis": format_mat(basis),
-    }
-
-
-def _pairwise_coprime(sizes: Sequence[int]) -> bool:
-    return all(math.gcd(a, b) == 1 for a, b in combinations(sizes, 2))
-
-
-def fullrank_coprime_check(
-    u: Subspace, divisors: Sequence[tuple[Poly, int]]
-) -> CheckReport:
-    """Does the whole code's distance equal the minimum component distance?
-
-    Applies when every full column slice U_i of the basis has full rank k
-    with k <= d_i and the component-code sizes are pairwise coprime;
-    instances outside those hypotheses are reported as skipped.
-    """
-    name = "fullrank_coprime"
-    divisors = _divisors(u, divisors)
-    instance = _instance_dict(u.field, divisors, u.basis)
-
-    def skipped(reason: str) -> CheckReport:
-        return CheckReport(name, "skipped", reason, {}, instance)
-
-    degrees = [int(p.degree) * e for p, e in divisors]
-    if any(u.k > d for d in degrees):
-        return skipped("k exceeds a block degree")
-    starts = _block_starts(degrees)
-    slices = [_columns(u.basis, range(u.k), lo, hi) for lo, hi in zip(starts, starts[1:])]
-    if any(rref(s).rank != u.k for s in slices):
-        return skipped("a column slice is rank deficient")
-    profiles = _Memo(_block_profile)  # equal slices under equal divisors walk once
-    comps = [profiles[d, s] for s, d in zip(slices, divisors)]
-    sizes = [c.period for c in comps]
-    if not _pairwise_coprime(sizes):
-        return skipped("component cardinalities are not coprime")
-    if any(size < 2 for size in sizes):
-        # the minimum over component distances is undefined on such instances
-        return skipped("a component code is a singleton")
-    # one block: its slice is U's basis, so the code is the component
-    code = comps[0] if len(comps) == 1 else orbit_profile(u, divisors)
-    lhs = code.min_distance
-    distances = [c.min_distance for c in comps]
-    rhs = min(distances)
-    values = {
-        "code_distance": lhs,
-        "component_min": rhs,
-        "component_sizes": sizes,
-        "component_distances": distances,
-        "code_size": code.period,
-    }
-    status = "ok" if lhs == rhs else "mismatch"
-    return CheckReport(name, status, None, values, instance)
-
-
-def blockdiag_coprime_check(
-    blocks: Sequence[Mat], divisors: Sequence[tuple[Poly, int]]
-) -> CheckReport:
-    """For a block-diagonal basis diag(B_1, ..., B_t) with full-rank blocks
-    and coprime component sizes: the whole code's distance, the
-    per-component bound, and the refined bound side by side.
-
-    The distance comes from the structure's own profile, so the code is
-    walked once.  Distance vs refined is the hard equality; the
-    per-component value is recorded (with a match flag) because it can
-    legitimately exceed the true distance.
-    """
-    name = "blockdiag_coprime"
-    divisors = tuple((p, int(e)) for p, e in divisors)
-    if len(blocks) != len(divisors):
-        raise ValueError("one block matrix per divisor is required")
-    degrees = [int(p.degree) * e for p, e in divisors]
-    if any(b.cols != d for b, d in zip(blocks, degrees)):
-        raise ValueError("block width must match its divisor degree")
-    field = blocks[0].field
-    basis = block_diag_basis(blocks)
-    instance = _instance_dict(field, divisors, basis)
-
-    def skipped(reason: str) -> CheckReport:
-        return CheckReport(name, "skipped", reason, {}, instance)
-
-    if any(b.rows == 0 for b in blocks):
-        return skipped("an empty block was supplied")
-    if any(rref(b).rank != b.rows for b in blocks):
-        return skipped("a block is rank deficient")
-    u = subspace(basis)
-    bs = block_structure(u, divisors)
-    sizes = [blk.profile.period for blk in bs.blocks]
-    if not _pairwise_coprime(sizes):
-        return skipped("component cardinalities are not coprime")
-    literal, lcm_card = block_bound(bs)
-    refined = block_bound_refined(bs)
-    # the profile the refined bound read: with two or more blocks it walks
-    # the whole code, while the components may take the difference count
-    code = bs.profile
-    if code.period < 2:
-        return skipped("the whole code is a singleton")
-    distance = code.min_distance
-    values = {
-        "brute_distance": distance,
-        "bound_literal": literal,
-        "bound_refined": refined,
-        "literal_matches": literal == distance,
-        "component_sizes": sizes,
-        "lcm_cardinality": lcm_card,
-        "code_size": code.period,
-    }
-    status = "ok" if distance == refined else "mismatch"
-    return CheckReport(name, status, None, values, instance)

@@ -9,9 +9,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .codes import Subspace, block_diag_basis, subspace
+from .codes import Subspace, subspace
 from .field import GF
-from .matrix import Mat
+from .matrix import Mat, block_diag_basis
 from .poly import Poly, irreducibles
 from .rows import _kernel
 

@@ -56,7 +56,7 @@ def _numbers(text: str, offset: int, what: str):
     pos = offset
     for token in text.split(","):
         stripped = token.strip()
-        if not stripped.isdigit():
+        if not stripped.isdecimal():
             raise ParseError(f"expected {what}, got {stripped!r}", pos)
         yield int(stripped), pos
         pos += len(token) + 1
@@ -107,9 +107,9 @@ def parse_designator(
         p_text, _, m_text = text.partition("^")
     else:
         p_text, m_text = text, "1"
-    if not p_text.strip().isdigit():
+    if not p_text.strip().isdecimal():
         raise ParseError(f"expected a prime, got {p_text.strip()!r}", 0)
-    if not m_text.strip().isdigit():
+    if not m_text.strip().isdecimal():
         raise ParseError(
             f"expected an extension degree, got {m_text.strip()!r}",
             text.index("^") + 1 if "^" in text else 0,

@@ -14,6 +14,11 @@ that must hold) and WARN findings (documented ambiguities: the per-component
 bound overshooting the true distance, code sizes differing from the lcm of
 component sizes, and one known signature-test disagreement in dimension 6).
 
+The equality checks under coprime component sizes (fullrank_coprime_check,
+blockdiag_coprime_check) live here too, with their CheckReport and its
+text instance; they read the profiles codes computes, and the bounds
+suite runs them.
+
 `trials` scales the sampled checks: None runs the default counts, 0 skips
 everything (a vacuous run), a positive value replaces the defaults, and a
 negative one is rejected with ValueError.
@@ -25,23 +30,26 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 from .codes import (
-    CheckReport,
+    Subspace,
+    _block_starts,
+    _columns,
+    _divisors,
     act,
     block_bound,
     block_bound_refined,
     block_structure,
-    blockdiag_coprime_check,
     conjugate_code,
     distance_distribution,
-    fullrank_coprime_check,
     orbit_code,
+    orbit_profile,
     stabilizer_order,
     subspace,
     subspace_distance,
 )
-from .field import GF
+from .field import GF, _Memo
 from .groups import (
     CyclicGroup,
     class_representatives,
@@ -51,7 +59,7 @@ from .groups import (
     same_signature,
     signature,
 )
-from .matrix import Mat, companion_diag, is_invertible, rank, rref
+from .matrix import Mat, block_diag_basis, companion_diag, is_invertible, rank, rref
 from .numtheory import factorize, multiplicative_order
 from .poly import Poly, factor, irreducibles, is_irreducible, order as poly_order
 from .rcf import char_poly, elementary_divisors, evaluate_poly_at_matrix, min_poly, rcf
@@ -64,6 +72,7 @@ from .sampling import (
     random_subspace,
     random_unit_divisors,
 )
+from .textio import format_mat, format_poly
 
 SUITES = ("algebra", "rcf", "groups", "codes", "bounds")
 
@@ -677,6 +686,151 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
             f"only {done} qualifying instances in {attempts} attempts",
         )
     return res
+
+
+# ---------------------------------------------------------------------------
+# equality checks under coprime component cardinalities
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    check: str
+    status: str  # "ok" | "mismatch" | "skipped"
+    reason: str | None
+    values: dict
+    instance: dict
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+    @property
+    def skipped(self) -> bool:
+        return self.status == "skipped"
+
+
+def _field_text(f: GF) -> dict:
+    d = {"p": f.p, "m": f.m}
+    if f.m > 1:
+        d["modulus"] = ",".join(str(c) for c in f.modulus)
+    return d
+
+
+def _instance_dict(field: GF, divisors, basis: Mat) -> dict:
+    return {
+        "field": _field_text(field),
+        "divisors": [{"p": format_poly(p), "e": e} for p, e in divisors],
+        "basis": format_mat(basis),
+    }
+
+
+def _pairwise_coprime(sizes: Sequence[int]) -> bool:
+    return all(math.gcd(a, b) == 1 for a, b in itertools.combinations(sizes, 2))
+
+
+def fullrank_coprime_check(
+    u: Subspace, divisors: Sequence[tuple[Poly, int]]
+) -> CheckReport:
+    """Does the whole code's distance equal the minimum component distance?
+
+    Applies when every full column slice U_i of the basis has full rank k
+    with k <= d_i and the component-code sizes are pairwise coprime;
+    instances outside those hypotheses are reported as skipped.
+    """
+    name = "fullrank_coprime"
+    divisors = _divisors(u, divisors)
+    instance = _instance_dict(u.field, divisors, u.basis)
+
+    def skipped(reason: str) -> CheckReport:
+        return CheckReport(name, "skipped", reason, {}, instance)
+
+    degrees = [int(p.degree) * e for p, e in divisors]
+    if any(u.k > d for d in degrees):
+        return skipped("k exceeds a block degree")
+    starts = _block_starts(degrees)
+    slices = [_columns(u.basis, range(u.k), lo, hi) for lo, hi in zip(starts, starts[1:])]
+    if any(rref(s).rank != u.k for s in slices):
+        return skipped("a column slice is rank deficient")
+    # a full slice is not in RREF, so each is canonicalized; equal slices
+    # under equal divisors walk once
+    profiles = _Memo(lambda key: orbit_profile(subspace(key[1]), (key[0],)))
+    comps = [profiles[d, s] for s, d in zip(slices, divisors)]
+    sizes = [c.period for c in comps]
+    if not _pairwise_coprime(sizes):
+        return skipped("component cardinalities are not coprime")
+    if any(size < 2 for size in sizes):
+        # the minimum over component distances is undefined on such instances
+        return skipped("a component code is a singleton")
+    # one block: its slice is U's basis, so the code is the component
+    code = comps[0] if len(comps) == 1 else orbit_profile(u, divisors)
+    lhs = code.min_distance
+    distances = [c.min_distance for c in comps]
+    rhs = min(distances)
+    values = {
+        "code_distance": lhs,
+        "component_min": rhs,
+        "component_sizes": sizes,
+        "component_distances": distances,
+        "code_size": code.period,
+    }
+    status = "ok" if lhs == rhs else "mismatch"
+    return CheckReport(name, status, None, values, instance)
+
+
+def blockdiag_coprime_check(
+    blocks: Sequence[Mat], divisors: Sequence[tuple[Poly, int]]
+) -> CheckReport:
+    """For a block-diagonal basis diag(B_1, ..., B_t) with full-rank blocks
+    and coprime component sizes: the whole code's distance, the
+    per-component bound, and the refined bound side by side.
+
+    The distance comes from the structure's own profile, so the code is
+    walked once.  Distance vs refined is the hard equality; the
+    per-component value is recorded (with a match flag) because it can
+    legitimately exceed the true distance.
+    """
+    name = "blockdiag_coprime"
+    divisors = tuple((p, int(e)) for p, e in divisors)
+    if len(blocks) != len(divisors):
+        raise ValueError("one block matrix per divisor is required")
+    degrees = [int(p.degree) * e for p, e in divisors]
+    if any(b.cols != d for b, d in zip(blocks, degrees)):
+        raise ValueError("block width must match its divisor degree")
+    field = blocks[0].field
+    basis = block_diag_basis(blocks)
+    instance = _instance_dict(field, divisors, basis)
+
+    def skipped(reason: str) -> CheckReport:
+        return CheckReport(name, "skipped", reason, {}, instance)
+
+    if any(b.rows == 0 for b in blocks):
+        return skipped("an empty block was supplied")
+    if any(rref(b).rank != b.rows for b in blocks):
+        return skipped("a block is rank deficient")
+    u = subspace(basis)
+    bs = block_structure(u, divisors)
+    sizes = [blk.profile.period for blk in bs.blocks]
+    if not _pairwise_coprime(sizes):
+        return skipped("component cardinalities are not coprime")
+    literal, lcm_card = block_bound(bs)
+    refined = block_bound_refined(bs)
+    # the profile the refined bound read: with two or more blocks it walks
+    # the whole code, while the components may take the difference count
+    code = bs.profile
+    if code.period < 2:
+        return skipped("the whole code is a singleton")
+    distance = code.min_distance
+    values = {
+        "brute_distance": distance,
+        "bound_literal": literal,
+        "bound_refined": refined,
+        "literal_matches": literal == distance,
+        "component_sizes": sizes,
+        "lcm_cardinality": lcm_card,
+        "code_size": code.period,
+    }
+    status = "ok" if distance == refined else "mismatch"
+    return CheckReport(name, status, None, values, instance)
 
 
 def _fullrank_instance(rng: random.Random, field: GF) -> CheckReport:

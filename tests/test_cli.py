@@ -635,7 +635,6 @@ def test_singer_code_report_builds_no_generator_matrix(capsys, monkeypatch):
         raise AssertionError("built a generator matrix")
 
     monkeypatch.setattr(importlib.import_module("orbitcodes.matrix"), "block_diag_basis", forbidden)
-    monkeypatch.setattr(codes, "block_diag_basis", forbidden)
     monkeypatch.setattr(groups, "matrix_order", forbidden)
     for fmt, want in expected.items():
         assert run(capsys, *SINGER, "--format", fmt) == want
@@ -660,9 +659,21 @@ def test_singer_code_report_builds_no_generator_matrix(capsys, monkeypatch):
          "expected an extension degree, got 'x' (at position 2)"),
         (["classify", "--field", "2^2", "--modulus", "1,y,1", "--n", "2"],
          "expected a coefficient, got 'y' (at position 2)"),
+        # "²" is a digit to str.isdigit, but int() rejects it
+        (["code", "--n", "1", "--divisors", "1,²", "--subspace", "1"],
+         "expected an element code, got '²' (at position 2)"),
+        (["code", "--n", "1", "--divisors", "1,1", "--subspace", "²"],
+         "expected an element code, got '²' (at position 0)"),
+        (["classify", "--field", "²", "--n", "1"],
+         "expected a prime, got '²' (at position 0)"),
+        (["classify", "--field", "2^²", "--n", "1"],
+         "expected an extension degree, got '²' (at position 2)"),
+        (["classify", "--field", "2^2", "--modulus", "1,²", "--n", "1"],
+         "expected a coefficient, got '²' (at position 2)"),
     ],
     ids=["code-field", "code-modulus", "code-divisor-code", "code-divisor-factor",
-         "classify-field", "classify-modulus"],
+         "classify-field", "classify-modulus", "superscript-divisor", "superscript-subspace",
+         "superscript-prime", "superscript-degree", "superscript-modulus"],
 )
 def test_parse_errors_report_their_own_position(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")

@@ -17,12 +17,10 @@ from orbitcodes import (
     block_bound_refined,
     block_diag,
     block_structure,
-    blockdiag_coprime_check,
     companion,
     component_codes,
     conjugate_code,
     distance_distribution,
-    fullrank_coprime_check,
     intersection_dim,
     irreducibles,
     is_invertible,
@@ -38,6 +36,7 @@ from orbitcodes import codes, rows, verify
 from orbitcodes.codes import _difference_profile, _walk
 from orbitcodes.poly import order as poly_order
 from orbitcodes.sampling import random_block_diag_basis, random_subspace, random_unit_divisors
+from orbitcodes.verify import blockdiag_coprime_check, fullrank_coprime_check
 
 F2 = GF(2)
 F3 = GF(3)
@@ -311,6 +310,31 @@ def test_block_structure_does_no_orbit_work(monkeypatch):
     monkeypatch.setattr(codes, "rref", forbidden)
     bs = block_structure(u, SINGER_DIVISORS)
     assert [blk.k for blk in bs.blocks] == [2, 0]
+
+
+def test_sub_blocks_are_profiled_without_rref(monkeypatch):
+    # a sub-block is the rows with their pivot in its block, cut to its
+    # columns: already the canonical basis of its row space
+    rng = random.Random(27)
+    blocks = []
+    for i in range(60):
+        field = (F2, F3, F4)[i % 3]
+        n = rng.randint(2, PROFILE_MAX_D[field.q])
+        divisors = random_unit_divisors(rng, field, n)
+        if i % 2:
+            u = subspace(random_block_diag_basis(rng, field, divisors)[0])
+        else:
+            u = random_subspace(rng, field, n, rng.randint(1, n))
+        blocks += [blk for blk in block_structure(u, divisors).blocks if blk.k]
+    for blk in blocks:
+        assert subspace(blk.matrix).basis == blk.matrix
+    expected = [orbit_profile(subspace(blk.matrix), [blk.divisor]) for blk in blocks]
+
+    def forbidden(*args):
+        raise AssertionError("rref ran on a sub-block")
+
+    monkeypatch.setattr(codes, "rref", forbidden)
+    assert [blk.profile for blk in blocks] == expected
 
 
 def test_one_block_structure_shares_its_block_profile():
@@ -803,18 +827,14 @@ def test_difference_count_at_gf2_n32():
     assert sum(2**d - 1 for _, d in profile.overlaps) == 7 * 6
 
 
-def test_sparse_and_dense_counts_agree(monkeypatch):
+def test_difference_count_matches_the_walk_on_seeded_inputs():
     rng = random.Random(20)
     for _ in range(40):
         field = rng.choice((F2, F3, F4, F5))
         d = rng.randint(1, PROFILE_MAX_D[field.q])
         p = rng.choice([f for f in irreducibles(field, d) if f.coeff(0)])
         u = random_subspace(rng, field, d, rng.randint(1, d))
-        profiles = []
-        for sparse in (True, False):
-            monkeypatch.setattr(codes, "_counts_are_sparse", lambda size, order: sparse)
-            profiles.append(_difference_profile(u, p))
-        assert profiles[0] == profiles[1] == _walk(u, companion(p))
+        assert _difference_profile(u, p) == _walk(u, companion(p))
 
 
 def test_equal_sub_blocks_share_one_profile(monkeypatch):
@@ -859,9 +879,9 @@ def test_bounds_suite_walks_no_pair_twice_within_a_structure(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(codes, "_walk", counted)
-    for name in ("block_structure", "fullrank_coprime_check", "blockdiag_coprime_check"):
-        for module in (codes, verify):
-            monkeypatch.setattr(module, name, resetting(getattr(module, name)))
+    for module, name in ((codes, "block_structure"), (verify, "block_structure"),
+                         (verify, "fullrank_coprime_check"), (verify, "blockdiag_coprime_check")):
+        monkeypatch.setattr(module, name, resetting(getattr(module, name)))
     assert not verify.suite_bounds(seed=0).failed
     assert repeats == []
 
