@@ -3,8 +3,9 @@
 Subcommands:
 
 * classify: one row per conjugacy class of cyclic subgroups of GL_n(F_q).
-* code: build a cyclic orbit code from block divisors and a base subspace,
-  reporting parameters and both distance bounds as JSON/CSV/text.
+* code: build a cyclic orbit code from block divisors p^e (Ben-Or's test
+  reads an irreducible one; only a reducible one is factored) and a base
+  subspace, reporting parameters and both distance bounds as JSON/CSV/text.
 * verify: run the property suites; exit 0 only if every hard check passes
   (documented-ambiguity findings are WARN lines and never fail a run).
 * examples: reproduce the two small non-extendability counterexamples
@@ -46,7 +47,7 @@ from .groups import (
     conjugacy_witness,
     divisors_order,
 )
-from .poly import Poly, factor
+from .poly import Poly, factor, is_irreducible
 from .textio import (
     format_companion_diag,
     format_mat,
@@ -193,7 +194,8 @@ def cmd_code(args: argparse.Namespace) -> int:
     field = parse_field(args.field, args.modulus)
     divisors = []
     for codes, offset in parse_rows(field, args.divisors, "polynomial"):
-        parts = factor(Poly(field, codes).monic())
+        f = Poly(field, codes).monic()
+        parts = () if f.degree < 1 else ((f, 1),) if is_irreducible(f) else factor(f)
         if len(parts) != 1:
             text = ",".join(map(str, codes))
             raise ParseError(f"divisor {text!r} is not a power of a single irreducible", offset)

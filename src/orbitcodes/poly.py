@@ -18,7 +18,7 @@ enumerates by a product sieve: it marks the code of every product of a
 lower-degree irreducible with a monic cofactor and keeps the unmarked
 codes, and refuses a sieve over more than 2^22 codes.  is_irreducible()
 runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for k up to deg(f)/2.
-factor() divides by the enumerated irreducibles.
+factor() divides by the enumerated irreducibles on polykernel's residues.
 order() of an irreducible f strips prime factors from q^deg(f) - 1 with
 x-power tests; a reducible f reads lcm ord(p) c(e) over its factors p^e.
 It is memoized per polynomial, since matrix orders ask for the same few
@@ -283,30 +283,30 @@ def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     degrees ascend, irreducibles() lists each degree by code, and a leftover
     of degree < 2d with no factor of degree < d is irreducible and of higher
     degree than every factor found.  Their product reconstructs f exactly.
+    Each trial is one exact division on the residue form of _kernel(field).
     """
     if f.is_zero or f.degree < 1:
         raise ValueError(f"cannot factor constant {f!r}")
     if not f.is_monic:
         raise ValueError(f"factor expects a monic polynomial, got {f!r}")
+    kern, lookups = _kernel(f.field), f.field.lookups
     out = []
-    rem = f
+    rem, degree = kern.form(f), f.degree
     d = 1
-    while rem.degree >= 1:
-        if d > rem.degree // 2:
-            out.append((rem, 1))
+    while degree >= 1:
+        if d > degree // 2:
+            out.append((Poly._trusted(f.field, kern.coeffs(rem, degree + 1)), 1))
             break
         for p in irreducibles(f.field, d):
-            e = 0
-            while True:
-                q, r = divmod(rem, p)
-                if not r.is_zero:
-                    break
-                rem = q
+            g, e = kern.form(p), 0
+            while (quot := kern.exact_quotient(rem, g, lookups)) is not None:
+                rem = quot
                 e += 1
             if e:
                 out.append((p, e))
-            if rem.degree < 1:
-                break
+                degree -= d * e
+                if degree < 1:
+                    break
         d += 1
     return tuple(out)
 
@@ -330,10 +330,7 @@ def x_power(f: Poly, e: int) -> tuple[int, ...]:
     """The d coefficients of x^e mod a monic f of degree d >= 1, that of x^0
     first, by polykernel's x_power."""
     residues = _kernel(f.field)(f)
-    r = residues.x_power(e)
-    if f.field.q == 2:
-        return tuple((r >> i) & 1 for i in range(residues.d))
-    return tuple(r)
+    return tuple(residues.coeffs(residues.x_power(e), residues.d))
 
 
 def _char_power(field: GF, e: int) -> int:

@@ -13,7 +13,9 @@ field's lookups, for every other field.  Each gives x-powers, Frobenius
 steps (for _Lists, numtheory.power with the product mod f) and the gcd
 test of Ben-Or's irreducibility test, and the product
 marks of poly.irreducibles' sieve; Ben-Or's test and the order of x are
-written once, over either form, in _Residues.  _Lists runs on GF(2) input
+written once, over either form, in _Residues.  In characteristic 2 both
+square by spreading c_i x^i to c_i^2 x^(2i), with no _product, and both
+divide exactly for poly.factor's trials.  _Lists runs on GF(2) input
 too, as the tests' oracle for _Bits.
 """
 
@@ -119,7 +121,9 @@ class _Lists(_Residues):
     """Residues as coefficient lists of length d over the field's lookups;
     f enters through its tail, x^d mod f as (i, c) over its nonzero terms
     (the negated coefficients of f below its leading 1).  No Poly is built.
-    The sieve forms products on coefficient lists as well."""
+    The sieve forms products on coefficient lists as well.  For factor, a
+    Poly's form is its coefficients and an exact quotient one _divide,
+    None when a remainder is left; coeffs(r, d) lists a form of length d."""
 
     def __init__(self, f: Poly):
         F = f.field
@@ -132,10 +136,15 @@ class _Lists(_Residues):
         self.one = [1] + [0] * (self.d - 1)
 
     def mul_mod(self, a: list[int], b: list[int]) -> list[int]:
-        """a b mod f: _product, then each term of degree >= d folded back
+        """a b mod f: _product, or a square (a is b) in characteristic 2
+        spread to even degrees; then each term of degree >= d folded back
         through x^d = tail, top down."""
         add, mul, tail, d = self.add, self.mul, self.tail, self.d
-        out = _product(a, b, self.lookups)
+        if a is b and self.q % 2 == 0:
+            out = [0] * (2 * len(a) - 1)
+            out[::2] = [mul[c][c] for c in a]
+        else:
+            out = _product(a, b, self.lookups)
         for top in range(2 * d - 2, d - 1, -1):
             lead = out[top]
             if lead:
@@ -165,6 +174,19 @@ class _Lists(_Residues):
                     for i, c in tail:
                         r[i] = add[r[i]][row[c]]
         return r
+
+    @staticmethod
+    def form(f: Poly) -> tuple[int, ...]:
+        return f.coeffs
+
+    @staticmethod
+    def exact_quotient(a, g, lookups) -> list[int] | None:
+        quot, rem = _divide(a, g, lookups)
+        return None if rem else quot
+
+    @staticmethod
+    def coeffs(r, d: int) -> list[int]:
+        return list(r)
 
     def coprime_to_x_minus(self, r: list[int]) -> bool:
         diff = list(r)
@@ -218,7 +240,9 @@ class _Bits(_Residues):
     """GF(2) residues as ints, bit i the coefficient of x^i (the bit order
     of Poly.code): addition is XOR, a square spreads the bits through
     _SPREAD, and a reduction XORs f << (top - d) while the top bit is at
-    or above d.  The sieve's products are XORs of shifted ints."""
+    or above d.  The sieve's products are XORs of shifted ints.  For factor,
+    a Poly's form is its code and an exact quotient is a run of XORed
+    shifts of the divisor, each clearing the top bit."""
 
     q = 2
     one = 1
@@ -244,6 +268,22 @@ class _Bits(_Residues):
 
     def frobenius(self, r: int) -> int:
         return self.x_power(0, r)  # bin(0) is one 0 bit: a square, no shift
+
+    @staticmethod
+    def form(f: Poly) -> int:
+        return f.code()
+
+    @staticmethod
+    def exact_quotient(a: int, g: int, lookups=None) -> int | None:
+        top, quot = g.bit_length(), 0
+        while (shift := a.bit_length() - top) >= 0:
+            a ^= g << shift
+            quot |= 1 << shift
+        return None if a else quot
+
+    @staticmethod
+    def coeffs(r: int, d: int) -> list[int]:
+        return [r >> i & 1 for i in range(d)]
 
     def coprime_to_x_minus(self, r: int) -> bool:
         """Euclid on ints, each remainder a run of XORed shifts."""

@@ -18,11 +18,13 @@ import orbitcodes
 from orbitcodes import (
     GF,
     CyclicGroup,
+    Poly,
     block_diag,
     companion,
     distance_distribution,
     format_poly,
     irreducibles,
+    is_irreducible,
     min_distance,
     orbit_code,
     parse_field,
@@ -30,7 +32,7 @@ from orbitcodes import (
     parse_poly,
     subspace,
 )
-from orbitcodes import codes, groups, polykernel
+from orbitcodes import cli, codes, groups, polykernel
 from orbitcodes.cli import main
 
 
@@ -643,6 +645,32 @@ def test_singer_code_report_builds_no_generator_matrix(capsys, monkeypatch):
     assert digest == "7e653046b1a1a9dabd7be155008b924b4cc37aac27717f9b08c91fd116a3ce13"
 
 
+def test_an_irreducible_divisor_is_read_without_factoring(capsys, monkeypatch):
+    def forbidden(f):
+        raise AssertionError(f"factored {f!r}")
+
+    monkeypatch.setattr(cli, "factor", forbidden)
+    code, out, err = run(capsys, *SINGER)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "7e653046b1a1a9dabd7be155008b924b4cc37aac27717f9b08c91fd116a3ce13"
+
+
+def test_an_irreducible_divisor_past_the_sieve_limit_is_read(capsys):
+    # degree 50 over GF(2) is far past the 2^22-code sieve that factor's
+    # trial division needs; Ben-Or reads it without one
+    low = 0
+    while not is_irreducible(divisor := Poly.from_code(GF(2), 50, low)):
+        low += 1
+    code, out, err = run(
+        capsys, "code", "--n", "50", "--divisors", codes_text(divisor.coeffs),
+        "--subspace", codes_text([1] + [0] * 49), "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    report = dict(zip(*csv.reader(io.StringIO(out))))
+    assert int(report["cardinality"]) == 2**50 - 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -670,10 +698,18 @@ def test_singer_code_report_builds_no_generator_matrix(capsys, monkeypatch):
          "expected an extension degree, got '²' (at position 2)"),
         (["classify", "--field", "2^2", "--modulus", "1,²", "--n", "1"],
          "expected a coefficient, got '²' (at position 2)"),
+        # a constant divisor is no power of an irreducible either
+        (["code", "--n", "2", "--divisors", "1,0,0", "--subspace", "1,0"],
+         "divisor '1,0,0' is not a power of a single irreducible (at position 0)"),
+        (["code", "--n", "2", "--divisors", "0", "--subspace", "1,0"],
+         "divisor '0' is not a power of a single irreducible (at position 0)"),
+        (["code", "--n", "2", "--divisors", "1,1;0,0", "--subspace", "1,0"],
+         "divisor '0,0' is not a power of a single irreducible (at position 4)"),
     ],
     ids=["code-field", "code-modulus", "code-divisor-code", "code-divisor-factor",
          "classify-field", "classify-modulus", "superscript-divisor", "superscript-subspace",
-         "superscript-prime", "superscript-degree", "superscript-modulus"],
+         "superscript-prime", "superscript-degree", "superscript-modulus",
+         "constant-one-divisor", "constant-zero-divisor", "zero-divisor-after-another"],
 )
 def test_parse_errors_report_their_own_position(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")

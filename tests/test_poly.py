@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, NEG_INF, Poly, factor, gcd, irreducibles, is_irreducible, order
-from orbitcodes import poly
+from orbitcodes import poly, polykernel
 from orbitcodes.polykernel import _Bits, _Lists, _kernel
 from orbitcodes.verify import brute_force_poly_order
 
@@ -284,6 +284,123 @@ def test_factor_recomposition_random():
             assert is_irreducible(p)
             prod = prod * p**e
         assert prod == f
+
+
+def trial_factor(f):
+    """factor's oracle: the same trial division on Poly values, a quotient
+    and a remainder Poly per trial."""
+    out, rem, d = [], f, 1
+    while rem.degree >= 1:
+        if d > rem.degree // 2:
+            out.append((rem, 1))
+            break
+        for p in irreducibles(f.field, d):
+            e = 0
+            while not (qr := divmod(rem, p))[1].coeffs:
+                rem, e = qr[0], e + 1
+            if e:
+                out.append((p, e))
+            if rem.degree < 1:
+                break
+        d += 1
+    return tuple(out)
+
+
+# per field, the top degree of the inputs: their trial division sieves at
+# most degree top // 2, kept to a few thousand codes (for GF(257), whose
+# lookups are untabled, degree 1)
+ORACLE_TOPS = {F2: 14, F3: 14, F4: 14, GF(5): 11, GF(3, 2): 9, GF(2, 4): 7, GF(257): 3}
+
+
+def factor_cases(field, top):
+    """Seeded monics of each degree 1 .. top, x^k, p^3 q^2, products of two
+    distinct irreducibles of one degree, and every monic of degree 1 alone
+    and after a power of x."""
+    rng = random.Random(field.q)
+    x = Poly.x(field)
+    for d in range(1, top + 1):
+        for _ in range(4):
+            yield Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+        yield x**d
+    for dp in range(1, top // 3 + 1):
+        for dq in range(1, (top - 3 * dp) // 2 + 1):
+            p, q = rng.choice(irreducibles(field, dp)), rng.choice(irreducibles(field, dq))
+            if p != q:
+                yield p**3 * q**2
+    for d in range(1, top // 2 + 1):
+        if len(irreducibles(field, d)) > 1:
+            p, q = rng.sample(irreducibles(field, d), 2)
+            yield p * q
+    for c in range(min(field.q, 32)):
+        yield Poly(field, [c, 1])
+        yield x ** rng.randint(1, 3) * Poly(field, [c, 1])
+
+
+@pytest.mark.parametrize("field", list(ORACLE_TOPS), ids=repr)
+def test_factor_matches_poly_trial_division(field):
+    for f in factor_cases(field, ORACLE_TOPS[field]):
+        assert factor(f) == trial_factor(f), f
+
+
+def test_factor_runs_no_poly_division(monkeypatch):
+    cases = [f for field in (F2, F3, F4) for f in factor_cases(field, 10)]
+    want = [trial_factor(f) for f in cases]
+
+    def forbidden(*args):
+        raise AssertionError("a Poly division ran")
+
+    for name in ("__divmod__", "__mod__", "__floordiv__"):
+        monkeypatch.setattr(Poly, name, forbidden)
+    assert [factor(f) for f in cases] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**40), st.integers(1, 2**12), st.integers(0, 2**12))
+def test_bits_exact_quotient_matches_lists(a, g, r):
+    def bits_poly(v):
+        return Poly(F2, _Bits.coeffs(v, v.bit_length()))
+
+    product = (bits_poly(a) * bits_poly(g)).code()
+    assert _Bits.exact_quotient(product, g) == a
+    for num in (a, product, product ^ r):
+        got = _Bits.exact_quotient(num, g)
+        want = _Lists.exact_quotient(_Lists.form(bits_poly(num)), bits_poly(g).coeffs, F2.lookups)
+        assert (got is None) == (want is None)
+        assert got is None or coeffs(got) == tuple(want)
+
+
+# characteristic-2 fields on full tables and, for GF(2^11), lazy lookups
+CHAR_TWO_FIELDS = [F4, GF(2, 3), GF(2, 4), GF(2, 11)]
+
+
+@pytest.mark.parametrize("field", CHAR_TWO_FIELDS, ids=repr)
+def test_lists_square_in_char_two_matches_the_product(field):
+    rng = random.Random(field.q)
+    for d in range(1, 13):
+        lists = _Lists(Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1]))
+        for zeros in (d, 0, d // 2):
+            a = [0] * zeros + [rng.randrange(field.q) for _ in range(d - zeros)]
+            # a copy is not a, so mul_mod folds _product(a, a)
+            assert lists.mul_mod(a, a) == lists.mul_mod(a, list(a))
+
+
+@pytest.mark.parametrize("field", [F4, GF(2, 3)], ids=repr)
+def test_char_two_irreducibility_order_and_x_power_run_no_product(field, monkeypatch):
+    rng = random.Random(field.q)
+    cases = [
+        Poly(field, [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(d - 1)] + [1])
+        for d in range(1, 7)
+        for _ in range(5)
+    ]
+    order.cache_clear()
+    want = [(is_irreducible(f), order(f), poly.x_power(f, 10**6 + 7)) for f in cases]
+
+    def forbidden(*args):
+        raise AssertionError("_product ran")
+
+    monkeypatch.setattr(polykernel, "_product", forbidden)
+    order.cache_clear()
+    assert [(is_irreducible(f), order(f), poly.x_power(f, 10**6 + 7)) for f in cases] == want
 
 
 def test_order_examples():
