@@ -11,6 +11,7 @@ from orbitcodes import (
     block_diag,
     char_poly,
     companion,
+    companion_diag,
     invariant_factors,
     is_invertible,
     min_poly,
@@ -32,7 +33,7 @@ print("char =", char_poly(a), "| min =", min_poly(a))
 m = block_diag([companion(Poly(f2, [1, 1])), companion(Poly(f2, [1, 0, 1]))])
 print("\ninvariant factors of diag(companion(x+1), companion((x+1)^2)):")
 print("   ", [str(g) for g in invariant_factors(m)])
-print("elementary divisors:", [(str(p), e) for p, e in rcf(m).divisors])
+print("elementary divisors:", [(str(p), e) for p, e in rcf(m)])
 
 # Conjugacy is exactly equality of canonical forms; conjugating by any
 # invertible L leaves the form fixed.
@@ -47,5 +48,5 @@ for row in twisted.to_lists():
     print("   ", row)
 print("same canonical form?", are_conjugate(a, twisted))
 print("canonical matrix recovered:")
-for row in rcf(twisted).matrix.to_lists():
+for row in companion_diag(rcf(twisted)).to_lists():
     print("   ", row)

@@ -33,7 +33,7 @@ print("witness power: A ~ B^i for i =", conjugacy_witness(a, b))
 
 print("\nconjugacy classes of cyclic subgroups of GL_3(F_2):")
 for rep in class_representatives(f2, 3):
-    divisors = ", ".join(f"({p})^{e}" for p, e in rep.rcf.divisors)
+    divisors = ", ".join(f"({p})^{e}" for p, e in rep.divisors)
     print(f"  order {rep.order:2d}  divisors {divisors}")
 
 # The signature criterion does NOT extend to arbitrary subgroups: A and its

@@ -16,6 +16,7 @@ from orbitcodes import (
     block_bound,
     block_bound_refined,
     block_structure,
+    companion_diag,
     component_codes,
     min_distance,
     orbit_code,
@@ -38,7 +39,7 @@ for blk, comp in zip(bs.blocks, component_codes(bs)):
 
 literal, lcm_card = block_bound(bs)
 refined = block_bound_refined(bs)
-code = orbit_code(base, CyclicGroup(bs.generator))
+code = orbit_code(base, CyclicGroup(companion_diag(bs.divisors)))
 print("\nwhole code: size", len(code), "(lcm of component sizes:", lcm_card, ")")
 print("true minimum distance:", min_distance(code))
 print("per-component bound:", literal, " <- overshoots here")

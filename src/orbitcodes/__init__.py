@@ -45,7 +45,16 @@ from .groups import (
     signature,
     signature_of_divisors,
 )
-from .matrix import Mat, RrefResult, block_diag, companion, is_invertible, rank, rref
+from .matrix import (
+    Mat,
+    RrefResult,
+    block_diag,
+    companion,
+    companion_diag,
+    is_invertible,
+    rank,
+    rref,
+)
 from .poly import (
     NEG_INF,
     Poly,
@@ -56,7 +65,6 @@ from .poly import (
     order,
 )
 from .rcf import (
-    RcfData,
     are_conjugate,
     char_poly,
     elementary_divisors,

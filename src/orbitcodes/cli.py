@@ -4,7 +4,8 @@ Subcommands:
 
 * classify: one row per conjugacy class of cyclic subgroups of GL_n(F_q).
 * code: build a cyclic orbit code from block divisors p^e (Ben-Or's test
-  reads an irreducible one; only a reducible one is factored) and a base
+  reads an irreducible one; only a reducible one is factored, and one past
+  factor's sieve limit is a parse error at its position) and a base
   subspace, reporting parameters and both distance bounds as JSON/CSV/text.
 * verify: run the property suites; exit 0 only if every hard check passes
   (documented-ambiguity findings are WARN lines and never fail a run).
@@ -157,9 +158,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "group_order": rep.order,
             "signature": rep.signature,
             "divisors": [
-                {"p": poly_text(p), "e": e} for p, e in rep.rcf.divisors
+                {"p": poly_text(p), "e": e} for p, e in rep.divisors
             ],
-            "generator": format_companion_diag(rep.rcf.divisors, block_rows),
+            "generator": format_companion_diag(rep.divisors, block_rows),
         }
         for i, rep in enumerate(class_representatives(field, args.n))
     ]
@@ -195,9 +196,12 @@ def cmd_code(args: argparse.Namespace) -> int:
     divisors = []
     for codes, offset in parse_rows(field, args.divisors, "polynomial"):
         f = Poly(field, codes).monic()
-        parts = () if f.degree < 1 else ((f, 1),) if is_irreducible(f) else factor(f)
+        text = ",".join(map(str, codes))
+        try:
+            parts = () if f.degree < 1 else ((f, 1),) if is_irreducible(f) else factor(f)
+        except ValueError as exc:  # factor's sieve limit
+            raise ParseError(f"divisor {text!r} cannot be factored: {exc}", offset) from None
         if len(parts) != 1:
-            text = ",".join(map(str, codes))
             raise ParseError(f"divisor {text!r} is not a power of a single irreducible", offset)
         divisors.append(parts[0])
     degrees = sum(int(p.degree) * e for p, e in divisors)

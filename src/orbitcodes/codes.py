@@ -491,11 +491,6 @@ class BlockStructure:
         return self.subspace.k
 
     @cached_property
-    def generator(self) -> Mat:
-        """diag(companion(p_i^e_i)), built on first read."""
-        return companion_diag(self.divisors)
-
-    @cached_property
     def profile(self) -> OrbitProfile:
         """The whole code's profile under the generator, computed on first
         use.  A single block has the same subspace and divisor, so it

@@ -1,8 +1,10 @@
 """Cyclic subgroups of GL_n(F_q): orders, conjugacy tests, cell enumeration.
 
 A cyclic group is its generator's elementary divisors p_i^e_i: its order
-(divisors_order; matrix_order finds a matrix's divisors first) and its
-signature are read from them.
+(divisors_order) and its signature are read from them, and matrix_order
+and signature read a matrix's divisors from rcf.rcf, which checks them.
+A class representative (ClassRep) is its divisors too; a caller that
+needs its matrix builds matrix.companion_diag(rep.divisors).
 
 Two routes decide whether the cyclic groups generated by A and B are
 conjugate:
@@ -51,16 +53,10 @@ from typing import Sequence
 from .errors import ClosureCapError, SingularMatrixError
 from .field import GF
 from .matrix import Mat, is_invertible
-from .numtheory import factorize, multiplicative_order, power, totient
+from .numtheory import factorize, multiplicative_order, power, totient, unit_group_factors
 from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
-from .rcf import (
-    RcfData,
-    char_poly,
-    check_invertible,
-    divisor_key,
-    elementary_divisors,
-)
+from .rcf import char_poly, check_invertible, divisor_key, elementary_divisors, rcf
 from .rows import _kernel
 
 
@@ -78,13 +74,11 @@ def divisors_order(divisors) -> int:
 
 
 def matrix_order(a: Mat) -> int:
-    """Multiplicative order N of an invertible matrix, from the elementary
-    divisors of rcf.elementary_divisors by poly._factored_order, verified
-    by one check that A^N = I: numtheory.power on the packed rows of
-    rows.py, with the kernel's product."""
-    divisors = elementary_divisors(a)
-    check_invertible(divisors)
-    n = _factored_order(divisors)
+    """Multiplicative order N of an invertible matrix, from the divisors of
+    rcf.rcf by poly._factored_order, verified by one check that A^N = I:
+    numtheory.power on the packed rows of rows.py, with the kernel's
+    product."""
+    n = _factored_order(rcf(a))
     kern = _kernel(a.field, a.rows)
     one = kern.key(Mat.identity(a.field, a.rows))
     if power(kern.key(a), n, kern.product, one) != one:
@@ -126,9 +120,7 @@ def signature_of_divisors(field: GF, divisors) -> tuple[tuple[int, int, int], ..
 
 def signature(a: Mat) -> tuple[tuple[int, int, int], ...]:
     """Signature of the cyclic group generated by an invertible matrix."""
-    divisors = elementary_divisors(a)
-    check_invertible(divisors)
-    return signature_of_divisors(a.field, divisors)
+    return signature_of_divisors(a.field, rcf(a))
 
 
 def conjugacy_witness(a: Mat, b: Mat) -> int | None:
@@ -159,9 +151,10 @@ def same_signature(a: Mat, b: Mat) -> bool:
 @dataclass(frozen=True)
 class ClassRep:
     """One signature cell of cyclic subgroups, one or more conjugacy
-    classes: canonical representative, signature, and group order."""
+    classes: the canonical divisors of its representative, signature, and
+    group order."""
 
-    rcf: RcfData
+    divisors: tuple[tuple[Poly, int], ...]
     signature: tuple[tuple[int, int, int], ...]
     order: int
 
@@ -172,7 +165,7 @@ def _orders_of_degree(q: int, d: int) -> list[int]:
     q^(d/r) - 1 for a prime r | d (Lidl and Niederreiter, Finite Fields,
     Thm 3.3 and 3.5)."""
     divisors = [1]
-    for prime, k in factorize(q**d - 1).items():
+    for prime, k in unit_group_factors(q, d):
         divisors = [o * prime**i for o in divisors for i in range(k + 1)]
     lower = [q ** (d // r) - 1 for r in factorize(d)]
     return sorted(o for o in divisors if all(m % o for m in lower))
@@ -247,9 +240,9 @@ def _smallest_of_each_order(field: GF, d: int) -> dict[int, Poly]:
     orders = _orders_of_degree(field.q, d)
     candidates = irreducibles(field, d)
     rare = []
-    for o in orders:
+    for o in orders[:-1]:  # the last is the full order, always scanned for
         c = totient(o) // d
-        if o != full and c * (c + 1) * _SCANS_PER_BUILD <= len(candidates):
+        if c * (c + 1) * _SCANS_PER_BUILD <= len(candidates):
             rare.append(o)
     wanted = set(orders).difference(rare)
     found = {}
@@ -310,7 +303,7 @@ def class_representatives(field: GF, n: int) -> tuple[ClassRep, ...]:
         if remaining == 0:
             divisors, entries = zip(*chosen)
             order = math.lcm(*(o * _char_power(field, e) for o, e, _ in entries))
-            yield ClassRep(RcfData(divisors), tuple(sorted(entries)), order)
+            yield ClassRep(divisors, tuple(sorted(entries)), order)
             return
         for idx in range(start, len(atoms)):
             (_, e), (_, _, d) = atoms[idx]

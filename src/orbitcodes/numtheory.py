@@ -4,6 +4,7 @@ library's one square-and-multiply loop."""
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -20,6 +21,14 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@lru_cache(maxsize=64)
+def unit_group_factors(q: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of q^d - 1, the order of the unit group
+    of GF(q^d), primes ascending: one factorize per (q, d) for every
+    reader (the orders of groups.py, polykernel's order_of_x)."""
+    return tuple(factorize(q**d - 1).items())
 
 
 def totient(n: int) -> int:

@@ -17,8 +17,9 @@ order used everywhere a polynomial sequence is produced.  irreducibles()
 enumerates by a product sieve: it marks the code of every product of a
 lower-degree irreducible with a monic cofactor and keeps the unmarked
 codes, and refuses a sieve over more than 2^22 codes.  is_irreducible()
-runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for k up to deg(f)/2.
-factor() divides by the enumerated irreducibles on polykernel's residues.
+runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for k up to deg(f)/2, once
+per polynomial: it is memoized as order() is.  factor() divides by the
+enumerated irreducibles on polykernel's residues.
 order() of an irreducible f strips prime factors from q^deg(f) - 1 with
 x-power tests; a reducible f reads lcm ord(p) c(e) over its factors p^e.
 It is memoized per polynomial, since matrix orders ask for the same few
@@ -266,11 +267,13 @@ def irreducibles(field: GF, d: int) -> tuple[Poly, ...]:
     return got
 
 
+@lru_cache(maxsize=8192)
 def is_irreducible(f: Poly) -> bool:
     """Ben-Or's test: a polynomial f of degree d >= 1 is irreducible iff
     gcd(x^(q^k) - x, f) = 1 for k = 1 .. d/2, since x^(q^k) - x is the
     product of the monic irreducibles of degree dividing k; see
-    _Residues.ben_or."""
+    _Residues.ben_or.  Memoized like order: a code report asks it of each
+    divisor in cli, in order and in codes.orbit_profile."""
     if f.is_zero or f.degree < 1:
         raise ValueError(f"irreducibility is undefined for constant {f!r}")
     return _kernel(f.field)(f.monic()).ben_or()

@@ -21,10 +21,9 @@ too, as the tests' oracle for _Bits.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .numtheory import factorize, power
+from .numtheory import power, unit_group_factors
 
 if TYPE_CHECKING:
     from .field import GF
@@ -104,17 +103,10 @@ class _Residues:
         f != x: prime factors r are stripped from m = q^d - 1 while
         x^(m/r) = 1, each power one x_power pass."""
         e = self.q**self.d - 1
-        for prime in _unit_primes(self.q, self.d):
+        for prime, _ in unit_group_factors(self.q, self.d):
             while e % prime == 0 and self.x_power(e // prime) == self.one:
                 e //= prime
         return e
-
-
-@lru_cache(maxsize=64)
-def _unit_primes(q: int, d: int) -> tuple[int, ...]:
-    """The primes dividing q^d - 1, the order of the unit group of
-    GF(q^d): one factorize per (q, d), not one per order_of_x."""
-    return tuple(factorize(q**d - 1))
 
 
 class _Lists(_Residues):

@@ -15,10 +15,11 @@ Divisor sequences are kept in one canonical total order -- ascending by
 (deg p, coefficient code of p, exponent descending) -- so two matrices are
 conjugate exactly when their divisor tuples compare equal.
 elementary_divisors and classify's cell walk build their tuples in it;
-rcf_from_divisors is the one place a divisor list is sorted.  An RcfData is
-its divisors; the block diagonal diag(companion(p_i^e_i)) is built on the
-first read of its matrix, so a caller that needs only the divisors, or
-formats the blocks itself as classify does, builds no n x n matrix.
+rcf_from_divisors is the one place a divisor list is sorted.  A canonical
+form is its divisor tuple: rcf(a) returns elementary_divisors(a) once
+check_invertible has passed them, and is the one place a matrix's
+divisors are read and checked.  A caller that needs the block diagonal
+diag(companion(p_i^e_i)) builds it with matrix.companion_diag.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import SingularMatrixError
-from .matrix import Mat, companion_diag
+from .matrix import Mat
 from .poly import Poly, factor
 from .rows import _kernel
 
@@ -119,18 +119,6 @@ def divisor_key(pe: tuple[Poly, int]) -> tuple[int, int, int]:
     return (int(p.degree), p.code(), -e)
 
 
-@dataclass(frozen=True)
-class RcfData:
-    """A rational canonical form: canonical (irreducible, exponent) pairs and,
-    built on its first read, the block diagonal of their companion matrices."""
-
-    divisors: tuple[tuple[Poly, int], ...]
-
-    @functools.cached_property
-    def matrix(self) -> Mat:
-        return companion_diag(self.divisors)
-
-
 def _packed_poly_at(kern, p: Poly, key: tuple) -> tuple:
     """The key of p(A) for a monic p of degree >= 1, from the key of A on
     a rows kernel: Horner from A, each coefficient added into the diagonal
@@ -179,13 +167,13 @@ def elementary_divisors(a: Mat) -> tuple[tuple[Poly, int], ...]:
     return tuple(pairs)
 
 
-def rcf_from_divisors(divisors) -> RcfData:
-    """The canonical form for (irreducible, exponent) pairs in any order,
-    sorted by divisor_key; its matrix is built only when read."""
-    pairs = sorted(divisors, key=divisor_key)
+def rcf_from_divisors(divisors) -> tuple[tuple[Poly, int], ...]:
+    """The canonical tuple of (irreducible, exponent) pairs in any order:
+    the pairs sorted by divisor_key."""
+    pairs = tuple(sorted(divisors, key=divisor_key))
     if not pairs:
         raise ValueError("at least one elementary divisor is required")
-    return RcfData(tuple(pairs))
+    return pairs
 
 
 def check_invertible(divisors) -> None:
@@ -198,15 +186,16 @@ def check_invertible(divisors) -> None:
             )
 
 
-def rcf(a: Mat) -> RcfData:
-    """Rational canonical form of an invertible matrix.
+def rcf(a: Mat) -> tuple[tuple[Poly, int], ...]:
+    """Rational canonical form of an invertible matrix: its canonical
+    elementary divisor tuple, as elementary_divisors emits it.
 
     Rejects singular input (an elementary divisor would be a power of x,
     putting the matrix outside GL_n) with SingularMatrixError.
     """
     divisors = elementary_divisors(a)
     check_invertible(divisors)
-    return rcf_from_divisors(divisors)
+    return divisors
 
 
 def are_conjugate(a: Mat, b: Mat) -> bool:
@@ -216,4 +205,4 @@ def are_conjugate(a: Mat, b: Mat) -> bool:
         raise ValueError("conjugacy needs matrices of equal size")
     if a.field != b.field:
         raise ValueError("conjugacy needs matrices over the same field")
-    return rcf(a).divisors == rcf(b).divisors
+    return rcf(a) == rcf(b)

@@ -17,6 +17,7 @@ from orbitcodes import (
     closure,
     class_representatives,
     companion,
+    companion_diag,
     conjugate_code,
     distance_distribution,
     matrix_order,
@@ -106,7 +107,7 @@ def test_criterion_03_classification_oracle_equivalence():
         assert len(reps) == 3 and len(classes) == 3
         cells = []
         for rep in reps:
-            subgroup = closure([rep.rcf.matrix]).elements
+            subgroup = closure([companion_diag(rep.divisors)]).elements
             (cell,) = [i for i, c in enumerate(classes) if subgroup in c]
             cells.append(cell)
         assert sorted(cells) == [0, 1, 2]
@@ -193,7 +194,7 @@ def test_criterion_09_bound_harness():
             bs = block_structure(base, divisors)
             literal, _ = block_bound(bs)
             refined = block_bound_refined(bs)
-            code = orbit_code(base, CyclicGroup(bs.generator))
+            code = orbit_code(base, CyclicGroup(companion_diag(bs.divisors)))
             if len(code) < 2:
                 continue
             brute = min_distance(code)
@@ -210,7 +211,7 @@ def test_criterion_09_bound_harness():
         bs = block_structure(base, divisors)
         literal, lcm_card = block_bound(bs)
         refined = block_bound_refined(bs)
-        brute = min_distance(orbit_code(base, CyclicGroup(bs.generator)))
+        brute = min_distance(orbit_code(base, CyclicGroup(companion_diag(bs.divisors))))
         assert (literal, refined, brute, lcm_card) == (4, 2, 2, 21)
         invalid = [entry for entry in literal_flags if not entry[3]]
         print(

@@ -32,7 +32,7 @@ from orbitcodes import (
     parse_poly,
     subspace,
 )
-from orbitcodes import cli, codes, groups, polykernel
+from orbitcodes import cli, codes, groups, poly, polykernel
 from orbitcodes.cli import main
 
 
@@ -578,6 +578,7 @@ def test_code_single_irreducible_never_walks(capsys, monkeypatch, field, divisor
 
     monkeypatch.setattr(codes, "_walk", forbidden)
     monkeypatch.setattr(groups, "elementary_divisors", forbidden)
+    monkeypatch.setattr(groups, "rcf", forbidden)
     code, out, err = run(
         capsys, "code", "--field", field, "--n", str(u.n),
         "--divisors", divisor, "--subspace", basis,
@@ -656,6 +657,46 @@ def test_an_irreducible_divisor_is_read_without_factoring(capsys, monkeypatch):
     assert digest == "7e653046b1a1a9dabd7be155008b924b4cc37aac27717f9b08c91fd116a3ce13"
 
 
+def clear_polynomial_caches():
+    poly.is_irreducible.cache_clear()
+    poly.order.cache_clear()
+    importlib.import_module("orbitcodes.rcf").elementary_divisors.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "field, n, divisors, basis, passes",
+    [
+        ("2", 3, "1,1,0,1", "1,0,0", 1),
+        ("2", 5, "1,1,0,1;1,1,1", "1,0,0,0,0;0,0,0,1,0", 2),
+        ("3", 4, "1,0,1;2,1,1", "1,0,0,0;0,0,1,0", 2),
+        ("2^2", 3, "2,0,0,1", "1,0,0", 1),
+        # (x + 1)^2: one pass finds x^2 + 1 reducible, one passes x + 1
+        ("2", 5, "1,0,1;1,1,0,1", "1,0,0,0,0;0,0,1,0,0", 3),
+    ],
+    ids=["gf2-singer", "gf2-two-blocks", "gf3-two-blocks", "gf4-singer", "gf2-square"],
+)
+def test_code_report_runs_ben_or_once_per_divisor(
+    capsys, monkeypatch, field, n, divisors, basis, passes
+):
+    # cli, poly.order and codes.orbit_profile each ask is_irreducible of a
+    # divisor; its memo runs Ben-Or once
+    calls = []
+    ben_or = polykernel._Residues.ben_or
+    monkeypatch.setattr(
+        polykernel._Residues, "ben_or", lambda self: calls.append(self) or ben_or(self)
+    )
+    clear_polynomial_caches()
+    parse_field(field)  # GF(4)'s modulus search, which the report repeats
+    search = len(calls)
+    calls.clear()
+    clear_polynomial_caches()
+    code, _, err = run(
+        capsys, "code", "--field", field, "--n", str(n), "--divisors", divisors, "--subspace", basis
+    )
+    assert (code, err) == (0, "")
+    assert len(calls) == search + passes
+
+
 def test_an_irreducible_divisor_past_the_sieve_limit_is_read(capsys):
     # degree 50 over GF(2) is far past the 2^22-code sieve that factor's
     # trial division needs; Ben-Or reads it without one
@@ -705,11 +746,18 @@ def test_an_irreducible_divisor_past_the_sieve_limit_is_read(capsys):
          "divisor '0' is not a power of a single irreducible (at position 0)"),
         (["code", "--n", "2", "--divisors", "1,1;0,0", "--subspace", "1,0"],
          "divisor '0,0' is not a power of a single irreducible (at position 4)"),
+        # (x^2 + 1)^2: factor needs the degree-2 irreducibles, past the sieve limit
+        (["code", "--field", "4099", "--n", "4", "--divisors", "1,0,2,0,1",
+          "--subspace", "1,0,0,0"],
+         "divisor '1,0,2,0,1' cannot be factored: the irreducibles of degree 2 over "
+         "GF(4099) need a sieve of q^d = 16801801 marks, above the limit of 2^22 "
+         "(at position 0)"),
     ],
     ids=["code-field", "code-modulus", "code-divisor-code", "code-divisor-factor",
          "classify-field", "classify-modulus", "superscript-divisor", "superscript-subspace",
          "superscript-prime", "superscript-degree", "superscript-modulus",
-         "constant-one-divisor", "constant-zero-divisor", "zero-divisor-after-another"],
+         "constant-one-divisor", "constant-zero-divisor", "zero-divisor-after-another",
+         "divisor-past-the-sieve"],
 )
 def test_parse_errors_report_their_own_position(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")

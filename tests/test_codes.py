@@ -18,6 +18,7 @@ from orbitcodes import (
     block_diag,
     block_structure,
     companion,
+    companion_diag,
     component_codes,
     conjugate_code,
     distance_distribution,
@@ -366,7 +367,7 @@ def test_block_bound_single_block_matches_distance():
     u = line(1, 0, 0)
     bs = block_structure(u, [(Poly(F2, [1, 1, 0, 1]), 1)])
     bound, lcm_card = block_bound(bs)
-    code = orbit_code(u, CyclicGroup(bs.generator))
+    code = orbit_code(u, CyclicGroup(companion_diag(bs.divisors)))
     assert bound == min_distance(code) == 2
     assert lcm_card == len(code) == 7
     assert block_bound_refined(bs) == bound
@@ -377,7 +378,7 @@ def test_block_bound_three_plus_two():
     bs = block_structure(u, SINGER_DIVISORS)
     assert block_bound(bs) == (4, 21)
     assert block_bound_refined(bs) == 2
-    code = orbit_code(u, CyclicGroup(bs.generator))
+    code = orbit_code(u, CyclicGroup(companion_diag(bs.divisors)))
     assert len(code) == 21
     assert min_distance(code) == 2
 
@@ -406,8 +407,8 @@ def test_refined_bound_valid_when_period_exceeds_component_lcm():
     u = subspace(mat2([[1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0]]))
     bs = block_structure(u, divisors)
     refined = block_bound_refined(bs)
-    code = orbit_code(u, CyclicGroup(bs.generator))
-    assert orbit_period(u, bs.generator) == len(code) == 15
+    code = orbit_code(u, CyclicGroup(companion_diag(bs.divisors)))
+    assert orbit_period(u, companion_diag(bs.divisors)) == len(code) == 15
     assert refined == 0
     assert min_distance(code) == 2 >= refined
 
@@ -415,7 +416,7 @@ def test_refined_bound_valid_when_period_exceeds_component_lcm():
 def test_orbit_period_matches_code_size():
     u = subspace(mat2([[1, 0, 0, 0, 0], [0, 0, 0, 1, 0]]))
     bs = block_structure(u, SINGER_DIVISORS)
-    assert orbit_period(u, bs.generator) == 21
+    assert orbit_period(u, companion_diag(bs.divisors)) == 21
 
 
 def test_orbit_period_rejects_singular_action():
@@ -570,7 +571,7 @@ def check_sparse_readers(u, divisors):
     the Mat/rref orbits: overlap at every shift, the distribution, the
     minimum distance, and both block bounds."""
     bs = block_structure(u, divisors)
-    whole = dense_dims(u, bs.generator)
+    whole = dense_dims(u, companion_diag(bs.divisors))
     nonempty = [blk for blk in bs.blocks if blk.k]
     components = [
         dense_dims(subspace(blk.matrix), companion(blk.divisor[0] ** blk.divisor[1]))

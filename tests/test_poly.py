@@ -393,6 +393,7 @@ def test_char_two_irreducibility_order_and_x_power_run_no_product(field, monkeyp
         for _ in range(5)
     ]
     order.cache_clear()
+    is_irreducible.cache_clear()
     want = [(is_irreducible(f), order(f), poly.x_power(f, 10**6 + 7)) for f in cases]
 
     def forbidden(*args):
@@ -400,6 +401,7 @@ def test_char_two_irreducibility_order_and_x_power_run_no_product(field, monkeyp
 
     monkeypatch.setattr(polykernel, "_product", forbidden)
     order.cache_clear()
+    is_irreducible.cache_clear()
     assert [(is_irreducible(f), order(f), poly.x_power(f, 10**6 + 7)) for f in cases] == want
 
 

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -11,18 +13,24 @@ from orbitcodes import (
     are_conjugate,
     block_diag,
     char_poly,
+    class_representatives,
     companion,
     elementary_divisors,
     factor,
     invariant_factors,
     irreducibles,
     is_invertible,
+    matrix_order,
     min_poly,
     rcf,
     rcf_from_divisors,
+    signature,
 )
+from orbitcodes import matrix
 from orbitcodes.matrix import companion_diag, rank
 from orbitcodes.rcf import divisor_key, evaluate_poly_at_matrix
+
+rcf_module = importlib.import_module("orbitcodes.rcf")
 
 F2 = GF(2)
 F3 = GF(3)
@@ -74,22 +82,22 @@ def test_char_poly_of_cubic_generator():
 
 def test_rcf_companion_already_canonical():
     f = Poly(F2, [1, 1, 0, 1])
-    data = rcf(companion(f))
-    assert data.divisors == ((f, 1),)
-    assert data.matrix == companion(f)
+    divisors = rcf(companion(f))
+    assert divisors == ((f, 1),)
+    assert companion_diag(divisors) == companion(f)
 
 
 def test_rcf_identity_two_by_two():
-    data = rcf(Mat.identity(F2, 2))
-    assert data.divisors == ((Poly(F2, [1, 1]), 1), (Poly(F2, [1, 1]), 1))
+    divisors = rcf(Mat.identity(F2, 2))
+    assert divisors == ((Poly(F2, [1, 1]), 1), (Poly(F2, [1, 1]), 1))
 
 
 def test_rcf_idempotent():
     rng = random.Random(7)
     for _ in range(20):
         a = rand_invertible(rng, F2, 4)
-        data = rcf(a)
-        assert rcf(data.matrix).divisors == data.divisors
+        divisors = rcf(a)
+        assert rcf(companion_diag(divisors)) == divisors
 
 
 def test_rcf_rejects_singular():
@@ -114,8 +122,8 @@ def test_conjugate_pair_over_gf4():
     b2 = Mat.from_rows(F4, [[3, 1, 2], [2, 2, 3], [0, 1, 0]])
     assert are_conjugate(b1, b2)
     # both have the single elementary divisor x^3 + x^2 + 1
-    assert rcf(b1).divisors == ((Poly(F4, [1, 0, 1, 1]), 1),)
-    assert rcf(b2).divisors == rcf(b1).divisors
+    assert rcf(b1) == ((Poly(F4, [1, 0, 1, 1]), 1),)
+    assert rcf(b2) == rcf(b1)
 
 
 def test_distinct_characteristic_polynomials_not_conjugate():
@@ -145,13 +153,13 @@ def test_divisor_product_and_lcm():
     rng = random.Random(22)
     for _ in range(20):
         a = rand_invertible(rng, F2, rng.randint(1, 5))
-        data = rcf(a)
+        divisors = rcf(a)
         prod = Poly.one(F2)
-        for p, e in data.divisors:
+        for p, e in divisors:
             prod = prod * p**e
         assert prod == char_poly(a)
         largest = {}
-        for p, e in data.divisors:
+        for p, e in divisors:
             largest[p] = max(largest.get(p, 0), e)
         lcm = Poly.one(F2)
         for p, e in largest.items():
@@ -213,12 +221,44 @@ def test_canonical_divisor_order():
     # same irreducible: exponents descend; distinct: degree then coefficient code
     p = Poly(F2, [1, 1])
     q = Poly(F2, [1, 1, 1])
-    data = rcf_from_divisors([(q, 1), (p, 1), (p, 2)])
-    assert data.divisors == ((p, 2), (p, 1), (q, 1))
-    assert data.matrix.rows == 5
-    assert data.matrix == block_diag(
+    divisors = rcf_from_divisors([(q, 1), (p, 1), (p, 2)])
+    assert divisors == ((p, 2), (p, 1), (q, 1))
+    assert companion_diag(divisors).rows == 5
+    assert companion_diag(divisors) == block_diag(
         [companion(p**2), companion(p), companion(q)]
     )
+
+
+def test_divisors_are_read_not_rebuilt(monkeypatch):
+    # rcf and its readers take elementary_divisors' canonical tuple as it
+    # is: no divisor list is sorted again and no canonical matrix is built
+    rng = random.Random(29)
+    pairs = []
+    for field in (F2, F3, F4):
+        for n in range(1, 5):
+            a, l = rand_invertible(rng, field, n), rand_invertible(rng, field, n)
+            pairs += [(a, l.inverse() * a * l), (a, rand_invertible(rng, field, n))]
+    cells = [(F2, 4), (F3, 3), (F4, 2)]
+
+    def values():
+        return (
+            [(rcf(a), are_conjugate(a, b), signature(a), matrix_order(a)) for a, b in pairs],
+            [class_representatives(field, n) for field, n in cells],
+        )
+
+    want = values()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rebuilt the divisors or their matrix")
+
+    rebuilders = (rcf_module.rcf_from_divisors, matrix.companion_diag, matrix.block_diag)
+    modules = [m for name, m in sys.modules.items() if name.startswith("orbitcodes")]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in rebuilders):
+                monkeypatch.setattr(module, name, forbidden)
+    elementary_divisors.cache_clear()
+    assert values() == want
 
 
 def test_size_mismatch_rejected():
@@ -252,7 +292,7 @@ def test_divisors_separate_brute_force_conjugacy_orbits(field, n):
         (d,) = divs
         assert d not in tuples
         tuples.add(d)
-        assert rcf_from_divisors(d).matrix in orbit
+        assert companion_diag(rcf_from_divisors(d)) in orbit
 
 
 def _det_x_minus(a):
