@@ -50,7 +50,7 @@ a6 = next(companion(p) for p in irreducibles(f2, 6)
 gl6 = 1
 for i in range(6):
     gl6 *= 2**6 - 2**i
-print("|<A6, A6^t>| =", closure([a6, a6.transpose()], cap=gl6).order,
+print("|<A6, A6^t>| =", closure([a6, a6.transpose()]).order,
       "= |GL_6(F_2)| =", gl6)
 
 # Over GF(4) even two *conjugate* matrices B1 ~ B2 can pair up with the same

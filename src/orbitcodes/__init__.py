@@ -30,7 +30,7 @@ from .codes import (
     subspace,
     subspace_distance,
 )
-from .errors import ClosureCapError, ParseError, SingularMatrixError
+from .errors import ParseError, SingularMatrixError
 from .field import GF
 from .groups import (
     ClassRep,

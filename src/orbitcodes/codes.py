@@ -30,13 +30,13 @@ has two producers, and the input picks one:
 
 Each value holds the profile it owns, and the module keeps no cache: an
 OrbitCode carries its walk's profile for min_distance and
-distance_distribution; a BlockStructure and each of its sub-blocks compute
-theirs on first use (a one-block structure shares its block's, and
-sub-blocks with the same divisor and matrix share one), for the code
-report, both block bounds and the component lines.  The walk is the
-reference the difference count is tested against: a multi-block structure
-walks the whole code, so the refined bound, read from component counts,
-meets its walked distance only if they are right.  The Mat/rref path is
+distance_distribution; a BlockStructure and its sub-blocks share one memo
+of profiles keyed by (divisors, basis), filled on first use (a one-block
+structure and its block have one key), for the code report, both block
+bounds and the component lines.  The walk is the reference the
+difference count is tested against: a multi-block structure walks the
+whole code, so the refined bound, read from component counts, meets its
+walked distance only if they are right.  The Mat/rref path is
 the independent slow oracle that the verify suites and the tests compare
 the walk against: act and stabilizer_order canonicalize through
 subspace, and subspace_distance reads intersection_dim.  Every function
@@ -65,7 +65,6 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -444,12 +443,12 @@ def orbit_profile(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> OrbitPro
 # block structure and bounds
 
 
-def _block_profile(key: tuple[tuple[Poly, int], Mat]) -> OrbitProfile:
-    """The profile of a sub-block's row space under companion(p^e), for
-    the key ((p, e), the sub-block's matrix).  The matrix is already the
-    row space's canonical basis (see block_structure), so no rref runs."""
-    divisor, matrix = key
-    return orbit_profile(Subspace(matrix.field, matrix.cols, matrix.rows, matrix), (divisor,))
+def _block_profile(key: tuple[tuple[tuple[Poly, int], ...], Mat]) -> OrbitProfile:
+    """The profile of a row space under diag(companion(p_i^e_i)), for the
+    key (divisors, basis).  A structure's or sub-block's basis is already
+    canonical (see block_structure), so no rref runs."""
+    divisors, basis = key
+    return orbit_profile(Subspace(basis.field, basis.cols, basis.rows, basis), divisors)
 
 
 @dataclass(frozen=True)
@@ -457,8 +456,8 @@ class SubBlock:
     index: int
     divisor: tuple[Poly, int]
     matrix: Mat  # k_i x d_i slice of the pivot rows, in RREF
-    # the structure's block profiles keyed by (divisor, matrix), which
-    # sibling sub-blocks share: equal keys are one (W, generator) pair
+    # the structure's profiles keyed by (divisors, basis), which the
+    # structure and its sub-blocks share: equal keys are one (W, generator) pair
     profiles: _Memo = dc_field(repr=False, compare=False)
 
     @property
@@ -477,7 +476,7 @@ class SubBlock:
         component code's size N_i.  None for an empty sub-block."""
         if self.k == 0:
             return None
-        return self.profiles[self.divisor, self.matrix]
+        return self.profiles[(self.divisor,), self.matrix]
 
 
 @dataclass(frozen=True)
@@ -485,19 +484,18 @@ class BlockStructure:
     subspace: Subspace
     divisors: tuple[tuple[Poly, int], ...]
     blocks: tuple[SubBlock, ...]
+    profiles: _Memo = dc_field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return self.subspace.k
 
-    @cached_property
+    @property
     def profile(self) -> OrbitProfile:
         """The whole code's profile under the generator, computed on first
-        use.  A single block has the same subspace and divisor, so it
-        shares that block's profile."""
-        if len(self.blocks) == 1:
-            return self.blocks[0].profile
-        return orbit_profile(self.subspace, self.divisors)
+        use.  A single block has the same divisors and basis, so it shares
+        that block's profile."""
+        return self.profiles[self.divisors, self.subspace.basis]
 
 
 def _block_starts(degrees: Sequence[int]) -> list[int]:
@@ -533,7 +531,7 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
         row_idx = tuple(r for r, c in enumerate(pivots) if lo <= c < hi)
         matrix = _columns(u.basis, row_idx, lo, hi)
         blocks.append(SubBlock(i, (p, e), matrix, profiles))
-    return BlockStructure(u, divisors, tuple(blocks))
+    return BlockStructure(u, divisors, tuple(blocks), profiles)
 
 
 def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: a text form that fails to
+parse, and a matrix that must be invertible but is singular."""
 
 from __future__ import annotations
 
@@ -13,13 +14,3 @@ class ParseError(ValueError):
 
 class SingularMatrixError(ValueError):
     """A matrix required to be invertible is singular (not in GL_n)."""
-
-
-class ClosureCapError(RuntimeError):
-    """A group has more elements than the closure's cap; `reached` carries
-    the group's order, found before any element is listed."""
-
-    def __init__(self, cap: int, reached: int):
-        super().__init__(f"group closure exceeded cap {cap} (reached {reached} elements)")
-        self.cap = cap
-        self.reached = reached

@@ -50,9 +50,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ClosureCapError, SingularMatrixError
+from .errors import SingularMatrixError
 from .field import GF
-from .matrix import Mat, is_invertible
+from .matrix import Mat
 from .numtheory import factorize, multiplicative_order, power, totient, unit_group_factors
 from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
@@ -356,8 +356,9 @@ class _Level:
         self.done = [0]
 
 
-def _stabilizer_chain(F: GF, n: int, generators) -> list[_Level]:
-    """The deterministic Schreier-Sims algorithm over the base e_0 .. e_{n-1}.
+def _stabilizer_chain(F: GF, n: int, kern, generators: list[tuple]) -> list[_Level]:
+    """The deterministic Schreier-Sims algorithm over the base e_0 .. e_{n-1},
+    for generators given as keys of the kernel kern.
 
     Level i is swept for i = n-1 down to 0: each orbit point p meets each
     generator s, and p s either joins the orbit or gives the Schreier
@@ -370,7 +371,6 @@ def _stabilizer_chain(F: GF, n: int, generators) -> list[_Level]:
     ends in the trivial group.  Each strong generator's inverse comes once
     from Mat.inverse.
     """
-    kern = _kernel(F, n)
     times, product, key, unpack = kern.times, kern.product, kern.key, kern.unpack
     one = key(Mat.identity(F, n))
     levels = [_Level(b, one) for b in one]
@@ -426,7 +426,7 @@ def _stabilizer_chain(F: GF, n: int, generators) -> list[_Level]:
             k += 1
         return None
 
-    for g in dict.fromkeys(map(key, generators)):
+    for g in dict.fromkeys(generators):
         if g != one:
             add(g)
     i = len(levels) - 1
@@ -436,27 +436,28 @@ def _stabilizer_chain(F: GF, n: int, generators) -> list[_Level]:
     return levels
 
 
-def closure(generators: Sequence[Mat], cap: int = 1_000_000) -> GeneratedGroup:
+def closure(generators: Sequence[Mat]) -> GeneratedGroup:
     """The group generated by invertible matrices, by a stabilizer chain.
 
-    Each matrix is keyed by the tuple of its packed rows.  The order, the
-    product of the chain's orbit lengths, is known before any element is
-    listed: a group of more than `cap` elements raises ClosureCapError,
-    carrying the order, and lists none.
+    Each matrix is keyed by the tuple of its packed rows, whose pivots
+    check it invertible.  The order, the product of the chain's orbit
+    lengths, is known before any element is listed; `elements` lists them
+    only when read.
     """
     if not generators:
         raise ValueError("closure needs at least one generator")
     F = generators[0].field
     n = generators[0].rows
+    kern = _kernel(F, n)
+    keys = []
     for g in generators:
         if g.field != F or g.rows != n or g.cols != n:
             raise ValueError("generators must be square, equal-sized, one field")
-        if not is_invertible(g):
+        keys.append(kern.key(g))
+        if len(kern.pivots(keys[-1])) != n:
             raise SingularMatrixError("generators must be invertible")
 
-    levels = _stabilizer_chain(F, n, generators)
+    levels = _stabilizer_chain(F, n, kern, keys)
     order = math.prod(len(level.points) for level in levels)
-    if order > cap:
-        raise ClosureCapError(cap, order)
     transversals = tuple(tuple(u for u, _ in level.transversal.values()) for level in levels)
     return GeneratedGroup(tuple(generators), order, transversals)

@@ -9,7 +9,6 @@ import pytest
 
 from orbitcodes import (
     GF,
-    ClosureCapError,
     CyclicGroup,
     Mat,
     Poly,
@@ -452,19 +451,18 @@ def test_closure_is_closed_under_products():
             assert a * b in g.elements
 
 
-def test_closure_cap():
-    with pytest.raises(ClosureCapError) as info:
-        closure([GEN3, GEN3.transpose()], cap=20)
-    assert info.value.reached > 20
-
-
 def test_closure_rejects_singular_generator():
     with pytest.raises(SingularMatrixError):
         closure([Mat.zeros(F2, 2, 2)])
 
 
-def mat_closure(gens, cap):
-    """Breadth-first closure by Mat multiplication: the closure's oracle."""
+class OracleSizeError(RuntimeError):
+    """The breadth-first oracle met more elements than its bound."""
+
+
+def mat_closure(gens):
+    """Breadth-first closure by Mat multiplication: the closure's oracle.
+    It lists every element, so it stops past 10^6 of them."""
     frontier = [Mat.identity(gens[0].field, gens[0].rows)]
     seen = set(frontier)
     while frontier:
@@ -474,8 +472,8 @@ def mat_closure(gens, cap):
                 prod = m * g
                 if prod not in seen:
                     seen.add(prod)
-                    if len(seen) > cap:
-                        raise ClosureCapError(cap, len(seen))
+                    if len(seen) > 10**6:
+                        raise OracleSizeError("more than 10^6 elements")
                     new.append(prod)
         frontier = new
     return frozenset(seen)
@@ -511,27 +509,12 @@ def test_closure_matches_mat_multiply_oracle():
         pairs.append([rand_invertible(rng, field, n) for _ in range(2)])
     for gens in pairs:
         g = closure(gens)
-        assert g.elements == mat_closure(gens, cap=10**6)
+        assert g.elements == mat_closure(gens)
         assert g.order == len(g.elements)
     assert closure([CYCLE6, DIAG6]).order == 384
-
-
-def test_closure_cap_matches_oracle():
-    # the oracle stops at the first element over the cap; the chain knows
-    # the order before it lists anything and reports the order
-    for gens in CLOSURE_PAIRS:
-        order = len(mat_closure(gens, cap=10**6))
-        cap = order // 2
-        with pytest.raises(ClosureCapError) as got:
-            closure(gens, cap=cap)
-        with pytest.raises(ClosureCapError) as want:
-            mat_closure(gens, cap=cap)
-        assert want.value.reached == cap + 1
-        assert got.value.reached == order
-    # the generators count toward the cap: {I, A, A^2} has three elements
+    # a generator that is a power of another adds nothing: {I, A, A^2}
     a = companion(Poly(F2, [1, 1, 1]))
-    with pytest.raises(ClosureCapError):
-        closure([a, a * a], cap=2)
+    assert closure([a, a * a]).order == 3
 
 
 def test_chain_matches_mat_closure_oracle():
@@ -545,7 +528,7 @@ def test_chain_matches_mat_closure_oracle():
         field, n = sizes[trial % len(sizes)]
         gens = [rand_invertible(rng, field, n) for _ in range(rng.randint(1, 3))]
         gens = [g ** rng.randint(2, 4) if rng.random() < 0.5 else g for g in gens]
-        want = mat_closure(gens, cap=10**6)
+        want = mat_closure(gens)
         g = closure(gens)
         assert g.order == len(want)
         assert g.elements == want
@@ -582,19 +565,27 @@ def test_closure_order_of_full_linear_groups_no_listing_could_reach():
     # 2.0e10 elements, so only the chain's orbits can be formed
     for field, n in ((F2, 5), (F2, 6), (F3, 4)):
         a = primitive_companion(field, n)
-        assert closure([a, a.transpose()], cap=gl_order(field.q, n)).order == gl_order(field.q, n)
+        assert closure([a, a.transpose()]).order == gl_order(field.q, n)
 
 
-def test_closure_cap_refuses_before_listing(monkeypatch):
+def test_closure_returns_a_large_group_without_listing_it(monkeypatch):
     def forbidden(self):
-        raise AssertionError("listed the elements of a group over the cap")
+        raise AssertionError("listed the elements of the group")
 
     monkeypatch.setattr(groups.GeneratedGroup, "elements", property(forbidden))
     a = primitive_companion(F2, 6)
-    with pytest.raises(ClosureCapError) as info:
-        closure([a, a.transpose()])
-    assert info.value.reached == gl_order(2, 6) == 20158709760
-    assert info.value.cap == 1_000_000
+    assert closure([a, a.transpose()]).order == gl_order(2, 6) == 20158709760
+
+
+def test_closure_checks_generators_on_packed_rows(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("rref ran on a generator")
+
+    orders = [len(mat_closure(gens)) for gens in CLOSURE_PAIRS]
+    monkeypatch.setattr(matrix, "rref", forbidden)
+    assert [closure(gens).order for gens in CLOSURE_PAIRS] == orders
+    with pytest.raises(SingularMatrixError, match="generators must be invertible"):
+        closure([Mat.zeros(F2, 2, 2)])
 
 
 def test_order_lcm_random_agrees_with_brute_force():
