@@ -7,7 +7,6 @@ from orbitcodes import (
     GF,
     Mat,
     Poly,
-    are_conjugate,
     block_diag,
     char_poly,
     companion,
@@ -46,7 +45,7 @@ twisted = l.inverse() * a * l
 print("\na random conjugate of the companion block:")
 for row in twisted.to_lists():
     print("   ", row)
-print("same canonical form?", are_conjugate(a, twisted))
+print("same canonical form?", rcf(a) == rcf(twisted))
 print("canonical matrix recovered:")
 for row in companion_diag(rcf(twisted)).to_lists():
     print("   ", row)

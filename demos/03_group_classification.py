@@ -17,7 +17,6 @@ from orbitcodes import (
     conjugacy_witness,
     irreducibles,
     matrix_order,
-    same_signature,
     signature,
 )
 
@@ -28,7 +27,7 @@ b = companion(Poly(f2, [1, 0, 1, 1]))
 print("A = companion(x^3+x+1), B = companion(x^3+x^2+1), both of order",
       matrix_order(a))
 print("signature of A, (order, exponent, degree) per divisor:", signature(a))
-print("signature test says conjugate subgroups?", same_signature(a, b))
+print("signature test says conjugate subgroups?", signature(a) == signature(b))
 print("witness power: A ~ B^i for i =", conjugacy_witness(a, b))
 
 print("\nconjugacy classes of cyclic subgroups of GL_3(F_2):")

@@ -6,7 +6,6 @@ import random
 
 from orbitcodes import (
     GF,
-    CyclicGroup,
     Mat,
     Poly,
     act,
@@ -32,9 +31,9 @@ print("distance between a line and a containing plane:", subspace_distance(line,
 
 # Acting by the order-7 companion block sweeps the line through all 7 lines
 # of F_2^3: the classic one-orbit code.
-g = CyclicGroup(companion(Poly(f2, [1, 1, 0, 1])))
-print("\nacting on the line by the generator:", act(line, g.generator))
-code = orbit_code(line, g)
+a = companion(Poly(f2, [1, 1, 0, 1]))
+print("\nacting on the line by the generator:", act(line, a))
+code = orbit_code(line, a)
 print("orbit code size:", len(code), "| stabilizer order:", code.stab_order)
 print("minimum distance:", min_distance(code))
 print("distance distribution:", distance_distribution(code))

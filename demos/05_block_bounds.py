@@ -10,7 +10,6 @@ what the composite code does.
 
 from orbitcodes import (
     GF,
-    CyclicGroup,
     Mat,
     Poly,
     block_bound,
@@ -39,7 +38,7 @@ for blk, comp in zip(bs.blocks, component_codes(bs)):
 
 literal, lcm_card = block_bound(bs)
 refined = block_bound_refined(bs)
-code = orbit_code(base, CyclicGroup(companion_diag(bs.divisors)))
+code = orbit_code(base, companion_diag(bs.divisors))
 print("\nwhole code: size", len(code), "(lcm of component sizes:", lcm_card, ")")
 print("true minimum distance:", min_distance(code))
 print("per-component bound:", literal, " <- overshoots here")

@@ -34,14 +34,12 @@ from .errors import ParseError, SingularMatrixError
 from .field import GF
 from .groups import (
     ClassRep,
-    CyclicGroup,
     GeneratedGroup,
     class_representatives,
     closure,
     conjugacy_witness,
     divisors_order,
     matrix_order,
-    same_signature,
     signature,
     signature_of_divisors,
 )
@@ -65,7 +63,6 @@ from .poly import (
     order,
 )
 from .rcf import (
-    are_conjugate,
     char_poly,
     elementary_divisors,
     evaluate_poly_at_matrix,

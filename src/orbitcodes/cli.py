@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* classify: one row per conjugacy class of cyclic subgroups of GL_n(F_q).
+* classify: one row per signature cell of cyclic subgroups of GL_n(F_q);
+  a cell can hold several conjugacy classes, so the rows undercount them.
 * code: build a cyclic orbit code from block divisors p^e (Ben-Or's test
   reads an irreducible one; only a reducible one is factored, and one past
   factor's sieve limit is a parse error at its position) and a base
@@ -41,13 +42,7 @@ from .codes import (
     subspace,
 )
 from .errors import ParseError
-from .groups import (
-    CyclicGroup,
-    class_representatives,
-    closure,
-    conjugacy_witness,
-    divisors_order,
-)
+from .groups import class_representatives, closure, conjugacy_witness, divisors_order, matrix_order
 from .poly import Poly, factor, is_irreducible
 from .textio import (
     format_companion_diag,
@@ -76,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--modulus", default=None, help="modulus coefficients over F_p")
         p.add_argument("--out", default=None, help="write output to this path")
 
-    p_classify = sub.add_parser("classify", help="conjugacy classes of cyclic subgroups")
+    p_classify = sub.add_parser("classify", help="signature cells of cyclic subgroups")
     common(p_classify, field=True)
     p_classify.add_argument("--n", type=int, required=True, help="ambient dimension")
     p_classify.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -308,8 +303,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
     f2 = parse_field("2")
     a = parse_mat(f2, "0,1,0;0,0,1;1,1,0")
     at = a.transpose()
-    ga = CyclicGroup(a)
-    claim("cyclic group order", ga.order == 7, f"|<A>| = {ga.order}")
+    order = matrix_order(a)
+    claim("cyclic group order", order == 7, f"|<A>| = {order}")
     big = closure([a, at])
     expected = 1
     for i in range(3):
@@ -321,8 +316,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
     )
     claim(
         "equal divisors, non-conjugate groups",
-        ga.order != big.order,
-        f"{ga.order} != {big.order} denies conjugacy by cardinality",
+        order != big.order,
+        f"{order} != {big.order} denies conjugacy by cardinality",
     )
 
     f4 = parse_field("2^2")

@@ -6,7 +6,8 @@ A Subspace is a point of the Grassmannian held as its canonical full-rank
 RREF basis, so equality is plain entry-wise comparison.  GL_n acts on the
 right: act(U, A) is the row space of (basis of U) * A, re-canonicalized.
 
-For a cyclic group G = <A> the orbit code of U enumerates U, UA, UA^2, ...
+A cyclic group G = <A> is passed as its generator A, and |G| is read
+from groups.matrix_order.  The orbit code of U enumerates U, UA, UA^2, ...
 up to the period p (the least p >= 1 with U A^p = U), so codebooks list in
 a deterministic order and the stabilizer has order |G| / p.  Every code
 parameter comes from the orbit profile: p, k and the nonzero overlaps
@@ -70,7 +71,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrixError
 from .field import GF, _Memo
-from .groups import CyclicGroup
+from .groups import matrix_order
 from .matrix import Mat, companion, companion_diag, is_invertible, rref
 from .poly import Poly, is_irreducible, order as poly_order, x_power
 from .rows import _kernel
@@ -146,7 +147,7 @@ def subspace_distance(u1: Subspace, u2: Subspace) -> int:
 @dataclass(frozen=True)
 class OrbitCode:
     base: Subspace
-    group: CyclicGroup
+    generator: Mat
     codebook: tuple[Subspace, ...]
     stab_order: int
     profile: OrbitProfile  # of the walk that listed the codebook
@@ -157,7 +158,7 @@ class OrbitCode:
     def __repr__(self) -> str:
         return (
             f"OrbitCode(|C|={len(self.codebook)}, k={self.base.k}, n={self.base.n}, "
-            f"group order {self.group.order})"
+            f"group order {len(self.codebook) * self.stab_order})"
         )
 
 
@@ -195,31 +196,33 @@ def _walk(u: Subspace, a: Mat, bases: list | None = None) -> OrbitProfile:
         j += 1
 
 
-def orbit_code(u: Subspace, g: CyclicGroup) -> OrbitCode:
-    """Orbit of U under G, listed U, UA, UA^2, ... up to the period: the
+def orbit_code(u: Subspace, a: Mat) -> OrbitCode:
+    """Orbit of U under <A>, listed U, UA, UA^2, ... up to the period: the
     reduced echelon forms of the walk's bases."""
+    _check_operator(u, a)
+    order = matrix_order(a)
     bases: list = []
-    profile = _walk(u, g.generator, bases)
-    if g.order % profile.period:
+    profile = _walk(u, a, bases)
+    if order % profile.period:
         raise AssertionError("orbit period does not divide the group order; walk is broken")
     kern = _kernel(u.field, u.n)
     codebook = [u]
     for basis in bases:
         entries = kern.unpack(kern.echelon(basis))
         codebook.append(Subspace(u.field, u.n, u.k, Mat._trusted(u.field, u.k, u.n, entries)))
-    return OrbitCode(u, g, tuple(codebook), g.order // profile.period, profile)
+    return OrbitCode(u, a, tuple(codebook), order // profile.period, profile)
 
 
-def stabilizer_order(u: Subspace, g: CyclicGroup) -> int:
-    """Number of powers of the generator fixing U, counted by Mat multiply
-    and rref over all of G: the oracle for orbit_code's stab_order."""
-    _check_operator(u, g.generator)
+def stabilizer_order(u: Subspace, a: Mat) -> int:
+    """Number of powers of A fixing U, counted by Mat multiply and rref
+    over all of <A>: the oracle for orbit_code's stab_order."""
+    _check_operator(u, a)
     v = u
     stab = 0
-    for _ in range(g.order):
+    for _ in range(matrix_order(a)):
         if v == u:
             stab += 1
-        v = _act_unchecked(v, g.generator)
+        v = _act_unchecked(v, a)
     return stab
 
 
@@ -242,8 +245,7 @@ def conjugate_code(code: OrbitCode, l: Mat) -> OrbitCode:
     """The code of (U L) under L^-1 <A> L; cardinality and distribution are
     checked to match the original."""
     base2 = act(code.base, l)
-    gen2 = l.inverse() * code.group.generator * l
-    code2 = orbit_code(base2, CyclicGroup(gen2))
+    code2 = orbit_code(base2, l.inverse() * code.generator * l)
     if len(code2) != len(code):
         raise RuntimeError("conjugate code changed cardinality; bug")
     if distance_distribution(code2) != distance_distribution(code):
@@ -538,7 +540,7 @@ def component_codes(bs: BlockStructure) -> tuple[OrbitCode | None, ...]:
     """Orbit code of each nonempty sub-block under its own companion block;
     empty sub-blocks (no pivot rows) report as None."""
     return tuple(
-        orbit_code(subspace(blk.matrix), CyclicGroup(companion_diag((blk.divisor,))))
+        orbit_code(subspace(blk.matrix), companion_diag((blk.divisor,)))
         if blk.k else None
         for blk in bs.blocks
     )

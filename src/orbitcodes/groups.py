@@ -1,8 +1,9 @@
 """Cyclic subgroups of GL_n(F_q): orders, conjugacy tests, cell enumeration.
 
-A cyclic group is its generator's elementary divisors p_i^e_i: its order
-(divisors_order) and its signature are read from them, and matrix_order
-and signature read a matrix's divisors from rcf.rcf, which checks them.
+A cyclic group is its generator: a caller holds the matrix A, or its
+elementary divisors p_i^e_i.  Its order (matrix_order, divisors_order)
+and its signature are read from the divisors, and matrix_order and
+signature read a matrix's divisors from rcf.rcf, which checks them.
 A class representative (ClassRep) is its divisors too; a caller that
 needs its matrix builds matrix.companion_diag(rep.divisors).
 
@@ -10,12 +11,13 @@ Two routes decide whether the cyclic groups generated by A and B are
 conjugate:
 
 * conjugacy_witness scans coprime powers B^i for one conjugate to A
-  (matrix conjugacy = equal canonical divisor sequences) and returns the
-  smallest witness power.  This is the ground-truth oracle.
-* same_signature compares the sorted (order of p, exponent, degree) tuples
-  over the elementary divisors p^e.  It is the cheap test the oracle is meant to
-  certify; the two can disagree (see verify.suite_groups, which reports a
-  known six-dimensional disagreement over GF(2)) and the oracle wins.
+  (matrix conjugacy = equal canonical divisor sequences, rcf(A) == rcf(B))
+  and returns the smallest witness power.  This is the ground-truth oracle.
+* signature equality, signature(A) == signature(B), compares the sorted
+  (order of p, exponent, degree) tuples over the elementary divisors p^e.
+  It is the cheap test the oracle is meant to certify; the two can
+  disagree (see verify.suite_groups, which reports a known
+  six-dimensional disagreement over GF(2)) and the oracle wins.
 
 Class enumeration works on the orders alone and lists signature cells,
 which undercount the conjugacy classes (GF(4) n=2: 7 against 8; GF(2) n=6:
@@ -86,24 +88,6 @@ def matrix_order(a: Mat) -> int:
     return n
 
 
-class CyclicGroup:
-    """The cyclic group generated by an invertible matrix; closure lists its elements."""
-
-    def __init__(self, generator: Mat):
-        if not generator.is_square:
-            raise ValueError("generator must be square")
-        self.generator = generator
-        self.field = generator.field
-        self.n = generator.rows
-        self.order = matrix_order(generator)  # raises on singular input
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __repr__(self) -> str:
-        return f"CyclicGroup(order={self.order}, n={self.n}, field={self.field!r})"
-
-
 def _signature(entries, q: int) -> tuple[tuple[int, int, int], ...]:
     """The sorted (order o of p, exponent e, deg p) triples over the
     elementary divisors p^e; a degree other than ord_o(q) is rejected."""
@@ -141,11 +125,6 @@ def conjugacy_witness(a: Mat, b: Mat) -> int | None:
         if math.gcd(i, n_b) == 1 and elementary_divisors(power) == target:
             return i
     return None
-
-
-def same_signature(a: Mat, b: Mat) -> bool:
-    """Signature-based conjugacy test: equal (order, exponent) multisets."""
-    return signature(a) == signature(b)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,15 @@ enumerates by a product sieve: it marks the code of every product of a
 lower-degree irreducible with a monic cofactor and keeps the unmarked
 codes, and refuses a sieve over more than 2^22 codes.  is_irreducible()
 runs Ben-Or's test, gcd(x^(q^k) - x, f) = 1 for k up to deg(f)/2, once
-per polynomial: it is memoized as order() is.  factor() divides by the
-enumerated irreducibles on polykernel's residues.
+per polynomial: it is memoized.  factor() divides by the enumerated
+irreducibles on polykernel's residues.
 order() of an irreducible f strips prime factors from q^deg(f) - 1 with
-x-power tests; a reducible f reads lcm ord(p) c(e) over its factors p^e.
-It is memoized per polynomial, since matrix orders ask for the same few
-irreducibles many times.  x_power() gives the coefficients of x^e mod f,
-for the order check of groups.divisors_order and the giant steps of
-codes._difference_profile.
+x-power tests; a reducible f reads lcm ord(p) c(e) over its factors p^e,
+which factor() has proved irreducible, so no Ben-Or test runs on them.
+The order of an irreducible is memoized once, in _irreducible_order,
+since matrix orders ask for the same few irreducibles many times.
+x_power() gives the coefficients of x^e mod f, for the order check of
+groups.divisors_order and the giant steps of codes._difference_profile.
 
 Ben-Or's Frobenius steps, the x-power tests and the sieve's products run
 in polykernel, on packed ints over GF(2) and on coefficient lists over
@@ -272,8 +273,8 @@ def is_irreducible(f: Poly) -> bool:
     """Ben-Or's test: a polynomial f of degree d >= 1 is irreducible iff
     gcd(x^(q^k) - x, f) = 1 for k = 1 .. d/2, since x^(q^k) - x is the
     product of the monic irreducibles of degree dividing k; see
-    _Residues.ben_or.  Memoized like order: a code report asks it of each
-    divisor in cli, in order and in codes.orbit_profile."""
+    _Residues.ben_or.  Memoized: a code report asks it of each divisor in
+    cli and in codes.orbit_profile."""
     if f.is_zero or f.degree < 1:
         raise ValueError(f"irreducibility is undefined for constant {f!r}")
     return _kernel(f.field)(f.monic()).ben_or()
@@ -314,12 +315,11 @@ def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8192)
 def order(f: Poly) -> int:
     """Least e >= 1 with x^e = 1 (mod f), for f of degree >= 1 with f(0) != 0.
 
-    For irreducible f this is _irreducible_order; otherwise it is read
-    from the factorization of f by _factored_order.
+    For irreducible f this is _irreducible_order, which holds the memo;
+    otherwise it is read from the factorization of f by _factored_order.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError(f"order is undefined for constant {f!r}")
@@ -346,11 +346,15 @@ def _char_power(field: GF, e: int) -> int:
 
 def _factored_order(divisors) -> int:
     """lcm of ord(p^e) = ord(p) c(e), c = _char_power, over pairs (p, e) of
-    monic irreducibles p != x (Lidl and Niederreiter, Finite Fields, Thm 3.8, 3.9)."""
-    return math.lcm(*(order(p) * _char_power(p.field, e) for p, e in divisors))
+    monic irreducibles p != x (Lidl and Niederreiter, Finite Fields, Thm 3.8,
+    3.9).  Each p is irreducible already, so its order is read from
+    _irreducible_order with no Ben-Or test."""
+    return math.lcm(*(_irreducible_order(p) * _char_power(p.field, e) for p, e in divisors))
 
 
+@lru_cache(maxsize=8192)
 def _irreducible_order(f: Poly) -> int:
-    """Order of x modulo a monic irreducible f != x, unchecked; see
+    """Order of x modulo a monic irreducible f != x, unchecked and
+    memoized: the one memo of an irreducible's order; see
     _Residues.order_of_x."""
     return _kernel(f.field)(f).order_of_x()

@@ -12,8 +12,8 @@ oracle evaluator: its Cayley-Hamilton, minimal-polynomial and kernel-rank
 checks call it.
 
 Divisor sequences are kept in one canonical total order -- ascending by
-(deg p, coefficient code of p, exponent descending) -- so two matrices are
-conjugate exactly when their divisor tuples compare equal.
+(deg p, coefficient code of p, exponent descending) -- so two matrices A
+and B are conjugate exactly when rcf(A) == rcf(B).
 elementary_divisors and classify's cell walk build their tuples in it;
 rcf_from_divisors is the one place a divisor list is sorted.  A canonical
 form is its divisor tuple: rcf(a) returns elementary_divisors(a) once
@@ -197,12 +197,3 @@ def rcf(a: Mat) -> tuple[tuple[Poly, int], ...]:
     check_invertible(divisors)
     return divisors
 
-
-def are_conjugate(a: Mat, b: Mat) -> bool:
-    """Whether two invertible matrices are conjugate: equal canonical
-    divisor sequences."""
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ValueError("conjugacy needs matrices of equal size")
-    if a.field != b.field:
-        raise ValueError("conjugacy needs matrices over the same field")
-    return rcf(a) == rcf(b)

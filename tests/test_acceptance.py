@@ -7,10 +7,8 @@ import time
 
 from orbitcodes import (
     GF,
-    CyclicGroup,
     Mat,
     Poly,
-    are_conjugate,
     block_bound,
     block_bound_refined,
     block_structure,
@@ -23,6 +21,7 @@ from orbitcodes import (
     matrix_order,
     min_distance,
     orbit_code,
+    rcf,
     signature,
     stabilizer_order,
     subspace,
@@ -76,7 +75,7 @@ def test_criterion_01_order_seven_generator_and_transpose_closure():
         for i in range(3):
             product_formula *= 2**3 - 2**i
         assert pair.order == product_formula == 168
-        assert CyclicGroup(a).order != pair.order  # cardinality denies conjugacy
+        assert matrix_order(a) != pair.order  # cardinality denies conjugacy
 
 
 def test_criterion_02_gf4_conjugate_matrices_inequivalent_pairs():
@@ -86,7 +85,7 @@ def test_criterion_02_gf4_conjugate_matrices_inequivalent_pairs():
         a = Mat.from_rows(f4, [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
         b1 = Mat.from_rows(f4, [[0, 1, 0], [0, 0, 1], [1, 0, 1]])
         b2 = Mat.from_rows(f4, [[3, 1, 2], [2, 2, 3], [0, 1, 0]])
-        assert are_conjugate(b1, b2)
+        assert rcf(b1) == rcf(b2)
         g1 = closure([a, b1])
         g2 = closure([a, b2])
         assert g1.order != g2.order
@@ -141,11 +140,11 @@ def test_criterion_06_orbit_stabilizer_and_distribution_identities():
         for _ in range(100):
             field = rng.choice((F2, F3))
             n = rng.randint(2, 6)
-            group = CyclicGroup(random_invertible(rng, field, n))
+            generator = random_invertible(rng, field, n)
             base = random_subspace(rng, field, n, rng.randint(1, n))
-            code = orbit_code(base, group)
-            assert len(code) * code.stab_order == group.order
-            assert stabilizer_order(base, group) == code.stab_order
+            code = orbit_code(base, generator)
+            assert len(code) * code.stab_order == matrix_order(generator)
+            assert stabilizer_order(base, generator) == code.stab_order
             dist = distance_distribution(code)  # raises unless every raw
             # count is divisible by the stabilizer order
             assert dist[0] == 1
@@ -156,7 +155,7 @@ def test_criterion_07_singer_line_code_parameters():
     with timer(7, "7-line orbit code parameters", 1.0):
         code = orbit_code(
             subspace(Mat.from_rows(F2, [[1, 0, 0]])),
-            CyclicGroup(companion(Poly(F2, [1, 1, 0, 1]))),
+            companion(Poly(F2, [1, 1, 0, 1])),
         )
         assert len(code) == 7
         assert min_distance(code) == 2
@@ -169,9 +168,9 @@ def test_criterion_08_conjugate_codes_share_parameters():
         for _ in range(50):
             field = rng.choice((F2, F3))
             n = rng.randint(2, 5)
-            group = CyclicGroup(random_invertible(rng, field, n))
+            generator = random_invertible(rng, field, n)
             base = random_subspace(rng, field, n, rng.randint(1, n))
-            code = orbit_code(base, group)
+            code = orbit_code(base, generator)
             mover = random_invertible(rng, field, n)
             other = conjugate_code(code, mover)  # internally asserts equality
             assert len(other) == len(code)
@@ -194,7 +193,7 @@ def test_criterion_09_bound_harness():
             bs = block_structure(base, divisors)
             literal, _ = block_bound(bs)
             refined = block_bound_refined(bs)
-            code = orbit_code(base, CyclicGroup(companion_diag(bs.divisors)))
+            code = orbit_code(base, companion_diag(bs.divisors))
             if len(code) < 2:
                 continue
             brute = min_distance(code)
@@ -211,7 +210,7 @@ def test_criterion_09_bound_harness():
         bs = block_structure(base, divisors)
         literal, lcm_card = block_bound(bs)
         refined = block_bound_refined(bs)
-        brute = min_distance(orbit_code(base, CyclicGroup(companion_diag(bs.divisors))))
+        brute = min_distance(orbit_code(base, companion_diag(bs.divisors)))
         assert (literal, refined, brute, lcm_card) == (4, 2, 2, 21)
         invalid = [entry for entry in literal_flags if not entry[3]]
         print(

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 import orbitcodes
 from orbitcodes import (
     GF,
-    CyclicGroup,
     Poly,
     block_diag,
     companion,
@@ -565,9 +564,9 @@ def test_code_single_irreducible_never_walks(capsys, monkeypatch, field, divisor
     f = parse_field(field)
     p = parse_poly(f, divisor)
     u = subspace(parse_mat(f, basis))
-    oracle = orbit_code(u, CyclicGroup(companion(p)))
+    oracle = orbit_code(u, companion(p))
     expected = {
-        "group_order": oracle.group.order,
+        "group_order": len(oracle) * oracle.stab_order,
         "cardinality": len(oracle),
         "min_distance": min_distance(oracle) if len(oracle) > 1 else None,
         "distance_distribution": list(distance_distribution(oracle)),
@@ -659,7 +658,7 @@ def test_an_irreducible_divisor_is_read_without_factoring(capsys, monkeypatch):
 
 def clear_polynomial_caches():
     poly.is_irreducible.cache_clear()
-    poly.order.cache_clear()
+    poly._irreducible_order.cache_clear()
     importlib.import_module("orbitcodes.rcf").elementary_divisors.cache_clear()
 
 
@@ -670,16 +669,17 @@ def clear_polynomial_caches():
         ("2", 5, "1,1,0,1;1,1,1", "1,0,0,0,0;0,0,0,1,0", 2),
         ("3", 4, "1,0,1;2,1,1", "1,0,0,0;0,0,1,0", 2),
         ("2^2", 3, "2,0,0,1", "1,0,0", 1),
-        # (x + 1)^2: one pass finds x^2 + 1 reducible, one passes x + 1
-        ("2", 5, "1,0,1;1,1,0,1", "1,0,0,0,0;0,0,1,0,0", 3),
+        # (x + 1)^2: one pass finds x^2 + 1 reducible; factor's x + 1 is
+        # not tested again
+        ("2", 5, "1,0,1;1,1,0,1", "1,0,0,0,0;0,0,1,0,0", 2),
     ],
     ids=["gf2-singer", "gf2-two-blocks", "gf3-two-blocks", "gf4-singer", "gf2-square"],
 )
 def test_code_report_runs_ben_or_once_per_divisor(
     capsys, monkeypatch, field, n, divisors, basis, passes
 ):
-    # cli, poly.order and codes.orbit_profile each ask is_irreducible of a
-    # divisor; its memo runs Ben-Or once
+    # cli and codes.orbit_profile each ask is_irreducible of a divisor, and
+    # its memo runs Ben-Or once; an order read from a factorization runs none
     calls = []
     ben_or = polykernel._Residues.ben_or
     monkeypatch.setattr(

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import itertools
 import random
 
@@ -15,8 +17,11 @@ from orbitcodes import (
     rank,
     rref,
 )
+from orbitcodes import poly
+from orbitcodes.cli import main
 from orbitcodes.matrix import block_diag_basis, companion_diag
 from orbitcodes.sampling import random_matrix
+from test_outputs import PINNED
 
 F2 = GF(2)
 F3 = GF(3)
@@ -297,3 +302,28 @@ def test_arithmetic_matches_field_methods(field, seed):
     assert list(rref(a).matrix.entries) == schoolbook_rref(a)
     if n == k and is_invertible(a):
         assert (a * a.inverse()).is_identity()
+
+
+FAST_PATH_RUNS = [entry for entry in PINNED if entry[0][0] in ("code", "classify")]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", FAST_PATH_RUNS, ids=[" ".join(argv) for argv, _, _ in FAST_PATH_RUNS]
+)
+def test_pinned_code_and_classify_runs_need_no_mat_arithmetic(
+    capsys, monkeypatch, argv, exit_code, digest
+):
+    # the module docstring's claim: code and classify run on packed rows,
+    # and Mat multiply, power and inverse are only the oracle
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Mat arithmetic ran")
+
+    for name in ("__mul__", "__pow__", "inverse"):
+        monkeypatch.setattr(Mat, name, forbidden)
+    # no memo left by an earlier test stands in for the work
+    poly.is_irreducible.cache_clear()
+    poly._irreducible_order.cache_clear()
+    importlib.import_module("orbitcodes.rcf").elementary_divisors.cache_clear()
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)

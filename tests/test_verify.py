@@ -6,7 +6,7 @@ import importlib
 
 import pytest
 
-from orbitcodes import codes, groups
+from orbitcodes import codes, groups, verify
 from orbitcodes.verify import SUITES, run_suites, suite_bounds, suite_rcf
 
 # the module, not the rcf() function the package exports under that name
@@ -115,12 +115,13 @@ def test_bounds_suite_checks_the_difference_count_against_the_walk(monkeypatch):
 def test_bounds_suite_builds_no_group(monkeypatch):
     # the generators are built from their divisors, so no RCF re-derives |G|
     built = []
-    init = groups.CyclicGroup.__init__
+    true_order = groups.matrix_order
 
-    def counted(self, generator):
-        built.append(generator)
-        init(self, generator)
+    def counted(a):
+        built.append(a)
+        return true_order(a)
 
-    monkeypatch.setattr(groups.CyclicGroup, "__init__", counted)
+    for module in (groups, codes, verify):
+        monkeypatch.setattr(module, "matrix_order", counted)
     suite_bounds(seed=0)
     assert built == []
