@@ -4,6 +4,7 @@ Subcommands:
 
 * classify: one row per signature cell of cyclic subgroups of GL_n(F_q);
   a cell can hold several conjugacy classes, so the rows undercount them.
+  q^n above the irreducible sieve's limit, 2^22, is refused before any work.
 * code: build a cyclic orbit code from block divisors p^e (Ben-Or's test
   reads an irreducible one; only a reducible one is factored, and one past
   factor's sieve limit is a parse error at its position) and a base
@@ -20,7 +21,8 @@ generator is written from its blocks' rows (textio.format_companion_diag).
 
 Exit codes: 0 success, 1 hard-assertion failure (a failed verify check or
 an internal invariant, reported in one line on stderr), 2 usage or parse
-error (an --out path that cannot be written included).
+error (an --out path that cannot be written included).  main is the one
+error handler: a subcommand raises, and main writes the single stderr line.
 Identical arguments (including --seed) produce byte-identical output.
 """
 
@@ -32,7 +34,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import sys
 
 from .codes import (
@@ -43,7 +44,7 @@ from .codes import (
 )
 from .errors import ParseError
 from .groups import class_representatives, closure, conjugacy_witness, divisors_order, matrix_order
-from .poly import Poly, factor, is_irreducible
+from .poly import _SIEVE_LIMIT, Poly, factor, is_irreducible
 from .textio import (
     format_companion_diag,
     format_mat,
@@ -54,8 +55,6 @@ from .textio import (
     parse_rows,
 )
 from .verify import SUITES, run_suites
-
-_DEFAULT_MAX_BITS = 22
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,16 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--modulus", default=None, help="modulus coefficients over F_p")
         p.add_argument("--out", default=None, help="write output to this path")
 
-    p_classify = sub.add_parser("classify", help="signature cells of cyclic subgroups")
+    p_classify = sub.add_parser(
+        "classify", help="signature cells of cyclic subgroups; refuses q^n > 2^22"
+    )
     common(p_classify, field=True)
     p_classify.add_argument("--n", type=int, required=True, help="ambient dimension")
     p_classify.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p_classify.add_argument(
-        "--max-bits",
-        type=int,
-        default=_DEFAULT_MAX_BITS,
-        help="refuse when n*log2(q) exceeds this budget",
-    )
 
     p_code = sub.add_parser("code", help="construct and analyze one orbit code")
     common(p_code, field=True)
@@ -136,14 +131,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     p, m, _ = parse_designator(args.field, args.modulus)
     if args.n < 1:
         raise ParseError("--n must be a positive integer", 0)
-    # q is never built; exact for q = 2^m; p = 0 is left for GF to reject
-    bits = math.ceil(args.n * m * math.log2(max(p, 1)))
-    if bits > args.max_bits:  # before GF is built: finding its modulus is work too
-        sys.stderr.write(
-            f"refusing: n*log2(q) = {bits} exceeds the budget {args.max_bits}; "
-            "raise --max-bits to force\n"
-        )
-        return 2
+    # q^n = p^d is refused before GF is built (finding its modulus is work
+    # too) and never formed past the limit's bit length, as p^d >= 2^d there;
+    # p = 0 or 1 is left for GF to reject
+    d = m * args.n
+    if p > 1 and (d >= _SIEVE_LIMIT.bit_length() or p**d > _SIEVE_LIMIT):
+        raise ValueError(f"classify needs q^n <= 2^22 for its sieve, got q^n = {p}^{d}")
     field = parse_field(args.field, args.modulus)
     block_rows = {}  # each companion block's rows, formatted once per call
     poly_text = functools.cache(format_poly)  # and each divisor's p
@@ -273,11 +266,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    try:
-        results = run_suites(names, seed=args.seed, trials=args.trials)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
+    results = run_suites(names, seed=args.seed, trials=args.trials)
     lines = []
     failed = False
     for res in results:

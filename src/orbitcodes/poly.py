@@ -237,8 +237,8 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 _IRR_CACHE: dict[tuple[GF, int], tuple[Poly, ...]] = {}
 
-# The most codes q^d one sieve may mark: GF(2) degree 22, the largest sieve
-# classify's default budget of n log2(q) <= 22 bits asks for.
+# The most codes q^d one sieve may mark: GF(2) degree 22.  classify sieves
+# every degree up to n, so it refuses q^n above this limit up front.
 _SIEVE_LIMIT = 2**22
 
 

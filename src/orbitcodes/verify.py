@@ -785,8 +785,8 @@ def blockdiag_coprime_check(
     """
     name = "blockdiag_coprime"
     divisors = tuple((p, int(e)) for p, e in divisors)
-    if len(blocks) != len(divisors):
-        raise ValueError("one block matrix per divisor is required")
+    if not blocks or len(blocks) != len(divisors):
+        raise ValueError("one block matrix per divisor, and at least one, is required")
     degrees = [int(p.degree) * e for p, e in divisors]
     if any(b.cols != d for b, d in zip(blocks, degrees)):
         raise ValueError("block width must match its divisor degree")
@@ -864,9 +864,7 @@ def run_suites(
 ) -> list[SuiteResult]:
     if trials is not None and trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    results = []
-    for name in names:
+    for name in names:  # every name is checked before any suite runs
         if name not in _SUITE_FUNCS:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
-        results.append(_SUITE_FUNCS[name](seed=seed, trials=trials))
-    return results
+    return [_SUITE_FUNCS[name](seed=seed, trials=trials) for name in names]

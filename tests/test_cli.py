@@ -8,7 +8,6 @@ import os
 from collections import Counter
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -106,23 +105,40 @@ def test_classify_builds_no_generator_matrix(capsys, monkeypatch, fmt):
 
 
 def test_classify_resource_guard(capsys):
-    code, _, err = run(capsys, "classify", "--field", "2", "--n", "30")
-    assert code == 2
-    assert "budget" in err
+    code, out, err = run(capsys, "classify", "--field", "2", "--n", "30")
+    assert (code, out) == (2, "")
+    assert err == "error: classify needs q^n <= 2^22 for its sieve, got q^n = 2^30\n"
+
+
+def _forbid_sieves(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a sieve started")
+
+    for kernel in (polykernel._Bits, polykernel._Lists):
+        monkeypatch.setattr(kernel, "reducible_marks", staticmethod(forbidden))
 
 
 @pytest.mark.parametrize(
-    "field, n, accepted",
-    [("3", 13, True), ("3", 14, False), ("2^2", 11, True), ("2^2", 12, False)],
+    "p, m, n",
+    [
+        (3, 1, 13), (3, 1, 14), (2, 2, 11), (2, 2, 12), (5, 1, 9), (5, 1, 10),
+        (7, 1, 7), (7, 1, 8), (2, 3, 7), (2, 3, 8), (2, 1, 22), (2, 1, 23),
+    ],
 )
-def test_classify_budget_is_exact_log2(capsys, monkeypatch, field, n, accepted):
-    # 3^13 < 2^22 < 3^14 and 4^11 = 2^22: n * log2(q), not n * floor(log2 q)
+def test_classify_budget_is_exact_log2(capsys, monkeypatch, p, m, n):
+    # each pair straddles the sieve limit: 3^13 < 2^22 < 3^14, 4^11 = 2^22,
+    # 8^7 = 2^21; a refusal comes before any sieve
     monkeypatch.setattr("orbitcodes.cli.class_representatives", lambda *args: [])
+    accepted = p ** (m * n) <= poly._SIEVE_LIMIT
+    if not accepted:
+        _forbid_sieves(monkeypatch)
+    field = str(p) if m == 1 else f"{p}^{m}"
     code, out, err = run(capsys, "classify", "--field", field, "--n", str(n))
     if accepted:
         assert (code, err) == (0, "") and out.endswith(": 0\n")
     else:
-        assert code == 2 and out == "" and "exceeds the budget 22" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: classify needs q^n <= 2^22 for its sieve, got q^n = {p}^{m * n}\n"
 
 
 def test_classify_out_file(tmp_path, capsys):
@@ -134,64 +150,45 @@ def test_classify_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 2
 
 
-def test_classify_refuses_a_large_extension_field(capsys):
-    # the default modulus comes from a scan, so the budget refuses before
-    # any sieve over the field's p^m codes
+def test_classify_refuses_a_large_extension_field(capsys, monkeypatch):
+    # the default modulus comes from a scan, so the refusal comes before it
+    # and before any sieve over the field's p^m codes
+    _forbid_sieves(monkeypatch)
     code, out, err = run(capsys, "classify", "--field", "1048573^2", "--n", "1")
     assert (code, out) == (2, "")
-    assert err == (
-        "refusing: n*log2(q) = 40 exceeds the budget 22; raise --max-bits to force\n"
-    )
-
-
-def test_forced_classify_refuses_an_oversized_sieve(capsys, monkeypatch):
-    # forcing the budget once ran a sieve over all q ~ 2^40 linear monics
-    def forbidden(*args):
-        raise AssertionError("a sieve started")
-
-    for kernel in (polykernel._Bits, polykernel._Lists):
-        monkeypatch.setattr(kernel, "reducible_marks", staticmethod(forbidden))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "classify", "--field", "1048573^2", "--n", "1", "--max-bits", "100")
-    assert time.perf_counter() - start < 10
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: the irreducibles of degree 1 over GF(1099505336329) need a sieve of "
-        "q^d = 1099505336329 marks, above the limit of 2^22\n"
-    )
+    assert err == "error: classify needs q^n <= 2^22 for its sieve, got q^n = 1048573^2\n"
 
 
 @pytest.mark.parametrize(
-    "field, n, bits",
+    "field, n, power",
     [
-        ("2^4096", 1, 4096),
-        ("4", 30, 60),
-        ("1000000000000000003", 1, 60),
-        ("3^100000000", 1, 158496251),
+        ("2^4096", 1, "2^4096"),
+        ("4", 30, "4^30"),
+        ("1000000000000000003", 1, "1000000000000000003^1"),
+        ("3^100000000", 1, "3^100000000"),
     ],
 )
-def test_classify_budget_refuses_before_building_the_field(capsys, monkeypatch, field, n, bits):
+def test_classify_budget_refuses_before_building_the_field(capsys, monkeypatch, field, n, power):
     # a default modulus of degree 4096 takes seconds to find; a field that
-    # would not build is refused on budget all the same; the budget is read
-    # from p and m, so q = 3^100000000 is never computed
+    # would not build is refused all the same; the refusal is read from p, m
+    # and n, so q = 3^100000000 is never computed
     def forbidden(*args):
         raise AssertionError("the field was built")
 
     monkeypatch.setattr("orbitcodes.field.GF.__init__", forbidden)
     code, out, err = run(capsys, "classify", "--field", field, "--n", str(n))
     assert (code, out) == (2, "")
-    assert err == (
-        f"refusing: n*log2(q) = {bits} exceeds the budget 22; raise --max-bits to force\n"
-    )
+    assert err == f"error: classify needs q^n <= 2^22 for its sieve, got q^n = {power}\n"
 
 
 def test_classify_huge_characteristic_is_refused_without_trial_division(capsys, monkeypatch):
+    # classify refuses this q before building the field, so code builds it
     def forbidden(n):
         raise AssertionError(f"factorize({n}) ran above the limit")
 
     monkeypatch.setattr("orbitcodes.field.factorize", forbidden)
-    argv = ["classify", "--field", "1000000000000000003", "--n", "1", "--max-bits", "64"]
-    code, out, err = run(capsys, *argv)
+    argv = ["code", "--field", "1000000000000000003", "--n", "1"]
+    code, out, err = run(capsys, *argv, "--divisors", "1,1", "--subspace", "1")
     assert (code, out) == (2, "")
     assert err == (
         "parse error: characteristic 1000000000000000003 too large for this library"

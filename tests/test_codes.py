@@ -963,6 +963,20 @@ def test_divisor_takers_share_one_check(fn, divisors, message):
         fn(line(1, 0, 0), divisors)
 
 
+@pytest.mark.parametrize(
+    "blocks,divisors,message",
+    [
+        ([], [], "one block matrix per divisor, and at least one, is required"),
+        ([mat2([[1, 0, 0]])], [], "one block matrix per divisor, and at least one, is required"),
+        ([mat2([[1, 0]])], [(Poly(F2, [1, 1, 0, 1]), 1)], "block width must match its divisor degree"),
+    ],
+    ids=["empty", "count", "width"],
+)
+def test_blockdiag_check_rejects_malformed_blocks(blocks, divisors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        blockdiag_coprime_check(blocks, divisors)
+
+
 @pytest.mark.parametrize("fn", [orbit_code, stabilizer_order])
 @pytest.mark.parametrize(
     "generator,message",

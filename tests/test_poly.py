@@ -228,7 +228,7 @@ def test_sieve_above_the_limit_is_refused_before_marking(monkeypatch):
 
     for kernel in (_Bits, _Lists):
         monkeypatch.setattr(kernel, "reducible_marks", staticmethod(forbidden))
-    # no smaller than the GF(2) degree-22 sieve classify's default budget admits
+    # no smaller than the GF(2) degree-22 sieve that classify --n 22 runs
     assert poly._SIEVE_LIMIT >= 2**22
     for field, d in ((F2, 23), (GF(2, 2), 12), (GF(3), 14), (GF(1048573), 2)):
         with pytest.raises(ValueError, match="above the limit of 2\\^22"):

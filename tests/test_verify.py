@@ -44,6 +44,17 @@ def test_unknown_suite_rejected():
         run_suites(["nope"])
 
 
+def test_names_are_checked_before_any_suite_runs(monkeypatch):
+    def forbidden(**kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(verify._SUITE_FUNCS, "algebra", forbidden)
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_suites(["algebra", "bogus"])
+    with pytest.raises(ValueError, match="non-negative"):
+        run_suites(["algebra"], trials=-1)
+
+
 def test_negative_trials_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         run_suites(["groups"], trials=-3)
