@@ -182,7 +182,7 @@ def _walk(u: Subspace, a: Mat, bases: list | None = None) -> OrbitProfile:
     if len(kern.pivots(rows)) < u.n:
         raise SingularMatrixError("the walk needs an invertible matrix; this one is singular")
     times, pivots, k = kern.times, kern.pivots, u.k
-    start = tuple([kern.pack(u.basis.row(i)) for i in range(k)])
+    start = kern.key(u.basis)
     basis, overlaps, j = start, [], 1
     while True:
         basis = [times(r, rows) for r in basis]
@@ -325,7 +325,7 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
     kern = _kernel(u.field, u.n)
     step = kern.stepper(companion(p))
     order = poly_order(p)
-    todo = set(kern.span([kern.pack(u.basis.row(i)) for i in range(u.k)])[1:])
+    todo = set(kern.span(kern.key(u.basis))[1:])
     nonzero = len(todo)
     counts = Counter()
     while todo:

@@ -35,7 +35,8 @@ that stops once every common order has turned up.  An order with few
 irreducibles is built instead: they are the minimal polynomials of
 alpha^((q^d-1)/o a), alpha a root of the first primitive irreducible the
 scan met and a a unit mod o (Thm 3.5), each the characteristic polynomial
-of multiplication by that power of x modulo the primitive one.
+of multiplication by that power of x modulo the primitive one (a
+multiplier key of rows.py; groups does no field arithmetic of its own).
 
 closure, the one enumeration of group elements, builds a Schreier-Sims
 stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of
@@ -54,7 +55,7 @@ from typing import Sequence
 
 from .errors import SingularMatrixError
 from .field import GF
-from .matrix import Mat
+from .matrix import Mat, companion
 from .numtheory import factorize, multiplicative_order, power, totient, unit_group_factors
 from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
@@ -153,21 +154,11 @@ def _orders_of_degree(q: int, d: int) -> list[int]:
 def _minimal_polynomial(primitive: Poly, k: int) -> Poly:
     """The minimal polynomial of alpha^k over F_q, alpha a root of the
     irreducible `primitive` of degree d, for alpha^k of degree d: the
-    rcf.char_poly of multiplication by x^k on F_q[x]/(primitive), whose
-    row i is x^k x^i mod primitive, the row above shifted once."""
-    F = primitive.field
-    add, mul, neg, _ = F.lookups
-    tail = [neg[c] for c in primitive.coeffs[:-1]]  # x^d mod primitive
-    row = list(x_power(primitive, k))
-    entries = []
-    for _ in tail:
-        entries += row
-        lead = row.pop()
-        row.insert(0, 0)
-        if lead:
-            scale = mul[lead]
-            row = [add[r][scale[t]] for r, t in zip(row, tail)]
-    return char_poly(Mat._trusted(F, len(tail), len(tail), tuple(entries)))
+    rcf.char_poly of the multiplier key of x^k on F_q[x]/(primitive)."""
+    F, d = primitive.field, int(primitive.degree)
+    kern = _kernel(F, d)
+    key = kern.multiplier(kern.stepper(companion(primitive)), kern.pack(x_power(primitive, k)))
+    return char_poly(Mat._trusted(F, d, d, kern.unpack(key)))
 
 
 def _coset_representatives(q: int, o: int) -> list[int]:

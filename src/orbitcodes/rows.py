@@ -37,7 +37,8 @@ codes._walk steps a basis B_j = B_{j-1} A with times and reads
 dim(U n U A^j) from its pivots modulo U (orbit_code lists the echelon of
 each B_j); codes._difference_profile labels the nonzero vectors of a
 subspace (span) in the cycles of multiplication by x, with baby steps by
-stepper and giant steps by times on the multiplier key of x^-m;
+stepper and giant steps by times on the multiplier key of x^-m, and
+groups._minimal_polynomial is the char_poly of the multiplier key of x^k;
 groups.closure multiplies matrix keys (product) and moves rows by times
 to build a stabilizer chain; rcf.elementary_divisors reads the ranks of
 p(A)^j from pivots, and sampling.random_full_rank the rank of each draw.

@@ -19,9 +19,10 @@ blockdiag_coprime_check) live here too, with their CheckReport and its
 text instance; they read the profiles codes computes, and the bounds
 suite runs them.
 
-`trials` scales the sampled checks: None runs the default counts, 0 skips
-everything (a vacuous run), a positive value replaces the defaults, and a
-negative one is rejected with ValueError.
+`trials` scales the sampled checks: None runs the default counts and a
+positive value replaces them.  run_suites answers 0 with one empty
+SuiteResult per suite (a vacuous run) and rejects a negative count with
+ValueError; a suite called directly takes None or a positive count.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ from .sampling import (
 )
 from .textio import format_mat, format_poly
 
-SUITES = ("algebra", "rcf", "groups", "codes", "bounds")
-
-
 @dataclass(frozen=True)
 class Finding:
     level: str  # "FAIL" | "WARN"
@@ -97,10 +95,6 @@ class SuiteResult:
 
     def warn(self, name: str, message: str) -> None:
         self.findings.append(Finding("WARN", self.suite, name, message))
-
-
-def _count(trials: int | None, default: int) -> int:
-    return default if trials is None else trials
 
 
 def _mobius(n: int) -> int:
@@ -142,8 +136,6 @@ def brute_force_poly_order(f: Poly) -> int:
 def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
     res = SuiteResult("algebra")
     rng = random.Random(seed)
-    if trials == 0:
-        return res
 
     # every field the suite uses, built once
     fields = {
@@ -191,7 +183,7 @@ def suite_algebra(seed: int = 0, trials: int | None = None) -> SuiteResult:
             d += 1
 
     # factorization recomposes
-    for _ in range(_count(trials, 500)):
+    for _ in range(trials or 500):
         f = rng.choice((f2, f3))
         g = random_monic(rng, f, rng.randint(1, 8))
         prod = Poly.one(f)
@@ -249,17 +241,15 @@ def _kernel_ranks_match(a: Mat, chi: Poly, divisors) -> bool:
 def suite_rcf(seed: int = 0, trials: int | None = None) -> SuiteResult:
     res = SuiteResult("rcf")
     rng = random.Random(seed)
-    if trials == 0:
-        return res
     f2, f3, f4 = GF(2), GF(3), GF(2, 2)
 
-    for _ in range(_count(trials, 200)):
+    for _ in range(trials or 200):
         f = rng.choice((f2, f3, f4))
         m = random_matrix(rng, f, rng.randint(1, 6), rng.randint(1, 8))
         once = rref(m).matrix
         res.check("rref_idempotent", rref(once).matrix == once, f"rref not idempotent on {m!r}")
 
-    for _ in range(_count(trials, 200)):
+    for _ in range(trials or 200):
         f = rng.choice((f2, f3))
         n = rng.randint(1, 5)
         a = random_invertible(rng, f, n)
@@ -300,7 +290,7 @@ def suite_rcf(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
     # invertibility matches the absence of x among elementary divisors
     x = {f: Poly.x(f) for f in (f2, f3)}
-    for _ in range(_count(trials, 200)):
+    for _ in range(trials or 200):
         f = rng.choice((f2, f3))
         n = rng.randint(1, 4)
         a = random_matrix(rng, f, n, n)
@@ -400,8 +390,6 @@ def brute_force_cyclic_classes(field: GF, n: int) -> list[set[frozenset[Mat]]]:
 def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
     res = SuiteResult("groups")
     rng = random.Random(seed)
-    if trials == 0:
-        return res
     f2, f3 = GF(2), GF(3)
 
     # oracle vs signature test: exhaustive small ranges, sampled at n=4
@@ -410,7 +398,7 @@ def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
     check_oracle_agreement(res, f2, 4, rng, pair_sample=12, conjugates=3)
 
     # group order = lcm of divisor orders, against repeated multiplication
-    for _ in range(_count(trials, 200)):
+    for _ in range(trials or 200):
         f = rng.choice((f2, f3))
         a = random_invertible(rng, f, rng.randint(1, 5))
         res.check(
@@ -420,7 +408,7 @@ def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
         )
 
     # coprime powers keep the signature
-    for _ in range(_count(trials, 50)):
+    for _ in range(trials or 50):
         f = rng.choice((f2, f3))
         a = random_invertible(rng, f, rng.randint(1, 4))
         sig = signature(a)
@@ -474,12 +462,10 @@ def suite_groups(seed: int = 0, trials: int | None = None) -> SuiteResult:
 def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
     res = SuiteResult("codes")
     rng = random.Random(seed)
-    if trials == 0:
-        return res
     f2, f3 = GF(2), GF(3)
 
     # the action does not depend on the representing matrix
-    for _ in range(_count(trials, 100)):
+    for _ in range(trials or 100):
         f = rng.choice((f2, f3))
         n = rng.randint(2, 5)
         k = rng.randint(1, n)
@@ -493,7 +479,7 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
         )
 
     # the action preserves subspace distance
-    for _ in range(_count(trials, 200)):
+    for _ in range(trials or 200):
         f = rng.choice((f2, f3))
         n = rng.randint(2, 5)
         u1 = random_subspace(rng, f, n, rng.randint(1, n))
@@ -506,20 +492,21 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
         )
 
     # orbit-stabilizer and distribution identities
-    for _ in range(_count(trials, 100)):
+    for _ in range(trials or 100):
         f = rng.choice((f2, f3))
         n = rng.randint(2, 6)
         a = random_invertible(rng, f, n)
         u = random_subspace(rng, f, n, rng.randint(1, n))
         code = orbit_code(u, a)
+        stab = stabilizer_order(u, a)  # counted by Mat/rref, not read from the walk
         res.check(
             "orbit_stabilizer",
-            len(code) * code.stab_order == matrix_order(a),
+            len(code) * stab == matrix_order(a),
             f"orbit-stabilizer identity failed for {u!r}",
         )
         res.check(
             "stabilizer_direct",
-            stabilizer_order(u, a) == code.stab_order,
+            stab == code.stab_order,
             f"direct stabilizer count disagrees for {u!r}",
         )
         dist = distance_distribution(code)
@@ -530,7 +517,7 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
         )
 
     # conjugate codes keep cardinality and distribution
-    for _ in range(_count(trials, 50)):
+    for _ in range(trials or 50):
         f = rng.choice((f2, f3))
         n = rng.randint(2, 5)
         a = random_invertible(rng, f, n)
@@ -556,8 +543,6 @@ def _separation_instance(field: GF):
 def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
     res = SuiteResult("bounds")
     rng = random.Random(seed)
-    if trials == 0:
-        return res
     f2 = GF(2)
 
     # the documented separation instance, reproduced exactly
@@ -582,7 +567,7 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
     # seeded block-structured instances: exactness for block-diagonal bases,
     # validity otherwise; per-component value logged with a validity flag
-    for idx in range(_count(trials, 100)):
+    for idx in range(trials or 100):
         block_diagonal = idx % 2 == 0
         n = rng.randint(2, 8)
         divisors = random_unit_divisors(rng, f2, n)
@@ -859,6 +844,9 @@ _SUITE_FUNCS = {
 }
 
 
+SUITES = tuple(_SUITE_FUNCS)
+
+
 def run_suites(
     names: list[str], seed: int = 0, trials: int | None = None
 ) -> list[SuiteResult]:
@@ -867,4 +855,6 @@ def run_suites(
     for name in names:  # every name is checked before any suite runs
         if name not in _SUITE_FUNCS:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    if trials == 0:
+        return [SuiteResult(name) for name in names]
     return [_SUITE_FUNCS[name](seed=seed, trials=trials) for name in names]

@@ -36,3 +36,18 @@ def test_one_input_set_of_each_workload_matches_the_reference(monkeypatch):
         rep = run.run_rep(ops, workloads.fields(ops), False)
         problems[name] = run.check_rep(rep, references[name]["8"])
     assert problems == {name: [] for name in workloads.WORKLOADS}
+
+
+def test_a_traced_repetition_reports_every_layer(monkeypatch):
+    # the tracer resolves each target through sys.modules after the worker's
+    # imports and reads elementary_divisors' cache_info(), so a module that
+    # loads late or a lost cache kills the traced worker before it reports
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    references = json.loads((BENCH / "reference.json").read_text())["workloads"]
+    ops = workloads.operations("code-singer", 8)
+    rep = run.run_rep(ops, workloads.fields(ops), True)
+    assert run.check_rep(rep, references["code-singer"]["8"]) == []
+    assert {name for name, _ in spans.LAYER_METRICS} <= set(rep["layers"])

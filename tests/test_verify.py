@@ -2,6 +2,7 @@
 module pins their contract: default runs stay green, documented ambiguities
 surface as WARN (never FAIL), and trials=0 is vacuous."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -21,9 +22,38 @@ def test_suite_passes_with_default_counts(suite):
     assert result.checks > 0
 
 
-def test_vacuous_run():
+def test_vacuous_run(monkeypatch):
+    # run_suites answers trials=0 itself: one empty result per name, no suite run
+    def forbidden(**kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in SUITES:
+        monkeypatch.setitem(verify._SUITE_FUNCS, name, forbidden)
     results = run_suites(list(SUITES), seed=0, trials=0)
-    assert all(r.checks == 0 and not r.findings for r in results)
+    assert [(r.suite, r.checks, r.findings) for r in results] == [(s, 0, []) for s in SUITES]
+
+
+def test_orbit_stabilizer_check_uses_the_counted_stabilizer(monkeypatch):
+    # an orbit code whose |C| and stab_order are both wrong but still
+    # multiply to |<A>|: only a stabilizer counted apart from the walk
+    # catches it
+    real = verify.orbit_code
+
+    def skewed(u, a):
+        code = real(u, a)
+        if code.stab_order % 2:
+            return code
+        return dataclasses.replace(
+            code,
+            codebook=code.codebook * 2,
+            stab_order=code.stab_order // 2,
+            profile=code.profile._replace(period=2 * len(code)),
+        )
+
+    monkeypatch.setattr(verify, "orbit_code", skewed)
+    result = verify.suite_codes(seed=0, trials=20)
+    failed = {f.name for f in result.findings if f.level == "FAIL"}
+    assert "orbit_stabilizer" in failed
 
 
 def test_groups_suite_documents_signature_gap():
