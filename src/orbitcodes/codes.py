@@ -18,10 +18,10 @@ has two producers, and the input picks one:
   label pairs cost no more than the walk would (see _count_is_cheaper): a
   difference count.  A is multiplication by x on F_q[x]/(p), so U's
   nonzero vectors carry labels (cycle, exponent) in the cycles of x that
-  meet U, found by baby-step giant-step in each cycle (_coset_exponents)
+  meet U, found by baby-step giant-step in each cycle (_coset_exponents,
+  on rows' stepper(p) and multiplier(p, e), with no companion matrix)
   rather than by stepping round it, and counting exponent differences
-  into one dict gives every overlap, with no linear algebra and no
-  codebook;
+  into one dict gives every overlap, with no linear algebra or codebook;
 * every other generator and subspace: the orbit walk (_walk), on the
   packed rows of rows.py (the kernel groups.closure also uses).  It steps
   a basis B_j = B_{j-1} A from U's reduced basis and reads each overlap
@@ -39,9 +39,9 @@ difference count is tested against: a multi-block structure walks the
 whole code, so the refined bound, read from component counts, meets its
 walked distance only if they are right.  The Mat/rref path is
 the independent slow oracle that the verify suites and the tests compare
-the walk against: act and stabilizer_order canonicalize through
-subspace, and subspace_distance reads intersection_dim.  Every function
-that takes divisors checks them once, in _divisors.
+the walk against: act and stabilizer_order step by subspace(basis * A),
+and subspace_distance reads intersection_dim.  Every function that takes
+divisors checks them once, in _divisors, which refuses a non-monic p_i.
 
 The block machinery splits an RREF basis along the column blocks of a
 block-diagonal generator diag(M_1, ..., M_t): sub-block i keeps the rows
@@ -72,8 +72,8 @@ from typing import NamedTuple, Sequence
 from .errors import SingularMatrixError
 from .field import GF, _Memo
 from .groups import matrix_order
-from .matrix import Mat, companion, companion_diag, is_invertible, rref
-from .poly import Poly, is_irreducible, order as poly_order, x_power
+from .matrix import Mat, companion_diag, is_invertible, rref
+from .poly import Poly, is_irreducible, order as poly_order
 from .rows import _kernel
 
 
@@ -105,13 +105,6 @@ def subspace(rows: Mat) -> Subspace:
     return Subspace(rows.field, rows.cols, r.rank, basis)
 
 
-def _act_unchecked(u: Subspace, a: Mat) -> Subspace:
-    moved = subspace(u.basis * a)
-    if moved.k != u.k:
-        raise SingularMatrixError("action dropped the dimension; matrix is singular")
-    return moved
-
-
 def _check_operator(u: Subspace, a: Mat) -> None:
     if a.field != u.field:
         raise ValueError("subspace and matrix must share a field")
@@ -126,7 +119,7 @@ def act(u: Subspace, a: Mat) -> Subspace:
     _check_operator(u, a)
     if not is_invertible(a):
         raise SingularMatrixError("the action is defined for invertible matrices only")
-    return _act_unchecked(u, a)
+    return subspace(u.basis * a)
 
 
 def intersection_dim(u1: Subspace, u2: Subspace) -> int:
@@ -222,7 +215,7 @@ def stabilizer_order(u: Subspace, a: Mat) -> int:
     for _ in range(matrix_order(a)):
         if v == u:
             stab += 1
-        v = _act_unchecked(v, a)
+        v = subspace(v.basis * a)
     return stab
 
 
@@ -297,10 +290,13 @@ def _divisors(
     u: Subspace, divisors: Sequence[tuple[Poly, int]]
 ) -> tuple[tuple[Poly, int], ...]:
     """The divisors p_i^e_i as a tuple of (p_i, int(e_i)), checked against U:
-    every p_i over U's field, every e_i >= 1, and the degrees summing to n."""
+    every p_i monic and over U's field, every e_i >= 1, and the degrees
+    summing to n."""
     divisors = tuple((p, int(e)) for p, e in divisors)
     if any(p.field != u.field for p, _ in divisors):
         raise ValueError("divisors and subspace must share a field")
+    if not all(p.is_monic for p, _ in divisors):
+        raise ValueError("divisor polynomials must be monic")
     if any(e < 1 for _, e in divisors):
         raise ValueError("divisor exponents must be positive")
     total = sum(int(p.degree) * e for p, e in divisors)
@@ -323,7 +319,7 @@ def _difference_profile(u: Subspace, p: Poly) -> OrbitProfile:
     Each coset's exponent differences are counted into one dict as it is
     labelled, so the count holds only the shifts that occur."""
     kern = _kernel(u.field, u.n)
-    step = kern.stepper(companion(p))
+    step = kern.stepper(p)
     order = poly_order(p)
     todo = set(kern.span(kern.key(u.basis))[1:])
     nonzero = len(todo)
@@ -389,7 +385,7 @@ def _coset_exponents(kern, step, p: Poly, order: int, todo: set) -> list[int]:
                 return exponents
     if m == order:
         return exponents
-    giant = kern.multiplier(step, kern.pack(x_power(p, order - m)))
+    giant = kern.multiplier(p, order - m)
     times, shifts = kern.times, range(m, order, m)
     for w in list(todo):
         x = w
@@ -500,11 +496,6 @@ class BlockStructure:
         return self.profiles[self.divisors, self.subspace.basis]
 
 
-def _block_starts(degrees: Sequence[int]) -> list[int]:
-    """Column offsets [0, d_1, d_1 + d_2, ..., n] of consecutive blocks."""
-    return list(accumulate(degrees, initial=0))
-
-
 def _columns(basis: Mat, rows: Sequence[int], lo: int, hi: int) -> Mat:
     """The given rows of a basis, restricted to columns lo .. hi - 1."""
     entries = tuple(e for r in rows for e in basis.row(r)[lo:hi])
@@ -525,7 +516,7 @@ def block_structure(u: Subspace, divisors: Sequence[tuple[Poly, int]]) -> BlockS
     degrees = [int(p.degree) * e for p, e in divisors]
     # the basis is in RREF, so a row's pivot is its first nonzero column
     pivots = [next(c for c, v in enumerate(u.basis.row(r)) if v) for r in range(u.k)]
-    starts = _block_starts(degrees)
+    starts = list(accumulate(degrees, initial=0))
     profiles = _Memo(_block_profile)
     blocks = []
     for i, (p, e) in enumerate(divisors):

@@ -35,8 +35,9 @@ that stops once every common order has turned up.  An order with few
 irreducibles is built instead: they are the minimal polynomials of
 alpha^((q^d-1)/o a), alpha a root of the first primitive irreducible the
 scan met and a a unit mod o (Thm 3.5), each the characteristic polynomial
-of multiplication by that power of x modulo the primitive one (a
-multiplier key of rows.py; groups does no field arithmetic of its own).
+of multiplication by that power of x modulo the primitive one (rows'
+multiplier(p, e): groups builds no companion matrix and does no field
+arithmetic of its own).
 
 closure, the one enumeration of group elements, builds a Schreier-Sims
 stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of
@@ -55,7 +56,7 @@ from typing import Sequence
 
 from .errors import SingularMatrixError
 from .field import GF
-from .matrix import Mat, companion
+from .matrix import Mat
 from .numtheory import factorize, multiplicative_order, power, totient, unit_group_factors
 from .poly import Poly, _char_power, _factored_order, _irreducible_order, irreducibles, x_power
 from .poly import order as poly_order
@@ -154,11 +155,10 @@ def _orders_of_degree(q: int, d: int) -> list[int]:
 def _minimal_polynomial(primitive: Poly, k: int) -> Poly:
     """The minimal polynomial of alpha^k over F_q, alpha a root of the
     irreducible `primitive` of degree d, for alpha^k of degree d: the
-    rcf.char_poly of the multiplier key of x^k on F_q[x]/(primitive)."""
+    rcf.char_poly of multiplication by x^k mod primitive, rows' multiplier."""
     F, d = primitive.field, int(primitive.degree)
     kern = _kernel(F, d)
-    key = kern.multiplier(kern.stepper(companion(primitive)), kern.pack(x_power(primitive, k)))
-    return char_poly(Mat._trusted(F, d, d, kern.unpack(key)))
+    return char_poly(Mat._trusted(F, d, d, kern.unpack(kern.multiplier(primitive, k))))
 
 
 def _coset_representatives(q: int, o: int) -> list[int]:

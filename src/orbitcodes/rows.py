@@ -27,18 +27,19 @@ cache).  product forms the key of A B, and plus_scalar that of M + cI,
 so rcf's p(A) and groups' A^N = I check run on keys.  pivots, the one
 elimination, runs forward only modulo the span of a reduced echelon
 basis and returns a row per pivot, so their count is a rank; echelon
-back-substitutes over them.  For a companion matrix A = companion(p),
-stepper(A) maps v to v A by a shift by one column plus the last entry of
-v times A's last row.  The same step builds the key of multiplication by
-any residue r of F_q[x]/(p) (multiplier), row i being r x^i, so v times
+back-substitutes over them.  Multiplication by x on F_q[x]/(p), for a
+monic p of degree n, is stepper(p): v x is v shifted by one column plus
+v's last entry times the feedback row, -p's low coefficients packed (the
+last row of companion(p)), so no matrix is built.  multiplier(p, e) is
+the key of multiplication by x^e, row i being x^(e+i) mod p, so v times
 a power of x costs one times.
 
 codes._walk steps a basis B_j = B_{j-1} A with times and reads
 dim(U n U A^j) from its pivots modulo U (orbit_code lists the echelon of
 each B_j); codes._difference_profile labels the nonzero vectors of a
 subspace (span) in the cycles of multiplication by x, with baby steps by
-stepper and giant steps by times on the multiplier key of x^-m, and
-groups._minimal_polynomial is the char_poly of the multiplier key of x^k;
+stepper(p) and giant steps by times on multiplier(p, ord - m), and
+groups._minimal_polynomial is the char_poly of multiplier(p, k);
 groups.closure multiplies matrix keys (product) and moves rows by times
 to build a stabilizer chain; rcf.elementary_divisors reads the ranks of
 p(A)^j from pivots, and sampling.random_full_rank the rank of each draw.
@@ -54,11 +55,12 @@ from typing import Sequence
 from .field import GF, _Memo
 from .matrix import Mat
 from .numtheory import power
+from .poly import Poly, x_power
 
 
 class _Keys:
-    """What both kernels build on their pack and times: matrix keys and
-    their products."""
+    """What both kernels build on their pack, times and stepper: matrix
+    keys, their products and multiplication by x^e mod p."""
 
     def key(self, a: Mat) -> tuple:
         """A's packed rows: row i is e_i A."""
@@ -75,11 +77,10 @@ class _Keys:
         times = self.times
         return tuple([times(r, b) for r in a])
 
-    def multiplier(self, step, r) -> tuple:
-        """For step(v) = v A, A = companion(p): the key of the matrix of
-        multiplication by the residue r on F_q[x]/(p), whose row i is
-        r x^i = step^i(r)."""
-        key = [r]
+    def multiplier(self, p: Poly, e: int) -> tuple:
+        """The key of multiplication by x^e on F_q[x]/(p), p monic of
+        degree n: row i is x^(e+i) mod p, x^e stepped i times."""
+        step, key = self.stepper(p), [self.pack(x_power(p, e))]
         for _ in range(self.n - 1):
             key.append(step(key[-1]))
         return tuple(key)
@@ -118,10 +119,11 @@ class _Bits(_Keys):
             v >>= 1
         return w
 
-    def stepper(self, a: Mat):
-        """step(v) = v A for a companion matrix A: v shifted one column
-        right, plus A's last row when v's last entry is set."""
-        feedback = self.pack(a.row(self.n - 1))
+    def stepper(self, p: Poly):
+        """step(v) = v x mod p, p monic of degree n: v shifted one column
+        right, plus p's low coefficients (their own negatives over GF(2))
+        when v's last entry is set."""
+        feedback = self.pack(p.coeffs[:-1])
         return lambda v: (v >> 1) ^ feedback if v & 1 else v >> 1
 
     @staticmethod
@@ -310,11 +312,12 @@ class _Lanes(_Keys):
                     out[i] = add(out[i], y)
         return tuple(out)
 
-    def stepper(self, a: Mat):
-        """step(v) = v A for a companion matrix A: v shifted one column
-        right, plus v's last entry times A's last row."""
+    def stepper(self, p: Poly):
+        """step(v) = v x mod p, p monic of degree n: v shifted one column
+        right, plus v's last entry times -p's low coefficients, the row of
+        p's low coefficients scaled by the lane-packed -1."""
         add, mask, width = self.add, self.mask, self.width
-        feedback = self.multiples[self.pack(a.row(self.n - 1))]
+        feedback = self.multiples[self.scale(self.pack(p.coeffs[:-1]), self.neg[1])]
 
         def step(v: int) -> int:
             x = v & mask

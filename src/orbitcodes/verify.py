@@ -35,7 +35,6 @@ from typing import Sequence
 
 from .codes import (
     Subspace,
-    _block_starts,
     _columns,
     _divisors,
     act,
@@ -509,10 +508,12 @@ def suite_codes(seed: int = 0, trials: int | None = None) -> SuiteResult:
             stab == code.stab_order,
             f"direct stabilizer count disagrees for {u!r}",
         )
+        # the oracle counts rref distances over the codebook, not the walk's ranks
         dist = distance_distribution(code)
+        halves = [subspace_distance(u, w) // 2 for w in code.codebook]
         res.check(
             "distribution_identities",
-            dist[0] == 1 and sum(dist) == len(code),
+            dist == tuple(map(halves.count, range(u.k + 1))),
             f"distribution identities failed: {dist}",
         )
 
@@ -726,7 +727,7 @@ def fullrank_coprime_check(
     degrees = [int(p.degree) * e for p, e in divisors]
     if any(u.k > d for d in degrees):
         return skipped("k exceeds a block degree")
-    starts = _block_starts(degrees)
+    starts = list(itertools.accumulate(degrees, initial=0))
     slices = [_columns(u.basis, range(u.k), lo, hi) for lo, hi in zip(starts, starts[1:])]
     if any(rref(s).rank != u.k for s in slices):
         return skipped("a column slice is rank deficient")

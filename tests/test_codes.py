@@ -754,8 +754,8 @@ def counted_steps(monkeypatch):
     for kernel in (rows._Bits, rows._Lanes):
         stepper, times = kernel.stepper, kernel.times
 
-        def counting_stepper(self, a, stepper=stepper):
-            step = stepper(self, a)
+        def counting_stepper(self, p, stepper=stepper):
+            step = stepper(self, p)
 
             def counted(v):
                 steps["baby"] += 1
@@ -961,6 +961,18 @@ def test_orbit_profile_rejects_mismatched_divisors():
 def test_divisor_takers_share_one_check(fn, divisors, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         fn(line(1, 0, 0), divisors)
+
+
+@pytest.mark.parametrize("fn", [orbit_profile, block_structure])
+@pytest.mark.parametrize("rows,counted", [([[1, 0]], True), ([[1, 0], [0, 1]], False)], ids=["count", "walk"])
+def test_a_non_monic_divisor_is_refused(fn, rows, counted):
+    # 2x^2 + 2 is irreducible over GF(3); the count steps by p's own
+    # coefficients, so only _divisors' monic check stands between it and
+    # the profile of another matrix
+    p, u = Poly(F3, [2, 0, 2]), subspace(Mat.from_rows(F3, rows))
+    assert codes._count_is_cheaper(u, p.monic()) == counted
+    with pytest.raises(ValueError, match="monic"):
+        fn(u, [(p, 1)])
 
 
 @pytest.mark.parametrize(

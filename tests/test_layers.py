@@ -59,3 +59,14 @@ def test_only_the_arithmetic_modules_read_field_lookups(name):
         if isinstance(node, ast.Attribute) and node.attr == "lookups"
     ]
     assert reads == [], f"{name}.py reads .lookups at lines {reads}"
+
+
+@pytest.mark.parametrize("name", [m for m in LIBRARY if m != "matrix"])
+def test_only_matrix_builds_companion_matrices(name):
+    # multiplication by x^e mod p runs on rows' stepper(p) and multiplier(p, e)
+    calls = [
+        node.lineno for node in ast.walk(source(name))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "companion"
+    ]
+    assert calls == [], f"{name}.py calls companion at lines {calls}"

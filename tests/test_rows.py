@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitcodes import GF, Mat, companion, irreducibles, is_invertible, rref
-from orbitcodes.poly import x_power
 from orbitcodes.rows import _Bits, _Keys, _kernel, _Lanes, _LaneTables
 
 F2 = GF(2)
@@ -45,8 +44,9 @@ class _Tuples(_Keys):
                 w = axpy(w, x, g)
         return w
 
-    def stepper(self, a):
-        axpy, feedback = self.axpy, a.row(self.n - 1)
+    def stepper(self, p):
+        """v x mod p as v companion(p): the matrix's last row is the feedback."""
+        axpy, feedback = self.axpy, companion(p).row(self.n - 1)
 
         def step(v):
             w = (0,) + v[:-1]
@@ -196,14 +196,12 @@ def test_lanes_stepper_and_multiplier_match_tuples(field, seed):
     p = rng.choice([f for f in irreducibles(field, d) if f.coeff(0)])
     lanes, tuples = _kernel(field, d), _Tuples(field, d)
     a = companion(p)
-    step, oracle = lanes.stepper(a), tuples.stepper(a)
+    step, oracle = lanes.stepper(p), tuples.stepper(p)
     for v in rand_rows(rng, field, d, 5):
         assert lanes.unpack((step(lanes.pack(v)),)) == oracle(v) == (Mat.from_rows(field, [v]) * a).row(0)
     e = rng.randrange(1, 50)
-    r = x_power(p, e)
-    key = lanes.multiplier(step, lanes.pack(r))
-    assert lanes.unpack(key) == tuples.unpack(tuples.multiplier(oracle, tuple(r)))
-    assert lanes.unpack(key) == (a**e).entries
+    key = lanes.multiplier(p, e)
+    assert lanes.unpack(key) == tuples.unpack(tuples.multiplier(p, e)) == (a**e).entries
 
 
 def slot_scale(tables, field, r, x):

@@ -56,6 +56,22 @@ def test_orbit_stabilizer_check_uses_the_counted_stabilizer(monkeypatch):
     assert "orbit_stabilizer" in failed
 
 
+def test_distribution_check_counts_distances_over_the_codebook(monkeypatch):
+    # a profile with its overlaps dropped and its period kept still sums
+    # to |C| with D_0 = 1: only distances counted apart from the walk
+    # catch it
+    real = verify.orbit_code
+
+    def flattened(u, a):
+        code = real(u, a)
+        return dataclasses.replace(code, profile=code.profile._replace(overlaps=()))
+
+    monkeypatch.setattr(verify, "orbit_code", flattened)
+    result = verify.suite_codes(seed=0, trials=20)
+    failed = {f.name for f in result.findings if f.level == "FAIL"}
+    assert "distribution_identities" in failed
+
+
 def test_groups_suite_documents_signature_gap():
     (result,) = run_suites(["groups"], seed=0, trials=1)
     warns = [f for f in result.findings if f.level == "WARN"]
